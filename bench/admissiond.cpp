@@ -11,11 +11,14 @@
 ///
 /// `--smoke` is the self-checking mode CI runs: it generates random task
 /// sets with the fig12 generator, pipes every task through the daemon's
-/// own protocol loop (real journal, real parser, real deadlines), and
-/// re-derives each decision with the offline exact-rational contention_rta
-/// — any divergence (an ADMIT the offline test rejects, or vice versa) is
-/// a hard failure.  PROVISIONAL answers are checked for fail-closedness
-/// only: they must never correspond to an applied admission.
+/// own protocol loop (real parser, real deadlines), then sends a LEAVE and
+/// a re-ADMIT of each set's first admitted task, and re-derives each
+/// decision with the offline exact-rational contention_rta — any
+/// divergence (an ADMIT the offline test rejects, or vice versa, or an
+/// ADMITTED line whose cores= or response= differs from the offline
+/// bound) is a hard failure.  PROVISIONAL answers are checked for
+/// fail-closedness only: they must never correspond to an applied
+/// admission.
 ///
 /// `--faults '<spec>'` (or HEDRA_FAULTS in the environment) arms the fault
 /// registry first, so the smoke doubles as a fail-closed property check
@@ -47,6 +50,54 @@ using hedra::serve::AdmissionService;
 using hedra::serve::ServerConfig;
 using hedra::serve::ServerStats;
 
+/// `ADMIT` request text for `task`.
+std::string admit_request(const hedra::model::DagTask& task) {
+  std::ostringstream os;
+  os << "ADMIT " << task.name() << " period " << task.period()
+     << " deadline " << task.deadline() << "\n"
+     << hedra::graph::write_dag_text(task.dag()) << "endtask\n";
+  return os.str();
+}
+
+/// Runs `script` (QUIT-terminated) through the protocol loop of `service`
+/// and returns the reply lines keyed by task name.  Responses are
+/// correlated by name, not order: under overload SHED lines from the
+/// reader overtake queued responses (documented in server.h), so
+/// positional matching would misattribute decisions.  Each script names a
+/// task at most once.
+std::map<std::string, std::string> serve_script(
+    AdmissionService& service, const std::string& script,
+    const ServerConfig& server_config) {
+  std::istringstream in(script);
+  std::ostringstream out;
+  (void)hedra::serve::run_server(in, out, service, server_config);
+  std::map<std::string, std::string> reply_for;
+  std::istringstream responses(out.str());
+  std::string line;
+  while (std::getline(responses, line)) {
+    std::istringstream fields(line);
+    std::string decision, name;
+    fields >> decision >> name;
+    if (!name.empty()) reply_for.emplace(name, line);
+  }
+  return reply_for;
+}
+
+/// One generated set's run: its ADMIT replies, then the replies to a LEAVE
+/// and a re-ADMIT of the first admitted task (empty when none was), and
+/// the number of tasks the daemon held at the end.
+struct SmokeRun {
+  std::map<std::string, std::string> admits;
+  std::string first_admitted;
+  std::string leave_reply;
+  std::string readmit_reply;
+  std::size_t final_size = 0;
+};
+
+bool is_admitted(const std::string& line) {
+  return line.rfind("ADMITTED", 0) == 0;
+}
+
 /// Pipes `count` generated task sets through a fresh service's protocol
 /// loop and cross-checks every decision offline.  Returns the number of
 /// divergences (0 = pass).
@@ -77,67 +128,77 @@ int run_smoke(int count, int tasks_per_set, std::uint64_t seed,
   int checked = 0;
 
   // Phase 1: drive every set through the daemon's protocol loop — with any
-  // armed faults live.  Outputs and final state sizes are collected so the
-  // offline referee below can run with injection DISABLED (the referee
-  // shares the instrumented analysis code; a fault firing inside the
-  // referee would corrupt the verdict it is refereeing).
-  std::vector<std::string> outputs;
-  std::vector<std::size_t> final_sizes;
+  // armed faults live: every task is ADMITted, then the first admitted
+  // task LEAVEs and is ADMITted again (last in priority order), each in a
+  // session of its own.  Replies and final state sizes are collected so
+  // the offline referee below can run with injection DISABLED (the
+  // referee shares the instrumented analysis code; a fault firing inside
+  // the referee would corrupt the verdict it is refereeing).
+  std::vector<SmokeRun> runs;
   for (int si = 0; si < count; ++si) {
     const hedra::taskset::TaskSet& set = sets[static_cast<std::size_t>(si)];
-    std::ostringstream script;
-    for (const auto& task : set) {
-      script << "ADMIT " << task.name() << " period " << task.period()
-             << " deadline " << task.deadline() << "\n"
-             << hedra::graph::write_dag_text(task.dag()) << "endtask\n";
-    }
-    script << "QUIT\n";
-    std::istringstream in(script.str());
-    std::ostringstream out;
-
     AdmissionConfig config;
     config.platform = set.platform();
     AdmissionService service(config);
-    (void)hedra::serve::run_server(in, out, service, server_config);
-    outputs.push_back(out.str());
-    final_sizes.push_back(service.snapshot()->set.size());
+    SmokeRun run;
+    std::string script;
+    for (const auto& task : set) script += admit_request(task);
+    run.admits = serve_script(service, script + "QUIT\n", server_config);
+    for (const auto& task : set) {
+      const auto it = run.admits.find(task.name());
+      if (it != run.admits.end() && is_admitted(it->second)) {
+        run.first_admitted = task.name();
+        const auto left = serve_script(
+            service, "LEAVE " + task.name() + "\nQUIT\n", server_config);
+        run.leave_reply = left.count(task.name()) != 0
+                              ? left.at(task.name())
+                              : std::string("<no response>");
+        const auto again = serve_script(
+            service, admit_request(task) + "QUIT\n", server_config);
+        run.readmit_reply = again.count(task.name()) != 0
+                                ? again.at(task.name())
+                                : std::string("<no response>");
+        break;
+      }
+    }
+    run.final_size = service.snapshot()->set.size();
+    runs.push_back(std::move(run));
   }
   hedra::fault::reset();
 
-  // Phase 2: the offline referee replays the same incremental admissions
+  // Phase 2: the offline referee replays the same admissions and leave
   // with the unlimited exact-rational test.  The daemon's ADMIT set must
-  // match the referee's exactly (sans faults); PROVISIONAL/REJECT/ERROR
+  // match the referee's exactly (sans faults), and every ADMITTED line
+  // must carry the referee's cores and response; PROVISIONAL/REJECT/ERROR
   // answers must correspond to tasks the daemon did NOT apply.
   for (int si = 0; si < count; ++si) {
     const hedra::taskset::TaskSet& set = sets[static_cast<std::size_t>(si)];
+    const SmokeRun& run = runs[static_cast<std::size_t>(si)];
     hedra::taskset::TaskSet admitted(set.platform());
+    std::size_t acknowledged = 0;
 
-    // Correlate responses by task name, not order: under overload SHED
-    // lines from the reader overtake queued responses (documented in
-    // server.h), so positional matching would misattribute decisions.
-    std::map<std::string, std::string> reply_for;
-    std::istringstream responses(outputs[static_cast<std::size_t>(si)]);
-    std::string line;
-    while (std::getline(responses, line)) {
-      std::istringstream fields(line);
-      std::string decision, name;
-      fields >> decision >> name;
-      if (!name.empty()) reply_for.emplace(name, line);
-    }
-
-    for (const auto& task : set) {
-      const auto it = reply_for.find(task.name());
-      line = it == reply_for.end() ? std::string("<no response>") : it->second;
-      const bool daemon_admitted = line.rfind("ADMITTED", 0) == 0;
-
-      hedra::taskset::TaskSet candidate = admitted;
-      candidate.add(task);
-      const auto offline = hedra::taskset::contention_rta(candidate);
+    const auto referee = [&](const hedra::model::DagTask& task,
+                             const std::string& line) {
+      const bool daemon_admitted = is_admitted(line);
+      const auto offline =
+          hedra::taskset::contention_rta(admitted.with_appended(task));
       ++checked;
       if (daemon_admitted && !offline.schedulable) {
         ++unsound;
         std::cerr << "UNSOUND ADMIT: set " << si << " task " << task.name()
                   << " ('" << line << "')\n";
+      } else if (daemon_admitted) {
+        // An acknowledged bound must be exactly the offline one.
+        std::ostringstream expect;
+        expect << "ADMITTED " << task.name() << " cores="
+               << offline.tasks.back().cores
+               << " response=" << offline.tasks.back().response << " ";
+        if (line.rfind(expect.str(), 0) != 0) {
+          ++unsound;
+          std::cerr << "WRONG BOUND: set " << si << " task " << task.name()
+                    << ": daemon said '" << line << "', offline says '"
+                    << expect.str() << "...'\n";
+        }
       }
       if (daemon_admitted != offline.schedulable) {
         ++mismatches;
@@ -149,22 +210,51 @@ int run_smoke(int count, int tasks_per_set, std::uint64_t seed,
                     << "\n";
         }
       }
-      if (daemon_admitted) admitted.add(task);
+      if (daemon_admitted) {
+        admitted.add(task);
+        ++acknowledged;
+      }
+    };
+
+    for (const auto& task : set) {
+      const auto it = run.admits.find(task.name());
+      referee(task, it == run.admits.end() ? std::string("<no response>")
+                                           : it->second);
+    }
+    if (!run.first_admitted.empty()) {
+      std::size_t index = 0;
+      while (admitted[index].name() != run.first_admitted) ++index;
+      const hedra::model::DagTask task = admitted[index];
+      // A LEAVE answers OK exactly when it was applied.
+      const bool left =
+          run.leave_reply.rfind("OK " + task.name() + " ", 0) == 0;
+      if (left) {
+        admitted = admitted.without(index);
+        --acknowledged;
+        referee(task, run.readmit_reply);
+      } else {
+        ++mismatches;
+        if (!lenient) {
+          std::cerr << "divergence: set " << si << " LEAVE " << task.name()
+                    << ": daemon said '" << run.leave_reply << "'\n";
+        }
+        // Still admitted: the re-ADMIT must be refused as a duplicate.
+        if (is_admitted(run.readmit_reply)) {
+          ++unsound;
+          std::cerr << "UNSOUND ADMIT: set " << si << " duplicate "
+                    << task.name() << "\n";
+        }
+      }
     }
 
     // The daemon's applied state must equal its acknowledged admissions.
     // With faults armed the ACK set is recomputed from the daemon's own
     // replies, so this still holds: ADMITTED implies applied, exactly.
-    std::size_t acknowledged = 0;
-    std::istringstream recount(outputs[static_cast<std::size_t>(si)]);
-    while (std::getline(recount, line)) {
-      if (line.rfind("ADMITTED", 0) == 0) ++acknowledged;
-    }
-    if (final_sizes[static_cast<std::size_t>(si)] != acknowledged) {
+    if (run.final_size != acknowledged) {
       ++unsound;
       std::cerr << "state divergence: set " << si << " final state has "
-                << final_sizes[static_cast<std::size_t>(si)]
-                << " tasks, acknowledged " << acknowledged << "\n";
+                << run.final_size << " tasks, acknowledged " << acknowledged
+                << "\n";
     }
   }
   std::cout << "smoke: " << checked << " decisions cross-checked, " << unsound

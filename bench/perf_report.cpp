@@ -468,8 +468,8 @@ int main(int argc, char** argv) {
           }
         }
       });
-      // Every admit AND every restoring leave re-analyses the full set; both
-      // count as decisions the daemon served.
+      // Every admit AND every restoring leave counts as a decision the
+      // daemon served.
       const double decisions = static_cast<double>(per_rep) +
                                static_cast<double>(admitted);
       record("admission_decisions_per_sec", "us_per_decision",

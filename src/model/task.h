@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "graph/dag.h"
@@ -23,8 +22,11 @@ using graph::Time;
 /// A sporadic DAG task.
 ///
 /// Two storage modes share one API:
-///   - *eager*: constructed from a `Dag`, which is stored directly (the
-///     classic path — file round-trips, hand-built tests, rewrites);
+///   - *eager*: constructed from a `Dag`, held behind a shared pointer so
+///     copies of the task alias one immutable graph (the classic path —
+///     file round-trips, hand-built tests, rewrites).  Copying a task costs
+///     a reference-count bump, not a graph copy; mutable_dag() detaches a
+///     private copy first (copy-on-write);
 ///   - *arena-backed*: constructed from a shared `graph::FlatDagBatch`
 ///     record.  The CSR arrays ARE the task's graph; `dag()` materialises a
 ///     field-identical `Dag` lazily, only if something actually asks for
@@ -51,8 +53,10 @@ class DagTask {
   /// task object.
   [[nodiscard]] const Dag& dag() const;
 
-  /// Mutable graph access.  Detaches an arena-backed task from its batch
-  /// first (the flat view would silently go stale under mutation).
+  /// Mutable graph access, copy-on-write: a graph shared with other copies
+  /// of this task is cloned first, so mutating this task never changes
+  /// another one.  Detaches an arena-backed task from its batch too (the
+  /// flat view would silently go stale under mutation).
   [[nodiscard]] Dag& mutable_dag();
 
   /// True when the task still aliases its generation arena, i.e.
@@ -80,8 +84,11 @@ class DagTask {
   [[nodiscard]] Frac length_ratio() const;
 
  private:
-  /// Present for eager tasks; lazily filled for arena-backed ones.
-  mutable std::optional<Dag> dag_;
+  /// Present for eager tasks; lazily filled for arena-backed ones.  Shared
+  /// between copies and never written through while shared: every Dag
+  /// stored here is allocated non-const, and mutable_dag() hands out a
+  /// writable reference only once this task owns it alone.
+  mutable std::shared_ptr<const Dag> dag_;
   std::shared_ptr<const graph::FlatDagBatch> batch_;  ///< null when eager
   std::size_t batch_index_ = 0;
   Time period_;

@@ -31,15 +31,6 @@ model::DagTask parse_task_block(const std::string& block,
   return one[0];
 }
 
-taskset::TaskSet with_task(const model::Platform& platform,
-                           const taskset::TaskSet& base,
-                           const model::DagTask* extra) {
-  taskset::TaskSet next(platform);
-  for (const model::DagTask& task : base) next.add(task);
-  if (extra != nullptr) next.add(*extra);
-  return next;
-}
-
 }  // namespace
 
 const char* to_string(Decision decision) noexcept {
@@ -123,7 +114,8 @@ AdmissionService::AdmissionService(AdmissionConfig config)
                          std::memory_order_relaxed);
   }
 
-  snapshot_.store(std::move(snapshot), std::memory_order_release);
+  util::MutexLock lock(snapshot_mutex_);
+  snapshot_ = std::move(snapshot);
 }
 
 AdmissionReply AdmissionService::admit(const model::DagTask& task,
@@ -135,7 +127,7 @@ AdmissionReply AdmissionService::admit(const model::DagTask& task,
   // One mutation at a time: the analysis below reads `current`, and the
   // publish at the end must swap against exactly that state.
   util::MutexLock writer(writer_mutex_);
-  const std::shared_ptr<const Snapshot> current = snapshot();
+  std::shared_ptr<const Snapshot> current = snapshot();
   for (const model::DagTask& existing : current->set) {
     if (existing.name() == task.name()) {
       reply.decision = Decision::kError;
@@ -145,18 +137,24 @@ AdmissionReply AdmissionService::admit(const model::DagTask& task,
     }
   }
 
+  // The published set is valid and the name is fresh, so validating the
+  // newcomer alone validates the candidate set.
   const int build_span =
       trace != nullptr ? trace->begin("snapshot-build") : -1;
-  taskset::TaskSet candidate =
-      with_task(config_.platform, current->set, &task);
   try {
-    candidate.validate();
+    current->set.validate_task(task);
   } catch (const Error& e) {
+    if (trace != nullptr) trace->end(build_span);
     reply.decision = Decision::kError;
     reply.detail = e.what();
     tally_errors_.fetch_add(1, std::memory_order_relaxed);
     return reply;
   }
+  // Copying the set shares every task's graph (a reference-count bump per
+  // task).  Materialise the newcomer's graph before it can be published:
+  // snapshot readers then only ever read it.
+  taskset::TaskSet candidate = current->set.with_appended(task);
+  (void)candidate[candidate.size() - 1].dag();
   if (trace != nullptr) trace->end(build_span);
 
   const int rta_span = trace != nullptr ? trace->begin("rta-fixpoint") : -1;
@@ -164,12 +162,12 @@ AdmissionReply AdmissionService::admit(const model::DagTask& task,
                                     ? util::Budget::kUnlimitedWork
                                     : config_.max_work_per_request);
   taskset::ContentionAnalysis analysis =
-      taskset::contention_rta(candidate, &budget);
+      taskset::contention_rta_appended(candidate, current->analysis, &budget);
   if (trace != nullptr) trace->end(rta_span);
 
   if (analysis.schedulable) {
-    // contention_rta never reports schedulable under a truncated analysis
-    // (fail closed), so this branch is a complete exact-rational proof.
+    // The analysis never reports schedulable under a truncated run (fail
+    // closed), so this branch is a complete exact-rational proof.
     const taskset::TaskAdmission& admitted = analysis.tasks.back();
     reply.decision = Decision::kAdmitted;
     reply.outcome = util::Outcome::kComplete;
@@ -187,19 +185,10 @@ AdmissionReply AdmissionService::admit(const model::DagTask& task,
     // Journal BEFORE publishing: a crash between the two replays to the
     // state we are about to acknowledge, never to one the client was not
     // told about and that was not proven schedulable.
-    if (journal_.has_value()) {
-      const int journal_span =
-          trace != nullptr ? trace->begin("journal-append+fsync") : -1;
-      journal_->append(std::string(kAdmitRecord) + task_to_text(task));
-      journal_bytes_.store(journal_->bytes_committed(),
-                           std::memory_order_relaxed);
-      if (trace != nullptr) trace->end(journal_span);
-      HEDRA_METRIC("serve.journal.appends");
-    }
-    const int publish_span =
-        trace != nullptr ? trace->begin("publish") : -1;
-    publish(std::move(next));
-    if (trace != nullptr) trace->end(publish_span);
+    const model::DagTask& newcomer = next->set[next->set.size() - 1];
+    commit(
+        [&] { return std::string(kAdmitRecord) + task_to_text(newcomer); },
+        std::move(next), std::move(current), trace);
     tally_admitted_.fetch_add(1, std::memory_order_relaxed);
     HEDRA_METRIC("serve.admit.admitted");
     return reply;
@@ -257,44 +246,65 @@ AdmissionService::LadderTallies AdmissionService::ladder_tallies()
   return t;
 }
 
-AdmissionReply AdmissionService::leave(const std::string& name) {
+AdmissionReply AdmissionService::leave(const std::string& name,
+                                       obs::RequestTrace* trace) {
   AdmissionReply reply;
   reply.task = name;
 
   util::MutexLock writer(writer_mutex_);
-  const std::shared_ptr<const Snapshot> current = snapshot();
-  taskset::TaskSet next_set(config_.platform);
-  bool found = false;
-  for (const model::DagTask& task : current->set) {
-    if (task.name() == name) {
-      found = true;
-      continue;
-    }
-    next_set.add(task);
+  std::shared_ptr<const Snapshot> current = snapshot();
+  std::size_t index = 0;
+  while (index < current->set.size() && current->set[index].name() != name) {
+    ++index;
   }
-  if (!found) {
+  if (index == current->set.size()) {
     reply.decision = Decision::kError;
     reply.detail = "no admitted task named '" + name + "'";
     return reply;
   }
 
+  const int build_span =
+      trace != nullptr ? trace->begin("snapshot-build") : -1;
   auto next = std::make_shared<Snapshot>();
   HEDRA_FAULT("serve.snapshot.alloc");
-  next->set = std::move(next_set);
-  if (!next->set.empty()) {
-    next->analysis = taskset::contention_rta(next->set);
-  }
+  next->set = current->set.without(index);
   next->version = current->version + 1;
-  if (journal_.has_value()) {
-    journal_->append(std::string(kLeavePrefix) + name);
-    journal_bytes_.store(journal_->bytes_committed(),
-                         std::memory_order_relaxed);
-    HEDRA_METRIC("serve.journal.appends");
+  if (trace != nullptr) trace->end(build_span);
+
+  const int rta_span = trace != nullptr ? trace->begin("rta-fixpoint") : -1;
+  if (!next->set.empty()) {
+    next->analysis =
+        taskset::contention_rta_erased(next->set, current->analysis, index);
   }
-  publish(std::move(next));
+  if (trace != nullptr) trace->end(rta_span);
+
+  commit([&] { return std::string(kLeavePrefix) + name; }, std::move(next),
+         std::move(current), trace);
   reply.decision = Decision::kOk;
   reply.detail = "task '" + name + "' left";
   return reply;
+}
+
+void AdmissionService::commit(const std::function<std::string()>& record,
+                              std::shared_ptr<const Snapshot> next,
+                              std::shared_ptr<const Snapshot> replaced,
+                              obs::RequestTrace* trace) {
+  if (journal_.has_value()) {
+    const int journal_span =
+        trace != nullptr ? trace->begin("journal-append+fsync") : -1;
+    journal_->append(record());
+    journal_bytes_.store(journal_->bytes_committed(),
+                         std::memory_order_relaxed);
+    if (trace != nullptr) trace->end(journal_span);
+    HEDRA_METRIC("serve.journal.appends");
+  }
+  const int publish_span = trace != nullptr ? trace->begin("publish") : -1;
+  publish(std::move(next));
+  // Drop the writer's reference to the replaced snapshot inside the span:
+  // unless a reader still holds it, its teardown happens here and is
+  // attributed.  Tasks shared with `next` only lose a reference count.
+  replaced.reset();
+  if (trace != nullptr) trace->end(publish_span);
 }
 
 std::string AdmissionService::status_line() const {

@@ -21,9 +21,17 @@
 ///     answered on a complete exact-rational proof.
 ///
 ///  2. *RCU-style snapshots.*  The admitted state is an immutable Snapshot
-///     behind std::atomic<std::shared_ptr>; readers (status queries,
-///     concurrent inspectors) load it wait-free while the single writer
-///     builds a successor and swaps it in after the journal commit.
+///     behind a shared pointer; readers (status queries, concurrent
+///     inspectors) copy the pointer while the single writer builds a
+///     successor and swaps it in after the journal commit.  The pointer
+///     copy and the swap are the only work under the snapshot lock, so a
+///     reader never waits on a mutation's analysis or journal write.
+///     Successive snapshots share their task records: each DagTask holds
+///     its graph behind a shared pointer, so building a successor copies
+///     reference counts, not graphs, and the successor's analysis is
+///     derived incrementally from the current one
+///     (taskset::contention_rta_appended / contention_rta_erased) — only
+///     the tasks a one-task change can affect are re-solved.
 ///
 ///  3. *Crash safety.*  Every state change is journalled (serve/journal.h)
 ///     BEFORE the snapshot swap, so a restart replays admit/leave records
@@ -33,10 +41,12 @@
 /// Thread model: mutations (admit()/leave()) serialise on an internal
 /// writer mutex — the journal handle and the snapshot-swap publish path are
 /// machine-checked (Clang thread-safety analysis) to only ever run under
-/// it; snapshot() is a wait-free atomic load, safe from any thread.
+/// it; snapshot() is a pointer copy under the snapshot lock, safe from any
+/// thread.
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -61,11 +71,15 @@ enum class Decision {
 
 [[nodiscard]] const char* to_string(Decision decision) noexcept;
 
-/// Immutable admitted state.  Replaced wholesale on every mutation.
+/// Immutable admitted state.  Every mutation publishes a successor that
+/// shares the task records (graphs) of this one and differs by one task.
 struct Snapshot {
   taskset::TaskSet set;
-  /// contention_rta of `set` (complete, unlimited budget); meaningful only
-  /// when the set is non-empty.
+  /// Equal to contention_rta(set) (complete, unlimited budget) in every
+  /// field except `telemetry`; meaningful only when the set is non-empty.
+  /// `telemetry` counts the analysis work of the mutation that published
+  /// this snapshot — the incremental solves of that ADMIT or LEAVE, or the
+  /// full analysis after journal replay — not that of a full analysis.
   taskset::ContentionAnalysis analysis;
   std::uint64_t version = 0;  ///< monotone, bumped per mutation
 };
@@ -96,22 +110,28 @@ class AdmissionService {
   /// re-interpreting admitted state on the wrong platform.
   explicit AdmissionService(AdmissionConfig config);
 
-  /// Wait-free read of the current admitted state.
-  [[nodiscard]] std::shared_ptr<const Snapshot> snapshot() const {
-    return snapshot_.load(std::memory_order_acquire);
+  /// The current admitted state (a pointer copy; never blocked by a
+  /// mutation in progress).
+  [[nodiscard]] std::shared_ptr<const Snapshot> snapshot() const
+      HEDRA_EXCLUDES(snapshot_mutex_) {
+    util::MutexLock lock(snapshot_mutex_);
+    return snapshot_;
   }
 
   /// Runs the admission test for `task` joining the current set under
   /// `deadline`.  See the degradation ladder in the file comment.  When
   /// `trace` is non-null the phases are recorded as spans (snapshot-build,
-  /// rta-fixpoint, journal-append+fsync, publish).
+  /// rta-fixpoint, journal-append+fsync, publish — the last one includes
+  /// releasing the replaced snapshot).
   [[nodiscard]] AdmissionReply admit(const model::DagTask& task,
                                      util::Deadline deadline = {},
                                      obs::RequestTrace* trace = nullptr)
       HEDRA_EXCLUDES(writer_mutex_);
 
-  /// Removes a previously admitted task.
-  [[nodiscard]] AdmissionReply leave(const std::string& name)
+  /// Removes a previously admitted task.  `trace` records the same phase
+  /// spans as admit().
+  [[nodiscard]] AdmissionReply leave(const std::string& name,
+                                     obs::RequestTrace* trace = nullptr)
       HEDRA_EXCLUDES(writer_mutex_);
 
   /// How often each rung of the degradation ladder answered (relaxed
@@ -144,15 +164,32 @@ class AdmissionService {
   /// makes "journal before publish, one writer at a time" a compile-time
   /// fact instead of a comment.
   void publish(std::shared_ptr<const Snapshot> next)
-      HEDRA_REQUIRES(writer_mutex_) {
-    snapshot_.store(std::move(next), std::memory_order_release);
+      HEDRA_REQUIRES(writer_mutex_) HEDRA_EXCLUDES(snapshot_mutex_) {
+    util::MutexLock lock(snapshot_mutex_);
+    snapshot_.swap(next);  // the replaced pointer is released unlocked
   }
+
+  /// The tail every mutation shares: journal `record()` (built only when a
+  /// journal is configured), then publish `next` and drop the writer's
+  /// reference to `replaced`, the snapshot it supersedes.  The journal
+  /// append throws on failure, so nothing is published unless the record
+  /// is durable.
+  void commit(const std::function<std::string()>& record,
+              std::shared_ptr<const Snapshot> next,
+              std::shared_ptr<const Snapshot> replaced,
+              obs::RequestTrace* trace) HEDRA_REQUIRES(writer_mutex_);
 
   AdmissionConfig config_;
   /// Serialises mutations; uncontended in the single-worker server.
   util::Mutex writer_mutex_;
   std::optional<Journal> journal_ HEDRA_GUARDED_BY(writer_mutex_);
-  std::atomic<std::shared_ptr<const Snapshot>> snapshot_;
+  /// Guards only the pointer below: a plain mutex rather than
+  /// std::atomic<std::shared_ptr>, whose libstdc++ spin lock releases a
+  /// reader's hold with a relaxed store, so a reader's copy and the
+  /// writer's swap are not ordered under the C++ memory model (and
+  /// ThreadSanitizer reports the pair).
+  mutable util::Mutex snapshot_mutex_;
+  std::shared_ptr<const Snapshot> snapshot_ HEDRA_GUARDED_BY(snapshot_mutex_);
   /// Mirror of journal_->bytes_committed(), readable without the writer
   /// mutex so status_line() stays lock-free.
   std::atomic<std::uint64_t> journal_bytes_{0};

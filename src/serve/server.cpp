@@ -56,7 +56,7 @@ AdmissionReply execute(AdmissionService& service, const Request& request,
         reply.detail = service.status_line();
         return reply;
       case Request::Kind::kLeave:
-        return service.leave(request.name);
+        return service.leave(request.name, trace);
       case Request::Kind::kAdmit: {
         model::DagTask task(graph::read_dag_text(request.dag_text),
                             request.period, request.deadline, request.name);

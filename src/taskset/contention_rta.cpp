@@ -104,17 +104,43 @@ const SetQuantities& measure(const TaskSet& set) {
   }
   q.scaled_uv.resize(set.size());
   for (std::size_t j = 0; j < set.size(); ++j) {
-    const __int128 n_jobs_max =
-        (__int128{d_max} + set[j].deadline()) / set[j].period() + 1;
     q.scaled_uv[j].resize(num_devices);
+    __int128 weight = 0;  // Σ_d uv·B of task j
     for (std::size_t d = 0; d < num_devices; ++d) {
       const Frac& uv = q.unit_volume[j][d];
       q.scaled_uv[j][d] = uv.num() * (base / uv.den());
-      q.step_weight += __int128{q.scaled_uv[j][d]} * n_jobs_max;
+      weight += q.scaled_uv[j][d];
     }
+    if (weight == 0) continue;  // no device work: nothing to weigh
+    const __int128 n_jobs_max =
+        (__int128{d_max} + set[j].deadline()) / set[j].period() + 1;
+    q.step_weight += weight * n_jobs_max;
   }
   q.base_scale = base;
   return q;
+}
+
+/// The competitors of task `index` that place work on at least one
+/// accelerator class the task uses, in index order: the only tasks whose
+/// carry-in job counts the fixpoint ever reads.  Empty for a host-only
+/// task, whose fixpoint is therefore its seed bound after one iteration.
+void sharers_of(const SetQuantities& q, std::size_t index,
+                std::vector<std::size_t>& sharers) {
+  sharers.clear();
+  const std::vector<graph::Time>& own = q.volume[index];
+  if (std::none_of(own.begin(), own.end(),
+                   [](graph::Time v) { return v != 0; })) {
+    return;
+  }
+  for (std::size_t j = 0; j < q.volume.size(); ++j) {
+    if (j == index) continue;
+    for (std::size_t d = 0; d < own.size(); ++d) {
+      if (own[d] != 0 && q.volume[j][d] != 0) {
+        sharers.push_back(j);
+        break;
+      }
+    }
+  }
 }
 
 /// floor((L + D_j)/T_j) + 1 — jobs of τ_j whose execution can overlap a
@@ -128,18 +154,21 @@ graph::Time carry_in_jobs(const Frac& window, const DagTask& competitor) {
 /// One evaluation of the interference sum at window length `window`.
 /// Returns Σ_d Σ_{j≠i} n_jobs_j·vol_{j,d}/(n_d·s_d) and fills
 /// `per_device` (parallel to q.units) with the per-class totals.
-/// `n_jobs` is caller-owned scratch (the fixpoint re-evaluates this in its
-/// innermost loop; the buffer survives across iterations).
+/// `sharers` is sharers_of(q, index); `n_jobs` is caller-owned scratch
+/// parallel to it (the fixpoint re-evaluates this in its innermost loop;
+/// the buffer survives across iterations).
 Frac interference_at(const TaskSet& set, const SetQuantities& q,
-                     std::size_t index, const Frac& window,
-                     std::vector<graph::Time>& n_jobs,
+                     std::size_t index,
+                     const std::vector<std::size_t>& sharers,
+                     const Frac& window, std::vector<graph::Time>& n_jobs,
                      std::vector<Frac>* per_device,
                      std::vector<std::size_t>* dominant) {
   // n_jobs_j depends only on (window, j) — compute it once per competitor,
-  // not once per (competitor, device).
-  n_jobs.assign(set.size(), 0);
-  for (std::size_t j = 0; j < set.size(); ++j) {
-    if (j != index) n_jobs[j] = carry_in_jobs(window, set[j]);
+  // not once per (competitor, device), and only for competitors whose
+  // volume the sums below read.
+  n_jobs.resize(sharers.size());
+  for (std::size_t k = 0; k < sharers.size(); ++k) {
+    n_jobs[k] = carry_in_jobs(window, set[sharers[k]]);
   }
   Frac total;
   for (std::size_t d = 0; d < q.units.size(); ++d) {
@@ -147,9 +176,10 @@ Frac interference_at(const TaskSet& set, const SetQuantities& q,
     Frac device_total;
     Frac best;
     std::size_t best_task = index;
-    for (std::size_t j = 0; j < set.size(); ++j) {
-      if (j == index || q.volume[j][d] == 0) continue;
-      const Frac contribution = Frac(n_jobs[j]) * q.unit_volume[j][d];
+    for (std::size_t k = 0; k < sharers.size(); ++k) {
+      const std::size_t j = sharers[k];
+      if (q.volume[j][d] == 0) continue;
+      const Frac contribution = Frac(n_jobs[k]) * q.unit_volume[j][d];
       device_total += contribution;
       if (best_task == index || contribution > best) {
         best = contribution;
@@ -182,8 +212,10 @@ constexpr int kMaxIterations = 1000;
 /// The right-hand side is non-decreasing in R, so the sequence is monotone;
 /// a generous iteration cap guards against pathological slow convergence.
 FixpointResult fixpoint_frac(const TaskSet& set, const SetQuantities& q,
-                             std::size_t index, const Frac& seed,
-                             graph::Time deadline, util::Budget* budget) {
+                             std::size_t index,
+                             const std::vector<std::size_t>& sharers,
+                             const Frac& seed, graph::Time deadline,
+                             util::Budget* budget) {
   FixpointResult out;
   out.per_device.assign(q.units.size(), Frac());
   out.dominant.assign(q.units.size(), index);
@@ -198,7 +230,7 @@ FixpointResult fixpoint_frac(const TaskSet& set, const SetQuantities& q,
     }
     out.iterations = k;
     const Frac next =
-        seed + interference_at(set, q, index, response, n_jobs,
+        seed + interference_at(set, q, index, sharers, response, n_jobs,
                                &out.per_device, &out.dominant);
     if (next == response) {
       out.response = response;
@@ -230,20 +262,20 @@ FixpointResult fixpoint_frac(const TaskSet& set, const SetQuantities& q,
 /// multiply by f per term, so nothing is allocated or re-derived per call.
 FixpointResult fixpoint_int(const TaskSet& set, const SetQuantities& q,
                             graph::Time L, graph::Time f, std::size_t index,
+                            const std::vector<std::size_t>& sharers,
                             const Frac& seed, graph::Time deadline,
                             util::Budget* budget) {
   using graph::Time;
   const Time seed_scaled = seed.num() * (L / seed.den());
   const Time deadline_scaled = deadline * L;
-  const std::size_t num_tasks = set.size();
   const std::size_t num_devices = q.units.size();
 
   FixpointResult out;
   out.dominant.assign(num_devices, index);
   thread_local std::vector<Time> per_device;
   per_device.assign(num_devices, 0);
-  thread_local std::vector<Time> n_jobs;
-  n_jobs.assign(num_tasks, 0);
+  thread_local std::vector<Time> n_jobs;  // parallel to `sharers`
+  n_jobs.assign(sharers.size(), 0);
 
   Time response = seed_scaled;
   bool crossed = false;
@@ -255,9 +287,11 @@ FixpointResult fixpoint_int(const TaskSet& set, const SetQuantities& q,
     }
     out.iterations = k;
     // n_jobs_j = floor((R + D_j)/T_j) + 1 on L-scaled integers.
-    for (std::size_t j = 0; j < num_tasks; ++j) {
-      if (j == index) continue;
-      n_jobs[j] = (response + set[j].deadline() * L) / (set[j].period() * L) + 1;
+    for (std::size_t k = 0; k < sharers.size(); ++k) {
+      const DagTask& competitor = set[sharers[k]];
+      n_jobs[k] = (response + competitor.deadline() * L) /
+                      (competitor.period() * L) +
+                  1;
     }
     Time total = 0;
     for (std::size_t d = 0; d < num_devices; ++d) {
@@ -265,9 +299,10 @@ FixpointResult fixpoint_int(const TaskSet& set, const SetQuantities& q,
       Time device_total = 0;
       Time best = 0;
       std::size_t best_task = index;
-      for (std::size_t j = 0; j < num_tasks; ++j) {
-        if (j == index || q.volume[j][d] == 0) continue;
-        const Time contribution = n_jobs[j] * q.scaled_uv[j][d] * f;
+      for (std::size_t k = 0; k < sharers.size(); ++k) {
+        const std::size_t j = sharers[k];
+        if (q.volume[j][d] == 0) continue;
+        const Time contribution = n_jobs[k] * q.scaled_uv[j][d] * f;
         device_total += contribution;
         if (best_task == index || contribution > best) {
           best = contribution;
@@ -305,8 +340,10 @@ FixpointResult fixpoint_int(const TaskSet& set, const SetQuantities& q,
 /// has no whole-set accumulator).  Counters only — the dispatch decision
 /// and the returned values are untouched.
 FixpointResult fixpoint(const TaskSet& set, const SetQuantities& q,
-                        std::size_t index, const Frac& seed,
-                        graph::Time deadline, util::Budget* budget,
+                        std::size_t index,
+                        const std::vector<std::size_t>& sharers,
+                        const Frac& seed, graph::Time deadline,
+                        util::Budget* budget,
                         FixpointTelemetry* telemetry = nullptr) {
   bool int_path = false;
   std::optional<FixpointResult> result;
@@ -322,12 +359,13 @@ FixpointResult fixpoint(const TaskSet& set, const SetQuantities& q,
           seed_scaled + __int128{f} * q.step_weight <= kMaxMagnitude &&
           q.timing_max * L <= kMaxMagnitude) {
         int_path = true;
-        result = fixpoint_int(set, q, L, f, index, seed, deadline, budget);
+        result = fixpoint_int(set, q, L, f, index, sharers, seed, deadline,
+                              budget);
       }
     }
   }
   if (!result) {
-    result = fixpoint_frac(set, q, index, seed, deadline, budget);
+    result = fixpoint_frac(set, q, index, sharers, seed, deadline, budget);
   }
   if (telemetry != nullptr) {
     ++telemetry->fixpoint_solves;
@@ -372,6 +410,175 @@ class SeedBound {
   std::optional<analysis::AnalysisCache> cache_;
 };
 
+/// contention_rta's per-task step: task `index` takes the smallest
+/// feasible core count in [first_m, remaining].  Scanning from first_m > 1
+/// is exact only when every smaller core count is known infeasible (see
+/// reanalyse); the from-scratch analysis passes 1.
+TaskAdmission solve_task(const TaskSet& set, const SetQuantities& q,
+                         std::size_t index, int remaining, int first_m,
+                         util::Budget* budget, FixpointTelemetry& telemetry) {
+  TaskAdmission admission;
+  admission.name = set[index].name();
+  SeedBound seed_bound(set[index], q);
+  thread_local std::vector<std::size_t> sharers;
+  sharers_of(q, index, sharers);
+  const graph::Time deadline = set[index].deadline();
+
+  FixpointResult best;
+  int assigned = 0;
+  // The seed bound is non-increasing in m_i, so the first feasible core
+  // count is the smallest one; every evaluation reuses the per-task
+  // quantities (the chain walk is the only per-m work).
+  for (int m = std::max(1, std::min(first_m, remaining)); m <= remaining;
+       ++m) {
+    // One unit per seed-bound evaluation (the chain walk), on top of the
+    // per-iteration units the fixpoint itself consumes.  On exhaustion
+    // the remaining trials are skipped and the task is reported
+    // truncated-unschedulable — under-admission, never over-admission.
+    if (budget != nullptr && !budget->consume()) {
+      best.truncated = true;
+      break;
+    }
+    const Frac seed = seed_bound(m);
+    ++telemetry.seed_evals;
+    FixpointResult result =
+        fixpoint(set, q, index, sharers, seed, deadline, budget, &telemetry);
+    if (result.converged && result.response <= Frac(deadline)) {
+      best = std::move(result);
+      assigned = m;
+      break;
+    }
+    if (result.truncated || m == remaining) {
+      best = std::move(result);  // best effort to report
+      if (best.truncated) break;  // budget gone: stop trying core counts
+    }
+  }
+
+  admission.cores = assigned > 0 ? assigned : remaining;
+  admission.schedulable = assigned > 0;
+  admission.response = best.response;
+  admission.iterations = best.iterations;
+  admission.outcome = best.truncated ? util::Outcome::kBudgetExhausted
+                                     : util::Outcome::kComplete;
+  // With zero cores left the fixpoint never ran, so there is no
+  // per-device breakdown to report.
+  for (std::size_t d = 0; d < best.per_device.size(); ++d) {
+    if (q.volume[index][d] == 0 && best.per_device[d] == Frac()) continue;
+    DeviceContention contention;
+    contention.device = static_cast<graph::DeviceId>(d + 1);
+    contention.own_volume = q.volume[index][d];
+    contention.interference = best.per_device[d];
+    contention.dominant_competitor = best.dominant[d];
+    admission.devices.push_back(std::move(contention));
+  }
+  return admission;
+}
+
+/// Folds the verdict last appended to out.tasks into the whole-set
+/// verdict, partitioning its cores out of `remaining`.
+void account_last(ContentionAnalysis& out, int& remaining) {
+  const TaskAdmission& admission = out.tasks.back();
+  if (admission.outcome == util::Outcome::kBudgetExhausted) {
+    out.outcome = util::Outcome::kBudgetExhausted;
+  }
+  if (admission.schedulable) {
+    remaining -= admission.cores;
+    out.cores_used += admission.cores;
+  } else {
+    out.schedulable = false;
+  }
+}
+
+/// One flush per analysis: the hot loops touch only the plain locals in
+/// out.telemetry; the registry sees the totals here.
+void flush_metrics(const FixpointTelemetry& t) {
+  HEDRA_METRIC("taskset.rta.analyses");
+  HEDRA_METRIC_ADD("taskset.rta.fixpoint_solves", t.fixpoint_solves);
+  HEDRA_METRIC_ADD("taskset.rta.int_path", t.int_path);
+  HEDRA_METRIC_ADD("taskset.rta.frac_path", t.frac_path);
+  HEDRA_METRIC_ADD("taskset.rta.iterations", t.iterations);
+  HEDRA_METRIC_ADD("taskset.rta.seed_evals", t.seed_evals);
+  HEDRA_METRIC_ADD("taskset.rta.truncated", t.truncated);
+}
+
+/// contention_rta(next) from `previous` = contention_rta of `next` with one
+/// task changed: the task at `changed` left (`erased`), or next's last
+/// task was appended.  See contention_rta_appended for why reusing
+/// `previous` is exact.
+ContentionAnalysis reanalyse(const TaskSet& next,
+                             const ContentionAnalysis& previous, bool erased,
+                             std::size_t changed, util::Budget* budget) {
+  HEDRA_REQUIRE(!next.empty(), "contention_rta needs a non-empty task set");
+  const std::size_t previous_size = erased ? next.size() + 1 : next.size() - 1;
+  HEDRA_REQUIRE(changed < (erased ? previous_size : next.size()),
+                "changed task index out of range");
+  const SetQuantities& q = measure(next);
+  // The shortcut needs every previous task at its smallest feasible core
+  // count with every smaller count proven infeasible: a complete,
+  // schedulable analysis of the previous set (every published snapshot).
+  // Otherwise every task is solved from one core, as from scratch.
+  const bool reuse = previous.schedulable &&
+                     previous.outcome == util::Outcome::kComplete &&
+                     previous.tasks.size() == previous_size;
+
+  // Classes the changed task places work on: the newcomer's from the
+  // measured set; the leaver's from its previous verdict, which lists
+  // every class it uses (it ran at least one fixpoint).
+  std::vector<bool> changed_uses(q.units.size(), false);
+  if (reuse && erased) {
+    for (const DeviceContention& d : previous.tasks[changed].devices) {
+      if (d.own_volume != 0) changed_uses[d.device - 1] = true;
+    }
+  } else if (reuse) {
+    for (std::size_t d = 0; d < q.units.size(); ++d) {
+      changed_uses[d] = q.volume[changed][d] != 0;
+    }
+  }
+
+  ContentionAnalysis out;
+  out.schedulable = true;
+  out.tasks.reserve(next.size());
+  int remaining = next.platform().cores;
+  for (std::size_t i = 0; i < next.size(); ++i) {
+    if (!reuse || (!erased && i == changed)) {
+      out.tasks.push_back(
+          solve_task(next, q, i, remaining, 1, budget, out.telemetry));
+      account_last(out, remaining);
+      continue;
+    }
+    const TaskAdmission& before =
+        previous.tasks[erased && i >= changed ? i + 1 : i];
+    bool shares = false;
+    for (std::size_t d = 0; d < q.units.size() && !shares; ++d) {
+      shares = changed_uses[d] && q.volume[i][d] != 0;
+    }
+    if (!shares && before.cores <= remaining) {
+      // Same competitors on every class it uses, so the same fixpoint at
+      // every core count, and its allocation still fits: the scan would
+      // stop at the same core count with the same result.
+      out.tasks.push_back(before);
+      if (erased) {
+        for (DeviceContention& d : out.tasks.back().devices) {
+          if (d.dominant_competitor > changed) --d.dominant_competitor;
+        }
+      }
+      account_last(out, remaining);
+      continue;
+    }
+    // Every count below the old allocation is still infeasible when the
+    // newcomer only raised this task's right-hand side, or when its
+    // fixpoint is unchanged, so the scan restarts there (solve_task caps
+    // it at the cores left).  A leaver lowers its sharers' interference,
+    // so they rescan from one core.
+    const int first_m = (erased && shares) ? 1 : before.cores;
+    out.tasks.push_back(
+        solve_task(next, q, i, remaining, first_m, budget, out.telemetry));
+    account_last(out, remaining);
+  }
+  flush_metrics(out.telemetry);
+  return out;
+}
+
 }  // namespace
 
 Frac contention_response(const TaskSet& set, std::size_t index, int cores,
@@ -381,8 +588,10 @@ Frac contention_response(const TaskSet& set, std::size_t index, int cores,
   const SetQuantities& q = measure(set);
   SeedBound seed_bound(set[index], q);
   const Frac seed = seed_bound(cores);
+  std::vector<std::size_t> sharers;
+  sharers_of(q, index, sharers);
   const FixpointResult result =
-      fixpoint(set, q, index, seed, set[index].deadline(), budget);
+      fixpoint(set, q, index, sharers, seed, set[index].deadline(), budget);
   if (converged != nullptr) *converged = result.converged;
   return result.response;
 }
@@ -394,79 +603,28 @@ ContentionAnalysis contention_rta(const TaskSet& set, util::Budget* budget) {
 
   ContentionAnalysis out;
   out.schedulable = true;
+  out.tasks.reserve(set.size());
   int remaining = set.platform().cores;
   for (std::size_t i = 0; i < set.size(); ++i) {
-    TaskAdmission admission;
-    admission.name = set[i].name();
-    SeedBound seed_bound(set[i], q);
-    const graph::Time deadline = set[i].deadline();
-
-    FixpointResult best;
-    int assigned = 0;
-    // The seed bound is non-increasing in m_i, so the first feasible core
-    // count is the smallest one; every evaluation reuses the per-task
-    // quantities (the chain walk is the only per-m work).
-    for (int m = 1; m <= remaining; ++m) {
-      // One unit per seed-bound evaluation (the chain walk), on top of the
-      // per-iteration units the fixpoint itself consumes.  On exhaustion
-      // the remaining trials are skipped and the task is reported
-      // truncated-unschedulable — under-admission, never over-admission.
-      if (budget != nullptr && !budget->consume()) {
-        best.truncated = true;
-        break;
-      }
-      const Frac seed = seed_bound(m);
-      ++out.telemetry.seed_evals;
-      FixpointResult result =
-          fixpoint(set, q, i, seed, deadline, budget, &out.telemetry);
-      if (result.converged && result.response <= Frac(deadline)) {
-        best = std::move(result);
-        assigned = m;
-        break;
-      }
-      if (result.truncated || m == remaining) {
-        best = std::move(result);  // best effort to report
-        if (best.truncated) break;  // budget gone: stop trying core counts
-      }
-    }
-
-    admission.cores = assigned > 0 ? assigned : remaining;
-    admission.schedulable = assigned > 0;
-    admission.response = best.response;
-    admission.iterations = best.iterations;
-    admission.outcome = best.truncated ? util::Outcome::kBudgetExhausted
-                                       : util::Outcome::kComplete;
-    if (best.truncated) out.outcome = util::Outcome::kBudgetExhausted;
-    // With zero cores left the fixpoint never ran, so there is no
-    // per-device breakdown to report.
-    for (std::size_t d = 0; d < best.per_device.size(); ++d) {
-      if (q.volume[i][d] == 0 && best.per_device[d] == Frac()) continue;
-      DeviceContention contention;
-      contention.device = static_cast<graph::DeviceId>(d + 1);
-      contention.own_volume = q.volume[i][d];
-      contention.interference = best.per_device[d];
-      contention.dominant_competitor = best.dominant[d];
-      admission.devices.push_back(std::move(contention));
-    }
-    if (assigned > 0) {
-      remaining -= assigned;
-      out.cores_used += assigned;
-    } else {
-      out.schedulable = false;
-    }
-    out.tasks.push_back(std::move(admission));
+    out.tasks.push_back(
+        solve_task(set, q, i, remaining, 1, budget, out.telemetry));
+    account_last(out, remaining);
   }
-  // One flush per analysis: the hot loops above touch only the plain
-  // locals in out.telemetry; the registry sees the totals here.
-  HEDRA_METRIC("taskset.rta.analyses");
-  HEDRA_METRIC_ADD("taskset.rta.fixpoint_solves",
-                   out.telemetry.fixpoint_solves);
-  HEDRA_METRIC_ADD("taskset.rta.int_path", out.telemetry.int_path);
-  HEDRA_METRIC_ADD("taskset.rta.frac_path", out.telemetry.frac_path);
-  HEDRA_METRIC_ADD("taskset.rta.iterations", out.telemetry.iterations);
-  HEDRA_METRIC_ADD("taskset.rta.seed_evals", out.telemetry.seed_evals);
-  HEDRA_METRIC_ADD("taskset.rta.truncated", out.telemetry.truncated);
+  flush_metrics(out.telemetry);
   return out;
+}
+
+ContentionAnalysis contention_rta_appended(const TaskSet& next,
+                                           const ContentionAnalysis& previous,
+                                           util::Budget* budget) {
+  return reanalyse(next, previous, false, next.size() - 1, budget);
+}
+
+ContentionAnalysis contention_rta_erased(const TaskSet& next,
+                                         const ContentionAnalysis& previous,
+                                         std::size_t index,
+                                         util::Budget* budget) {
+  return reanalyse(next, previous, true, index, budget);
 }
 
 std::string explain_fixpoint(const ContentionAnalysis& analysis) {

@@ -82,10 +82,11 @@ struct TaskAdmission {
   std::vector<DeviceContention> devices;  ///< classes with shared work only
 };
 
-/// Fixpoint-engine telemetry for one whole-set analysis.  Plain local
-/// counters on the analysis path — no atomics, no locks, no clock reads —
-/// so recording never perturbs the iteration sequence or the verdict
-/// (analysis output is bit-identical with telemetry compiled in).
+/// Fixpoint-engine telemetry for one analysis — for the incremental entry
+/// points below, the solves they actually ran.  Plain local counters on
+/// the analysis path — no atomics, no locks, no clock reads — so recording
+/// never perturbs the iteration sequence or the verdict (analysis output
+/// is bit-identical with telemetry compiled in).
 struct FixpointTelemetry {
   std::uint64_t fixpoint_solves = 0;  ///< (task, core-count) fixpoints run
   /// Which arithmetic engine each solve took: the L-scaled integer fast
@@ -118,6 +119,41 @@ struct ContentionAnalysis {
 /// analysis can under-admit, never over-admit.
 [[nodiscard]] ContentionAnalysis contention_rta(const TaskSet& set,
                                                 util::Budget* budget = nullptr);
+
+/// contention_rta(next), reusing `previous` = contention_rta of `next`
+/// without its last task (a newcomer joined last in priority order).  Only
+/// the newcomer and the tasks it can affect are solved: the tasks that
+/// place work on an accelerator class the newcomer uses, and any task
+/// whose remaining host cores fell below its previous allocation.  Every
+/// other verdict is copied.  Equal to contention_rta(next) in every field
+/// but `telemetry`, which counts only the solves actually run.
+///
+/// Why reuse is exact: in a complete, schedulable `previous` every task
+/// holds its smallest feasible core count m_i, so every m < m_i was proven
+/// infeasible.  The newcomer only raises the right-hand side of the tasks
+/// that share a class with it, so those runs cross their deadline no later
+/// than before and every m < m_i stays infeasible; their scan restarts at
+/// m_i and solves from the seed exactly as contention_rta does.  A task
+/// that shares no class with the newcomer has the same fixpoint at every
+/// core count.  When `previous` is not complete and schedulable, every
+/// task is solved from scratch.
+///
+/// `next` must be non-empty and valid; only the newcomer is new, so a
+/// caller validates just that task (TaskSet::validate_task plus a name
+/// check).  `budget` is consumed as by contention_rta, for the solves run.
+[[nodiscard]] ContentionAnalysis contention_rta_appended(
+    const TaskSet& next, const ContentionAnalysis& previous,
+    util::Budget* budget = nullptr);
+
+/// contention_rta(next), reusing `previous` = contention_rta of `next` with
+/// the task that held position `index` still in place (it left).  The
+/// leaver's sharers rescan from one core, since a leaver only lowers their
+/// interference; tasks that share no class with it keep their verdicts,
+/// with competitor indices past `index` shifted down by one.  Otherwise as
+/// contention_rta_appended.
+[[nodiscard]] ContentionAnalysis contention_rta_erased(
+    const TaskSet& next, const ContentionAnalysis& previous,
+    std::size_t index, util::Budget* budget = nullptr);
 
 /// The inflated response-time fixpoint of task `index` on `cores` dedicated
 /// host cores, ignoring the partitioning step — the building block

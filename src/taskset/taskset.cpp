@@ -2,6 +2,8 @@
 
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <unordered_set>
 
 #include "graph/dag_io.h"
 #include "util/strings.h"
@@ -21,31 +23,65 @@ graph::Time task_volume_on(const DagTask& task, graph::DeviceId device) {
   return volume;
 }
 
+void check_name(const DagTask& task) {
+  HEDRA_REQUIRE(!task.name().empty(), "task names must be non-empty");
+  HEDRA_REQUIRE(task.name().find_first_of(" \t\r\n") == std::string::npos,
+                "task name '" + task.name() + "' contains whitespace");
+}
+
+void check_placement(const Platform& platform, const DagTask& task) {
+  // Arena-backed fast path: the view's max device decides support without
+  // materialising.  On violation fall through to the Dag-based check so
+  // the message (which names the offending node) stays identical.
+  const auto num_devices =
+      static_cast<graph::DeviceId>(platform.num_devices());
+  if (task.has_flat_view() && task.flat_view().max_device() <= num_devices) {
+    return;
+  }
+  const auto issues = model::check_supports(platform, task.dag());
+  HEDRA_REQUIRE(issues.empty(), "task '" + task.name() +
+                                    "' does not fit the platform: " +
+                                    issues.front());
+}
+
 }  // namespace
+
+TaskSet TaskSet::with_appended(const DagTask& task) const {
+  TaskSet out(platform_);
+  out.tasks_.reserve(tasks_.size() + 1);
+  out.tasks_.insert(out.tasks_.end(), tasks_.begin(), tasks_.end());
+  out.tasks_.push_back(task);
+  return out;
+}
+
+TaskSet TaskSet::without(std::size_t i) const {
+  HEDRA_REQUIRE(i < tasks_.size(), "task index out of range");
+  const auto at = tasks_.begin() + static_cast<std::ptrdiff_t>(i);
+  TaskSet out(platform_);
+  out.tasks_.reserve(tasks_.size() - 1);
+  out.tasks_.insert(out.tasks_.end(), tasks_.begin(), at);
+  out.tasks_.insert(out.tasks_.end(), at + 1, tasks_.end());
+  return out;
+}
+
+void TaskSet::validate_task(const DagTask& task) const {
+  check_name(task);
+  check_placement(platform_, task);
+}
 
 void TaskSet::validate() const {
   platform_.validate();
-  const auto num_devices =
-      static_cast<graph::DeviceId>(platform_.num_devices());
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    const DagTask& task = tasks_[i];
-    HEDRA_REQUIRE(!task.name().empty(), "task names must be non-empty");
-    HEDRA_REQUIRE(task.name().find_first_of(" \t\r\n") == std::string::npos,
-                  "task name '" + task.name() + "' contains whitespace");
-    for (std::size_t j = 0; j < i; ++j) {
-      HEDRA_REQUIRE(tasks_[j].name() != task.name(),
-                    "duplicate task name '" + task.name() + "'");
-    }
-    // Arena-backed fast path: the view's max device decides support without
-    // materialising.  On violation fall through to the Dag-based check so
-    // the message (which names the offending node) stays identical.
-    if (task.has_flat_view() && task.flat_view().max_device() <= num_devices) {
-      continue;
-    }
-    const auto issues = model::check_supports(platform_, task.dag());
-    HEDRA_REQUIRE(issues.empty(), "task '" + task.name() +
-                                      "' does not fit the platform: " +
-                                      issues.front());
+  // Names of tasks 0..i-1.  Task i's duplicate check sits between its
+  // name-format and placement checks, so the violation reported is the
+  // first one in index order.
+  // hedra-lint: allow(unordered-container, membership only, never iterated)
+  std::unordered_set<std::string_view> seen;
+  seen.reserve(tasks_.size());
+  for (const DagTask& task : tasks_) {
+    check_name(task);
+    HEDRA_REQUIRE(seen.insert(task.name()).second,
+                  "duplicate task name '" + task.name() + "'");
+    check_placement(platform_, task);
   }
 }
 
@@ -94,6 +130,8 @@ TaskSet TaskSet::from_text(const std::string& text) {
 
   TaskSet set;
   bool have_platform = false;
+  // hedra-lint: allow(unordered-container, membership only, never iterated)
+  std::unordered_set<std::string> names;  ///< duplicate check, O(1) each
   std::size_t i = 0;
   while (i < lines.size()) {
     const std::string_view line = trim(lines[i]);
@@ -151,10 +189,8 @@ TaskSet TaskSet::from_text(const std::string& text) {
       if (!closed) fail(header_line, "task '" + name + "' has no endtask");
       // validate() would catch the duplicate too, but only after parsing
       // everything and without a line number; failing here names the line.
-      for (const DagTask& existing : set.tasks_) {
-        if (existing.name() == name) {
-          fail(header_line, "duplicate task name '" + name + "'");
-        }
+      if (!names.insert(name).second) {
+        fail(header_line, "duplicate task name '" + name + "'");
       }
       try {
         set.add(DagTask(graph::read_dag_text(dag_text), period, deadline,

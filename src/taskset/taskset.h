@@ -56,6 +56,15 @@ class TaskSet {
 
   void add(DagTask task) { tasks_.push_back(std::move(task)); }
 
+  /// A copy of this set with `task` appended last in priority order.  The
+  /// copy shares every task's graph with this set (model::DagTask), so it
+  /// costs one allocation and a reference-count bump per task.
+  [[nodiscard]] TaskSet with_appended(const DagTask& task) const;
+
+  /// A copy of this set without task `i`; later tasks move up one place in
+  /// priority order.  Shares graphs as with_appended() does.
+  [[nodiscard]] TaskSet without(std::size_t i) const;
+
   [[nodiscard]] const Platform& platform() const noexcept { return platform_; }
   [[nodiscard]] std::size_t size() const noexcept { return tasks_.size(); }
   [[nodiscard]] bool empty() const noexcept { return tasks_.empty(); }
@@ -71,8 +80,15 @@ class TaskSet {
   /// Throws hedra::Error if the platform is invalid, any task name is
   /// empty, duplicated or contains whitespace (the round-trip format could
   /// not represent it), or some task places a node on a device the platform
-  /// does not provide (the violation names the task).
+  /// does not provide (the violation names the task).  The first
+  /// violation in index order is reported; duplicates are found with one
+  /// hashed pass, so validation is linear in the number of tasks.
   void validate() const;
+
+  /// The per-task half of validate(): throws the same errors validate()
+  /// would for `task` (name format, device placements), except duplicate
+  /// names, which depend on the rest of the set.
+  void validate_task(const DagTask& task) const;
 
   /// vol_d(G_i) / T_i — task i's exact utilisation of accelerator class d
   /// (d = 0 selects the host).  Device-TIME ticks; divide by n_d for a

@@ -49,6 +49,24 @@ TEST(TaskTest, LengthRatio) {
   EXPECT_EQ(task.length_ratio(), Frac(1, 2));
 }
 
+TEST(TaskTest, CopiesShareTheGraphUntilOneIsMutated) {
+  const auto ex = testing::paper_example();
+  const DagTask original(ex.dag, 100, 100, "orig");
+  DagTask copy = original;
+  EXPECT_EQ(&copy.dag(), &original.dag());  // shared, not copied
+
+  copy.mutable_dag().set_wcet(ex.voff, 10);
+  EXPECT_NE(&copy.dag(), &original.dag());  // detached on write
+  EXPECT_EQ(copy.dag().wcet(ex.voff), 10);
+  EXPECT_EQ(original.dag().wcet(ex.voff), ex.dag.wcet(ex.voff));
+  EXPECT_EQ(original.utilization(), Frac(18, 100));
+
+  // A sole owner mutates in place.
+  const Dag* before = &copy.dag();
+  copy.mutable_dag().set_wcet(ex.voff, 11);
+  EXPECT_EQ(&copy.dag(), before);
+}
+
 TEST(TaskTest, MutableDagAllowsCoffSweeps) {
   const auto ex = testing::paper_example();
   DagTask task(ex.dag, 100, 100);

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/dag_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/fault.h"
@@ -215,6 +216,64 @@ TEST(ServerTest, TracedSessionRecordsTheSpanTree) {
   EXPECT_NE(json.find("\"tid\":" + std::to_string(traces[2]->id())),
             std::string::npos);
   EXPECT_NE(json.find("\"name\":\"rta-fixpoint\""), std::string::npos);
+}
+
+/// Span names of `trace`, in opening order.
+std::vector<std::string> span_names(const obs::RequestTrace& trace) {
+  std::vector<std::string> names;
+  for (const obs::Span& span : trace.spans()) names.push_back(span.name);
+  return names;
+}
+
+TEST(ServerTest, TracedLeaveRecordsTheSameSpanTreeAsAdmit) {
+  obs::Tracer tracer;
+  ServerConfig config;
+  config.tracer = &tracer;
+  std::istringstream in(
+      "ADMIT tau1 period 1000 deadline 1000\n" + std::string(kEasyBody) +
+      "ADMIT tau2 period 1000 deadline 1000\n" + std::string(kEasyBody) +
+      "LEAVE tau1\n"
+      "QUIT\n");
+  std::ostringstream out;
+  AdmissionService service(test_config());
+  (void)run_server(in, out, service, config);
+
+  const auto traces = tracer.snapshot();
+  ASSERT_EQ(traces.size(), 4u);  // ADMIT, ADMIT, LEAVE, QUIT
+  const obs::RequestTrace& leave = *traces[2];
+  EXPECT_EQ(leave.notes().at("verb"), "LEAVE");
+  EXPECT_EQ(leave.notes().at("decision"), "OK");
+  const std::vector<std::string> expected{
+      "request",        "parse",   "queue-wait", "snapshot-build",
+      "rta-fixpoint",   "publish"};
+  EXPECT_EQ(span_names(leave), expected);
+  const obs::Span& root = leave.spans()[0];
+  std::int64_t child_sum = 0;
+  for (std::size_t i = 1; i < leave.spans().size(); ++i) {
+    const obs::Span& span = leave.spans()[i];
+    EXPECT_EQ(span.parent, 0) << span.name;
+    EXPECT_GE(span.start_ns, root.start_ns) << span.name;
+    EXPECT_LE(span.end_ns, root.end_ns) << span.name;
+    EXPECT_LE(span.start_ns, span.end_ns) << span.name;
+    child_sum += span.end_ns - span.start_ns;
+  }
+  EXPECT_LE(child_sum, root.end_ns - root.start_ns);
+}
+
+TEST(ServerTest, RejectedValidationClosesItsSpanWhereItFails) {
+  AdmissionService service(test_config());
+  obs::RequestTrace trace(1);
+  // Device 2 does not exist on the one-accelerator platform.
+  const model::DagTask misplaced(graph::read_dag_text("node v1 5 offload:2\n"),
+                                 1000, 1000, "tau1");
+  const AdmissionReply reply =
+      service.admit(misplaced, util::Deadline::never(), &trace);
+  EXPECT_EQ(reply.decision, Decision::kError);
+  EXPECT_NE(reply.detail.find("does not fit the platform"), std::string::npos);
+  ASSERT_EQ(span_names(trace), std::vector<std::string>{"snapshot-build"});
+  // Closed by admit() itself, not left for the server's end_all().
+  EXPECT_NE(trace.spans()[0].end_ns, 0);
+  EXPECT_EQ(service.snapshot()->version, 0u);
 }
 
 TEST(ServerTest, TraceAllocationFaultDropsTheTraceNotTheRequest) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/analysis_cache.h"
+#include "common/contention_equal.h"
 #include "taskset/gen.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -192,6 +193,131 @@ TEST(ContentionRtaTest, InvalidInputsThrow) {
   set.add(DagTask(chain_dag(10, 8, 1), 200, 200, "tau1"));
   EXPECT_THROW((void)contention_response(set, 1, 2), Error);
   EXPECT_THROW((void)contention_response(set, 0, 0), Error);
+}
+
+/// Sets whose tasks mostly share two single-unit classes, on few enough
+/// cores that a grown allocation starves later tasks; every third set
+/// mixes in host-only tasks.
+TaskSet delta_set(std::uint64_t seed) {
+  TaskSetGenConfig config = small_gen(7, 2, 2.2);
+  config.cores = 9;
+  Rng rng(seed);
+  TaskSet shared = generate_task_set(config, rng);
+  if (seed % 3 != 0) return shared;
+  config.dag_params.num_devices = 0;
+  config.num_tasks = 3;
+  config.total_utilization = 1.0;
+  const TaskSet host = generate_task_set(config, rng);
+  TaskSet mixed(shared.platform());
+  for (std::size_t i = 0; i < shared.size(); ++i) {
+    mixed.add(shared[i]);
+    if (i < host.size()) {
+      const DagTask& t = host[i];
+      mixed.add(DagTask(t.dag(), t.period(), t.deadline(),
+                        "host" + std::to_string(i)));
+    }
+  }
+  return mixed;
+}
+
+TaskSet prefix(const TaskSet& set, std::size_t n) {
+  TaskSet out(set.platform());
+  for (std::size_t i = 0; i < n; ++i) out.add(set[i]);
+  return out;
+}
+
+TEST(ContentionRtaDeltaTest, AppendedEqualsTheFromScratchAnalysis) {
+  int reused = 0;
+  int rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    const TaskSet set = delta_set(seed);
+    ContentionAnalysis previous;  // of the empty set
+    for (std::size_t n = 1; n <= set.size(); ++n) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", n " + std::to_string(n));
+      const TaskSet next = prefix(set, n);
+      const ContentionAnalysis expected = contention_rta(next);
+      testing::expect_same_analysis(contention_rta_appended(next, previous),
+                                    expected);
+      reused += previous.schedulable ? 1 : 0;
+      rejected += previous.schedulable && !expected.schedulable ? 1 : 0;
+      previous = expected;
+    }
+  }
+  // Both the reuse path and rejections by it were exercised.
+  EXPECT_GT(reused, 50);
+  EXPECT_GT(rejected, 5);
+}
+
+TEST(ContentionRtaDeltaTest, ErasedEqualsTheFromScratchAnalysis) {
+  int reused = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    const TaskSet full = delta_set(seed);
+    // The full set (often unschedulable: every task re-solved) and its
+    // longest schedulable prefix (the reuse path).
+    std::size_t n = full.size();
+    while (n > 2 && !contention_rta(prefix(full, n)).schedulable) --n;
+    for (const TaskSet& set : {full, prefix(full, n)}) {
+      const ContentionAnalysis previous = contention_rta(set);
+      reused += previous.schedulable ? 1 : 0;
+      for (std::size_t i = 0; i < set.size(); ++i) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", erase " +
+                     std::to_string(i) + " of " + std::to_string(set.size()));
+        const TaskSet next = set.without(i);
+        testing::expect_same_analysis(contention_rta_erased(next, previous, i),
+                                      contention_rta(next));
+      }
+    }
+  }
+  EXPECT_GT(reused, 20);
+}
+
+TEST(ContentionRtaDeltaTest, UnaffectedTasksAreNotSolvedAgain) {
+  // Host-only tasks share no class with anyone: an append solves only the
+  // newcomer's scan, an erase solves nothing.
+  TaskSetGenConfig config = small_gen(40, 0, 6.0);
+  config.cores = 200;
+  Rng rng(5);
+  const TaskSet set = generate_task_set(config, rng);
+  const TaskSet previous_set = prefix(set, set.size() - 1);
+  const ContentionAnalysis previous = contention_rta(previous_set);
+  ASSERT_TRUE(previous.schedulable);
+
+  const ContentionAnalysis appended = contention_rta_appended(set, previous);
+  EXPECT_EQ(appended.telemetry.seed_evals,
+            static_cast<std::uint64_t>(appended.tasks.back().cores));
+  EXPECT_EQ(appended.telemetry.fixpoint_solves, appended.telemetry.seed_evals);
+  EXPECT_EQ(appended.telemetry.iterations, appended.telemetry.fixpoint_solves);
+
+  const ContentionAnalysis erased =
+      contention_rta_erased(previous_set.without(0), previous, 0);
+  EXPECT_EQ(erased.telemetry.fixpoint_solves, 0u);
+  testing::expect_same_analysis(erased,
+                                contention_rta(previous_set.without(0)));
+}
+
+TEST(ContentionRtaDeltaTest, BudgetCutNeverReportsSchedulable) {
+  const TaskSet set = delta_set(4);
+  const std::size_t n = 3;
+  const ContentionAnalysis previous = contention_rta(prefix(set, n - 1));
+  ASSERT_TRUE(previous.schedulable);
+  for (std::uint64_t work = 0; work < 40; ++work) {
+    util::Budget budget(util::Deadline::never(), work);
+    const ContentionAnalysis cut =
+        contention_rta_appended(prefix(set, n), previous, &budget);
+    if (cut.outcome == util::Outcome::kBudgetExhausted) {
+      EXPECT_FALSE(cut.schedulable) << "work " << work;
+    }
+  }
+}
+
+TEST(ContentionRtaDeltaTest, ChangedIndexOutOfRangeThrows) {
+  const TaskSet set = delta_set(4);
+  const ContentionAnalysis previous = contention_rta(set);
+  EXPECT_THROW((void)contention_rta_erased(set.without(0), previous,
+                                           set.size()),
+               Error);
+  EXPECT_THROW((void)contention_rta_appended(TaskSet(set.platform()), previous),
+               Error);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "graph/dag_io.h"
 #include "util/error.h"
@@ -45,6 +47,83 @@ TEST(TaskSetTest, RejectsDuplicateAndWhitespaceNames) {
   TaskSet spaced(Platform::parse("2:gpu"));
   spaced.add(DagTask(two_node_dag(6, 4, 1), 100, 80, "tau one"));
   EXPECT_THROW(spaced.validate(), Error);
+}
+
+/// The message validate() throws for `set`, or "" when it passes.
+std::string validation_error(const TaskSet& set) {
+  try {
+    set.validate();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TaskSet named_set(const std::vector<std::string>& names) {
+  TaskSet set(Platform::parse("2:gpu"));
+  for (const std::string& name : names) {
+    set.add(DagTask(two_node_dag(6, 4, 1), 100, 80, name));
+  }
+  return set;
+}
+
+TEST(TaskSetTest, DuplicateAnywhereIsReportedByName) {
+  // At the front, in the middle and at the end of a longer set.
+  EXPECT_NE(validation_error(named_set({"a", "a", "b", "c", "d"}))
+                .find("duplicate task name 'a'"),
+            std::string::npos);
+  EXPECT_NE(validation_error(named_set({"a", "b", "c", "b", "d"}))
+                .find("duplicate task name 'b'"),
+            std::string::npos);
+  EXPECT_NE(validation_error(named_set({"a", "b", "c", "d", "a"}))
+                .find("duplicate task name 'a'"),
+            std::string::npos);
+  EXPECT_EQ(validation_error(named_set({"a", "b", "c", "d", "e"})), "");
+}
+
+TEST(TaskSetTest, FirstViolationInIndexOrderWins) {
+  // The whitespace name at index 1 precedes the duplicate at index 3.
+  EXPECT_NE(validation_error(named_set({"a", "b c", "d", "a"}))
+                .find("task name 'b c' contains whitespace"),
+            std::string::npos);
+  // The duplicate at index 2 precedes the whitespace name at index 3.
+  EXPECT_NE(validation_error(named_set({"a", "d", "a", "b c"}))
+                .find("duplicate task name 'a'"),
+            std::string::npos);
+  // Of two duplicated names, the one whose second copy comes first wins.
+  EXPECT_NE(validation_error(named_set({"x", "y", "y", "x"}))
+                .find("duplicate task name 'y'"),
+            std::string::npos);
+}
+
+TEST(TaskSetTest, ValidateTaskChecksOneTaskAgainstThePlatform) {
+  const TaskSet set = small_set();
+  EXPECT_NO_THROW(set.validate_task(DagTask(two_node_dag(1, 1, 2), 9, 9, "x")));
+  // The same name as a member is not its concern (the set is not searched).
+  EXPECT_NO_THROW(
+      set.validate_task(DagTask(two_node_dag(1, 1, 1), 9, 9, "tau1")));
+  EXPECT_THROW(set.validate_task(DagTask(two_node_dag(1, 1, 3), 9, 9, "x")),
+               Error);
+  EXPECT_THROW(
+      set.validate_task(DagTask(two_node_dag(1, 1, 1), 9, 9, "two words")),
+      Error);
+}
+
+TEST(TaskSetTest, OneTaskCopiesKeepTheOrderAndShareGraphs) {
+  const TaskSet set = named_set({"a", "b", "c"});
+  const TaskSet without_b = set.without(1);
+  ASSERT_EQ(without_b.size(), 2u);
+  EXPECT_EQ(without_b[0].name(), "a");
+  EXPECT_EQ(without_b[1].name(), "c");
+  EXPECT_EQ(&without_b[1].dag(), &set[2].dag());
+  EXPECT_THROW((void)set.without(3), Error);
+
+  const TaskSet with_d =
+      set.with_appended(DagTask(two_node_dag(1, 1, 1), 9, 9, "d"));
+  ASSERT_EQ(with_d.size(), 4u);
+  EXPECT_EQ(with_d[3].name(), "d");
+  EXPECT_EQ(&with_d[0].dag(), &set[0].dag());
+  EXPECT_EQ(set.size(), 3u);
 }
 
 TEST(TaskSetTest, UtilizationAccounting) {
