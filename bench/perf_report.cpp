@@ -278,19 +278,25 @@ int main(int argc, char** argv) {
         hedra::exact::BnbConfig solver;
         solver.max_nodes = 5'000'000;
         solver.time_limit_sec = 300.0;
-        std::uint64_t nodes = 0;
+        std::uint64_t nodes = 0, unproven = 0, prune_energy = 0;
         const double ms = best_ms(reps, [&] {
-          nodes = 0;
+          nodes = unproven = prune_energy = 0;
           for (const Dag& dag : batch) {
-            nodes += hedra::exact::min_makespan(dag, c.m, solver)
-                         .nodes_explored;
+            const auto r = hedra::exact::min_makespan(dag, c.m, solver);
+            nodes += r.nodes_explored;
+            unproven += r.proven_optimal ? 0 : 1;
+            prune_energy += r.stats.prune_energy;
           }
         });
+        // A budget-exhausting instance spends the whole budget, so the
+        // time says little without the count of instances left unproven.
         record(c.name, "ms",
                ms,
                {{"nodes", static_cast<double>(nodes)},
                 {"nodes_per_sec",
-                 ms > 0 ? 1000.0 * static_cast<double>(nodes) / ms : 0}});
+                 ms > 0 ? 1000.0 * static_cast<double>(nodes) / ms : 0},
+                {"unproven", static_cast<double>(unproven)},
+                {"prune_energy", static_cast<double>(prune_energy)}});
       }
     }
 
@@ -319,19 +325,21 @@ int main(int argc, char** argv) {
         solver.max_nodes = 5'000'000;
         solver.time_limit_sec = 300.0;
         solver.jobs = mode.jobs;
-        std::uint64_t nodes = 0;
+        std::uint64_t nodes = 0, unproven = 0;
         const double ms = best_ms(reps, [&] {
-          nodes = 0;
+          nodes = unproven = 0;
           for (const Dag& dag : batch) {
-            nodes +=
-                hedra::exact::min_makespan(dag, 2, solver).nodes_explored;
+            const auto r = hedra::exact::min_makespan(dag, 2, solver);
+            nodes += r.nodes_explored;
+            unproven += r.proven_optimal ? 0 : 1;
           }
         });
         record(mode.name, "ms", ms,
                {{"jobs", static_cast<double>(mode.jobs)},
                 {"nodes", static_cast<double>(nodes)},
                 {"nodes_per_sec",
-                 ms > 0 ? 1000.0 * static_cast<double>(nodes) / ms : 0}});
+                 ms > 0 ? 1000.0 * static_cast<double>(nodes) / ms : 0},
+                {"unproven", static_cast<double>(unproven)}});
       }
     }
 

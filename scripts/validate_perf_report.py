@@ -5,12 +5,18 @@ still accepted).  CI runs `perf_report --quick --out <file>` and then this
 script, so the benchmark harness can't silently rot.
 
 Usage: validate_perf_report.py <report.json> [--expect-benchmarks N]
-                               [--require-kernel NAME]...
+                               [--require-kernel NAME]... [--baseline]
 
 --require-kernel fails the validation unless a benchmark with that exact
 name is present — CI uses it to pin the kernels a PR promises (e.g. the
 fig12_sweep taskset kernel) in both the quick run and the committed
 baseline.
+
+Every exact-solver kernel (name starting "bnb_") must carry an
+"unproven" counter: a budget-exhausting instance spends the whole node
+budget, so a bnb time means little without the count of instances left
+unproven.  --baseline exempts a committed baseline recorded before that
+counter existed.
 """
 
 import json
@@ -27,6 +33,8 @@ REQUIRED_TOP = {
 }
 REQUIRED_BENCH = {"name", "unit", "value", "iterations"}
 KNOWN_UNITS = {"ms", "us_per_sim", "us_per_dag", "us_per_decision"}
+BNB_PREFIX = "bnb_"
+BNB_REQUIRED_COUNTERS = {"unproven"}
 
 
 def fail(message: str) -> None:
@@ -41,6 +49,7 @@ def main() -> None:
     expected = None
     if "--expect-benchmarks" in sys.argv:
         expected = int(sys.argv[sys.argv.index("--expect-benchmarks") + 1])
+    baseline = "--baseline" in sys.argv
     required = [
         sys.argv[i + 1]
         for i, arg in enumerate(sys.argv)
@@ -86,6 +95,10 @@ def main() -> None:
         for key, value in bench.get("counters", {}).items():
             if not isinstance(value, (int, float)):
                 fail(f"benchmark {bench['name']!r} counter {key!r} not numeric")
+        if bench["name"].startswith(BNB_PREFIX) and not baseline:
+            missing = BNB_REQUIRED_COUNTERS - bench.get("counters", {}).keys()
+            if missing:
+                fail(f"benchmark {bench['name']!r} missing counters {sorted(missing)}")
     if expected is not None and len(benchmarks) != expected:
         fail(f"expected {expected} benchmarks, found {len(benchmarks)}")
     for kernel in required:

@@ -1,6 +1,7 @@
 #include "exact/bnb.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <deque>
@@ -11,6 +12,7 @@
 
 #include "exact/bounds.h"
 #include "exact/list_heuristics.h"
+#include "exact/tail_energy.h"
 #include "graph/algorithms.h"
 #include "graph/critical_path.h"
 #include "graph/flat_dag.h"
@@ -69,6 +71,8 @@ struct DelayFrame {
   int n_running_accel = 0;
   std::size_t accel_ready_count = 0;
   std::size_t down_ptr = 0;
+  Time energy = 0;
+  bool energy_stale = true;
   std::vector<NodeId> ready_host;
   std::vector<NodeId> ready_accel;
   std::vector<NodeId> zero_completed;
@@ -82,7 +86,8 @@ struct SearchContext {
       : flat(dag),
         m(m_in),
         config(config_in),
-        down(graph::down_lengths(flat)) {
+        down(graph::down_lengths(flat)),
+        by_tail(tail_order(flat, down)) {
     const std::size_t n = flat.num_nodes();
     by_down.resize(n);
     for (NodeId v = 0; v < n; ++v) by_down[v] = v;
@@ -101,6 +106,7 @@ struct SearchContext {
   BnbConfig config;
   std::vector<Time> down;
   std::vector<NodeId> by_down;  ///< node ids, descending down(v)
+  std::vector<TailEntry> by_tail;  ///< work-carrying nodes, descending tail
   bool single_offload = false;
 };
 
@@ -122,7 +128,13 @@ struct SearchState {
   int n_running_host = 0;
   int n_running_accel = 0;
   std::size_t down_ptr = 0;  ///< first possibly-unstarted slot of by_down
+  /// The tail-energy term at `now` (see energy_bound()); constant over
+  /// every start branch of one event time, so it is recomputed only after
+  /// an advance marks it stale.
+  Time energy = 0;
+  bool energy_stale = true;
   std::vector<std::uint32_t> remaining_preds;
+  std::vector<Time> finish_at;  ///< finish time of each started node
   std::vector<NodeId> ready_host;   ///< sorted by exploration priority
   std::vector<NodeId> ready_accel;  ///< sorted by exploration priority
   std::vector<Running> running;
@@ -180,11 +192,12 @@ constexpr std::uint64_t kBudgetPollMask = 0x3FF;  // every 1024 nodes
 ///  - an incrementally maintained lower bound (the path term reads the
 ///    first unstarted entry of a down-sorted node order instead of sweeping
 ///    all n nodes per search node; the area terms are running sums),
+///  - a tail-energy term behind it, swept once per event time and cached
+///    in the state (energy_bound()),
 ///  - O(1) ready-list removal: ready nodes stay in their priority-sorted
 ///    arrays and branches mark them via the `started` bitset, which keeps
-///    the branch enumeration order — and therefore the explored node
-///    sequence and any budget-truncated result — bit-identical to the
-///    historical erase/insert implementation, and
+///    the branch enumeration order identical to the historical erase/insert
+///    implementation, and
 ///  - an undo-based delay branch (DelayFrame) instead of a full state
 ///    snapshot.
 ///
@@ -213,6 +226,7 @@ class DfsEngine {
     }
     s_.free_cores = ctx_.m;
     s_.started = DynamicBitset(n);
+    s_.finish_at.resize(n);
     for (NodeId v = 0; v < n; ++v) {
       if (ctx_.flat.wcet(v) == 0) continue;
       if (ctx_.flat.device(v) != graph::kHostDevice) {
@@ -274,13 +288,7 @@ class DfsEngine {
       offer_best(s_.now);
       return;
     }
-    {
-      const Time bound = current_best();
-      if (lower_bound() >= bound) {
-        count_prune(bound);
-        return;
-      }
-    }
+    if (prune()) return;
 
     const auto child = [&](std::size_t min_host, std::size_t min_accel) {
       Subproblem c;
@@ -349,15 +357,24 @@ class DfsEngine {
                               : shared_->best.load(std::memory_order_relaxed);
   }
 
-  /// Attributes a `lower_bound() >= bound` cut to the bound that made it:
-  /// an incumbent some completed schedule tightened below the root
-  /// heuristic, or the heuristic upper bound itself.
-  void count_prune(Time bound_used) {
-    if (bound_used < initial_best_) {
+  /// True when the node's lower bound reaches the incumbent: first the
+  /// cheap path/area terms, then the (cached) tail-energy term.  A cut is
+  /// attributed to what the incumbent was — an incumbent some completed
+  /// schedule tightened below the root heuristic, or the heuristic upper
+  /// bound itself — and counted in prune_energy too when only the energy
+  /// term reached it.
+  bool prune() {
+    const Time bound = current_best();
+    if (lower_bound() < bound) {
+      if (energy_bound() < bound) return false;
+      ++stats_.prune_energy;
+    }
+    if (bound < initial_best_) {
       ++stats_.prune_incumbent;
     } else {
       ++stats_.prune_bound;
     }
+    return true;
   }
 
   /// Tightens the incumbent.  Sequential: plain min.  Parallel: CAS-min on
@@ -412,6 +429,15 @@ class DfsEngine {
     }
   }
 
+  /// Work still to do at `now` on the host cores and on the accelerator:
+  /// unstarted WCET plus the remainder of running nodes.
+  [[nodiscard]] std::array<Time, 2> remaining_work() const {
+    return {s_.unstarted_host_work + s_.sum_finish_host -
+                static_cast<Time>(s_.n_running_host) * s_.now,
+            s_.unstarted_accel_work + s_.sum_finish_accel -
+                static_cast<Time>(s_.n_running_accel) * s_.now};
+  }
+
   [[nodiscard]] Time lower_bound() {
     const std::size_t n = ctx_.flat.num_nodes();
     // Path bound: every unstarted node starts at >= now.  by_down is
@@ -431,14 +457,29 @@ class DfsEngine {
       lb = std::max(lb, r.finish + ctx_.down[r.node] - ctx_.flat.wcet(r.node));
     }
     // Area bounds from running sums of finish times.
-    const Time running_host_rem =
-        s_.sum_finish_host - static_cast<Time>(s_.n_running_host) * s_.now;
-    const Time running_accel_rem =
-        s_.sum_finish_accel - static_cast<Time>(s_.n_running_accel) * s_.now;
-    const Time host_work = s_.unstarted_host_work + running_host_rem;
+    const auto [host_work, accel_work] = remaining_work();
     lb = std::max(lb, s_.now + (host_work + ctx_.m - 1) / ctx_.m);
-    lb = std::max(lb, s_.now + s_.unstarted_accel_work + running_accel_rem);
+    lb = std::max(lb, s_.now + accel_work);
     return lb;
+  }
+
+  /// The tail-energy term (tail_energy.h) at `now`: a node that has not started
+  /// contributes its WCET, a started one what remains of it.  Starting v
+  /// at `now` moves C(v) from the first kind to the second unchanged, so
+  /// the term is the same for every start branch of one event time and is
+  /// computed once per event, on the first node the classic terms fail to
+  /// prune — the same pruning as evaluating it at every node.
+  [[nodiscard]] Time energy_bound() {
+    if (s_.energy_stale) {
+      const auto left = [this](NodeId v) -> Time {
+        if (!s_.started.test_unchecked(v)) return ctx_.flat.wcet(v);
+        return std::max<Time>(0, s_.finish_at[v] - s_.now);
+      };
+      s_.energy = s_.now + tail_energy_sweep(ctx_.by_tail, ctx_.m,
+                                             remaining_work(), left);
+      s_.energy_stale = false;
+    }
+    return s_.energy;
   }
 
   bool out_of_budget() {
@@ -487,6 +528,7 @@ class DfsEngine {
   void start_node(NodeId v, bool on_accel) {
     s_.started.set_unchecked(v);
     const Time finish = s_.now + ctx_.flat.wcet(v);
+    s_.finish_at[v] = finish;
     s_.running.push_back(Running{finish, v, on_accel});
     if (on_accel) {
       s_.accel_free = false;
@@ -542,6 +584,9 @@ class DfsEngine {
     frame.n_running_accel = s_.n_running_accel;
     frame.accel_ready_count = s_.accel_ready_count;
     frame.down_ptr = s_.down_ptr;
+    frame.energy = s_.energy;
+    frame.energy_stale = s_.energy_stale;
+    s_.energy_stale = true;
     frame.ready_host.assign(s_.ready_host.begin(), s_.ready_host.end());
     frame.ready_accel.assign(s_.ready_accel.begin(), s_.ready_accel.end());
     frame.zero_completed.clear();
@@ -594,6 +639,8 @@ class DfsEngine {
     s_.n_running_accel = frame.n_running_accel;
     s_.accel_ready_count = frame.accel_ready_count;
     s_.down_ptr = frame.down_ptr;
+    s_.energy = frame.energy;
+    s_.energy_stale = frame.energy_stale;
     s_.ready_host.assign(frame.ready_host.begin(), frame.ready_host.end());
     s_.ready_accel.assign(frame.ready_accel.begin(), frame.ready_accel.end());
     for (const NodeId v : frame.zero_completed) {
@@ -624,13 +671,7 @@ class DfsEngine {
       offer_best(s_.now);
       return;
     }
-    {
-      const Time bound = current_best();
-      if (lower_bound() >= bound) {
-        count_prune(bound);
-        return;
-      }
-    }
+    if (prune()) return;
 
     // Dominance: a lone offload node starts the moment it is ready.
     if (ctx_.single_offload && s_.accel_free && s_.accel_ready_count > 0) {
@@ -798,6 +839,7 @@ BnbResult parallel_min_makespan(const SearchContext& ctx, BnbResult seed,
     seed.stats.nodes += w.nodes;
     seed.stats.prune_incumbent += w.prune_incumbent;
     seed.stats.prune_bound += w.prune_bound;
+    seed.stats.prune_energy += w.prune_energy;
     seed.stats.budget_polls += w.budget_polls;
     seed.stats.steals += w.steals;
     seed.stats.splits += w.splits;
@@ -813,6 +855,7 @@ void flush_search_metrics(const BnbResult& result) {
   HEDRA_METRIC_ADD("exact.bnb.nodes", result.stats.nodes);
   HEDRA_METRIC_ADD("exact.bnb.prune_incumbent", result.stats.prune_incumbent);
   HEDRA_METRIC_ADD("exact.bnb.prune_bound", result.stats.prune_bound);
+  HEDRA_METRIC_ADD("exact.bnb.prune_energy", result.stats.prune_energy);
   HEDRA_METRIC_ADD("exact.bnb.budget_polls", result.stats.budget_polls);
   HEDRA_METRIC_ADD("exact.bnb.steals", result.stats.steals);
   HEDRA_METRIC_ADD("exact.bnb.splits", result.stats.splits);
@@ -873,6 +916,7 @@ std::string explain_search(const BnbResult& result) {
   const SearchStats& s = result.stats;
   os << "search: nodes=" << s.nodes << " prune_incumbent="
      << s.prune_incumbent << " prune_bound=" << s.prune_bound
+     << " prune_energy=" << s.prune_energy
      << " budget_polls=" << s.budget_polls << " steals=" << s.steals
      << " splits=" << s.splits << " split_refusals=" << s.split_refusals
      << "\n";
@@ -884,6 +928,7 @@ std::string explain_search(const BnbResult& result) {
     const SearchStats& ws = result.worker_stats[w];
     os << "worker " << w << ": nodes=" << ws.nodes << " prune_incumbent="
        << ws.prune_incumbent << " prune_bound=" << ws.prune_bound
+       << " prune_energy=" << ws.prune_energy
        << " budget_polls=" << ws.budget_polls << " steals=" << ws.steals
        << " splits=" << ws.splits << " split_refusals=" << ws.split_refusals
        << "\n";

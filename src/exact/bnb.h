@@ -17,10 +17,15 @@
 /// counterexample.  Identical host cores are never distinguished, and
 /// simultaneous starts are generated in canonical order only.
 ///
-/// Dominance rules (proved safe in comments):
+/// Dominance and pruning rules (proved safe in comments and DESIGN.md):
 ///  - with a single offload node, v_off starts the moment it is ready (the
 ///    accelerator has no other user, so left-shifting v_off never hurts);
-///  - pruning by max(path bound, host area bound, accelerator area bound).
+///  - pruning by max(path bound, host area bound, accelerator area bound);
+///  - then by the tail-energy term (bounds.h tail_energy_bound at the
+///    current instant): work that must finish tail(v) before the end has
+///    to fit on its resource first.  It is the same for every start branch
+///    of one event time, so it is computed once per event time, lazily,
+///    and counted in SearchStats::prune_energy when it alone cuts.
 ///
 /// The search is budgeted (node count + wall clock).  On exhaustion the best
 /// schedule found so far is returned with proven_optimal = false; the
@@ -34,7 +39,10 @@
 /// are exactly the sequential ones (see DESIGN.md for the safety argument);
 /// `nodes_explored` and any budget-truncated (unproven) makespan may vary
 /// run to run.  `jobs == 1` is the deterministic mode: the sequential DFS,
-/// bit-identical to the historical solver and the committed goldens.
+/// identical from run to run and matching the committed goldens.  Its
+/// proven makespans are those of every earlier solver; budget-truncated
+/// results (node counts, unproven makespans) differ from solvers before
+/// the tail-energy term, which prunes a different tree.
 
 #include <cstdint>
 #include <string>
@@ -69,11 +77,14 @@ struct BnbConfig {
 /// explored tree (sequential output stays bit-identical to the goldens).
 struct SearchStats {
   std::uint64_t nodes = 0;            ///< decision nodes expanded
-  /// Subtrees cut by `lower_bound() >= best`, split by what `best` was:
+  /// Subtrees cut by a lower bound >= best, split by what `best` was:
   /// an incumbent some schedule completion tightened below the root
   /// heuristic, vs the initial heuristic upper bound itself.
   std::uint64_t prune_incumbent = 0;
   std::uint64_t prune_bound = 0;
+  /// Of those cuts, the ones where only the tail-energy term reached the
+  /// incumbent (the path and area terms alone fell short).
+  std::uint64_t prune_energy = 0;
   std::uint64_t budget_polls = 0;     ///< amortised budget/clock checks
   std::uint64_t steals = 0;           ///< subproblems stolen from a victim
   std::uint64_t splits = 0;           ///< subproblems expanded breadth-first

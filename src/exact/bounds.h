@@ -28,4 +28,13 @@ struct LowerBounds {
 /// max of the individual bounds.
 [[nodiscard]] Time makespan_lower_bound(const Dag& dag, int m);
 
+/// Tail-energy bound: a node v with tail(v) = down(v) - C(v) >= q must
+/// finish by T - q, so all work of such nodes fits before T - q on its
+/// resource.  With W_host(q) and W_d(q) their host and device-d volumes,
+///   T >= q + ceil(W_host(q) / m)   and   T >= q + W_d(q)   for every q,
+/// one unit per device as above.  At q = 0 these are the area bounds, so
+/// this generalises host_area and accel_area (not critical_path).  Requires
+/// m >= 1, acyclic input.
+[[nodiscard]] Time tail_energy_bound(const Dag& dag, int m);
+
 }  // namespace hedra::exact

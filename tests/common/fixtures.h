@@ -196,4 +196,14 @@ inline Dag chain(int n, graph::Time wcet) {
   return dag;
 }
 
+/// `n` independent host nodes of WCET `wcet` joining one host sink of WCET
+/// `sink_wcet`: every source must finish `sink_wcet` before the end, which
+/// the tail-energy bound sees and the path/area bounds do not.
+inline Dag fan_in(int n, graph::Time wcet, graph::Time sink_wcet) {
+  Dag dag;
+  const NodeId sink = dag.add_node(sink_wcet);
+  for (int i = 0; i < n; ++i) dag.add_edge(dag.add_node(wcet), sink);
+  return dag;
+}
+
 }  // namespace hedra::testing

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "common/fixtures.h"
+#include "common/small_instances.h"
 #include "exact/bounds.h"
 #include "exact/brute_force.h"
 #include "exact/list_heuristics.h"
 #include "gen/hierarchical.h"
 #include "gen/offload.h"
+#include "graph/dag_io.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -151,6 +153,86 @@ TEST_P(BnbCrossValidationTest, AgreesWithBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BnbCrossValidationTest,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
+
+/// The tail-energy term is evaluated once per event time against started
+/// nodes' finish times; several offload nodes on the one accelerator and
+/// zero-WCET nodes (which complete instantly and carry no work) exercise
+/// every case of that sweep.
+TEST(BnbTest, AgreesWithBruteForceOnMultiOffloadInstances) {
+  const auto batch = testing::small_offload_instances(0xE4E6, 40, true);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    for (const int m : {1, 2, 3}) {
+      const BnbResult actual = min_makespan(batch[i], m);
+      ASSERT_TRUE(actual.proven_optimal);
+      EXPECT_EQ(actual.makespan, brute_force_min_makespan(batch[i], m))
+          << "instance " << i << " m=" << m;
+      EXPECT_LE(tail_energy_bound(batch[i], m), actual.makespan);
+    }
+  }
+}
+
+TEST(BnbTest, TailEnergyAloneClosesTheRoot) {
+  // Four sources of 5 before a sink of 10 on two cores: path and area say
+  // 15, the tail-energy term says 10 + ceil(20 / 2) = 20, and so does the
+  // list heuristic.  The first search node is cut by the energy term.
+  const auto dag = testing::fan_in(4, 5, 10);
+  const BnbResult result = min_makespan(dag, 2);
+  EXPECT_EQ(result.root_lower_bound, 15);  // still the classic bound
+  EXPECT_EQ(tail_energy_bound(dag, 2), 20);
+  EXPECT_EQ(result.makespan, 20);
+  EXPECT_TRUE(result.proven_optimal);
+  EXPECT_EQ(result.nodes_explored, 1u);
+  EXPECT_EQ(result.stats.prune_energy, 1u);
+  EXPECT_EQ(result.stats.prune_bound, 1u);
+}
+
+/// A fig7 m=2 instance (run_fig7 seed 42, third ratio point, DAG 27) that
+/// exhausted a 300k-node budget under the path/area bound alone, which
+/// needed 333,681 nodes to prove it.  321 is the makespan the solver
+/// proves with a 20M-node budget.
+TEST(BnbTest, TailEnergyProvesFig7InstanceWithinBudget) {
+  const graph::Dag dag = graph::read_dag_text(R"(
+node v1 52 host
+node v2 69 host
+node v3 78 host
+node v4 99 host
+node v5 39 host
+node v6 26 host
+node v7 10 host
+node vOff 27 offload
+node v9 1 host
+node v10 67 host
+node v11 3 host
+node v12 28 host
+node v13 48 host
+edge v1 v3
+edge v1 v4
+edge v1 v5
+edge v1 v9
+edge v1 v13
+edge v3 v2
+edge v4 v2
+edge v5 v7
+edge v5 vOff
+edge v6 v2
+edge v7 v6
+edge vOff v6
+edge v9 v11
+edge v9 v12
+edge v10 v2
+edge v11 v10
+edge v12 v10
+edge v13 v2
+)");
+  BnbConfig config;
+  config.max_nodes = 300'000;
+  config.time_limit_sec = 1e9;  // only the node budget may cut the search
+  const BnbResult result = min_makespan(dag, 2, config);
+  EXPECT_TRUE(result.proven_optimal);
+  EXPECT_EQ(result.makespan, 321);
+  EXPECT_LE(result.nodes_explored, 300'000u);
+  EXPECT_GT(result.stats.prune_energy, 0u);
+}
 
 }  // namespace
 }  // namespace hedra::exact

@@ -80,10 +80,35 @@ TEST_F(ObsDeterminismTest, SequentialBnbIsByteIdentical) {
   EXPECT_EQ(off.stats.nodes, on.stats.nodes);
   EXPECT_EQ(off.stats.prune_incumbent, on.stats.prune_incumbent);
   EXPECT_EQ(off.stats.prune_bound, on.stats.prune_bound);
+  EXPECT_EQ(off.stats.prune_energy, on.stats.prune_energy);
   EXPECT_EQ(exact::explain_search(off), exact::explain_search(on));
   // The flush happened exactly once (the metrics-on solve).
   EXPECT_EQ(obs::counter("exact.bnb.solves").value(), 1u);
   EXPECT_EQ(obs::counter("exact.bnb.nodes").value(), on.stats.nodes);
+}
+
+TEST_F(ObsDeterminismTest, EnergyPruneCountIsByteIdentical) {
+  // Five sources of 10 before a sink of 10 on two cores: the tail-energy
+  // term (35 at the root) cuts the subtrees that leave a core idle, which
+  // path and area alone do not, on the way to proving 40.
+  const graph::Dag dag = hedra::testing::fan_in(5, 10, 10);
+  exact::BnbConfig config;
+  config.jobs = 1;
+
+  const exact::BnbResult off = exact::min_makespan(dag, 2, config);
+  obs::set_enabled(true);
+  const exact::BnbResult on = exact::min_makespan(dag, 2, config);
+
+  ASSERT_GT(off.stats.prune_energy, 0u)
+      << "fixture no longer exercises the energy term";
+  EXPECT_EQ(off.stats.prune_energy, on.stats.prune_energy);
+  EXPECT_EQ(off.nodes_explored, on.nodes_explored);
+  EXPECT_EQ(exact::explain_search(off), exact::explain_search(on));
+  EXPECT_EQ(obs::counter("exact.bnb.prune_energy").value(),
+            on.stats.prune_energy);
+  const std::string text = exact::explain_search(on);
+  EXPECT_NE(text.find("prune_energy=" + std::to_string(on.stats.prune_energy)),
+            std::string::npos);
 }
 
 /// A DAG the root bound cannot close: independent jobs {3, 3, 2} on m=2

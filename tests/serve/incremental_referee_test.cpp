@@ -311,6 +311,9 @@ TEST(SnapshotReadersTest, WalkSharedSnapshotsWhileTheWriterMutates) {
                 Decision::kOk);
     }
   }
+  // On a loaded machine the readers may not have been scheduled yet: let
+  // them walk at least once before stopping them.
+  while (walks.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
   done.store(true, std::memory_order_release);
   for (std::thread& reader : readers) reader.join();
   EXPECT_EQ(inconsistent.load(), 0);
