@@ -294,6 +294,9 @@ TEST(SnapshotReadersTest, WalkSharedSnapshotsWhileTheWriterMutates) {
       }
     });
   }
+  // On a loaded machine the readers may not have been scheduled yet: let
+  // one walk the empty set before the writer starts mutating.
+  while (walks.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
 
   Rng rng(29);
   for (int step = 0; step < 120; ++step) {
@@ -311,9 +314,6 @@ TEST(SnapshotReadersTest, WalkSharedSnapshotsWhileTheWriterMutates) {
                 Decision::kOk);
     }
   }
-  // On a loaded machine the readers may not have been scheduled yet: let
-  // them walk at least once before stopping them.
-  while (walks.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
   done.store(true, std::memory_order_release);
   for (std::thread& reader : readers) reader.join();
   EXPECT_EQ(inconsistent.load(), 0);
