@@ -75,8 +75,9 @@ std::string to_json(const std::vector<Benchmark>& benchmarks, bool quick,
   // v2 replaces v1's "single_threaded": true — the report is still measured
   // one kernel at a time, but the bnb_parallel_* kernels use worker threads,
   // so the report records how many ("jobs") and what the machine offers.
+  // v3 keeps the v2 keys; every bnb_* kernel carries an "unproven" counter.
   os << "{\n"
-     << "  \"schema\": \"hedra-perf-report-v2\",\n"
+     << "  \"schema\": \"hedra-perf-report-v3\",\n"
      << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
      << "  \"jobs\": " << parallel_jobs << ",\n"
      << "  \"hardware_concurrency\": " << hedra::ThreadPool::default_workers()

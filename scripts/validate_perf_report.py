@@ -1,22 +1,21 @@
 #!/usr/bin/env python3
 """Validates the JSON emitted by bench/perf_report (schema
-hedra-perf-report-v2; the v1 schema of the committed pre-PR-6 baselines is
+hedra-perf-report-v3; the v1 and v2 schemas of the committed baselines are
 still accepted).  CI runs `perf_report --quick --out <file>` and then this
 script, so the benchmark harness can't silently rot.
 
 Usage: validate_perf_report.py <report.json> [--expect-benchmarks N]
-                               [--require-kernel NAME]... [--baseline]
+                               [--require-kernel NAME]...
 
 --require-kernel fails the validation unless a benchmark with that exact
 name is present — CI uses it to pin the kernels a PR promises (e.g. the
 fig12_sweep taskset kernel) in both the quick run and the committed
 baseline.
 
-Every exact-solver kernel (name starting "bnb_") must carry an
-"unproven" counter: a budget-exhausting instance spends the whole node
+From v3 on, every exact-solver kernel (name starting "bnb_") must carry
+an "unproven" counter: a budget-exhausting instance spends the whole node
 budget, so a bnb time means little without the count of instances left
-unproven.  --baseline exempts a committed baseline recorded before that
-counter existed.
+unproven.
 """
 
 import json
@@ -24,17 +23,21 @@ import sys
 
 # v1 reports are single-threaded by construction; v2 (PR 6) replaces the
 # "single_threaded" flag with the worker-thread count used by the parallel
-# kernels plus the machine's hardware concurrency.
+# kernels plus the machine's hardware concurrency.  v3 keeps the v2 keys
+# and requires the bnb counters below.
 REQUIRED_TOP = {
     "hedra-perf-report-v1": {"schema", "quick", "single_threaded",
                              "benchmarks"},
     "hedra-perf-report-v2": {"schema", "quick", "jobs",
+                             "hardware_concurrency", "benchmarks"},
+    "hedra-perf-report-v3": {"schema", "quick", "jobs",
                              "hardware_concurrency", "benchmarks"},
 }
 REQUIRED_BENCH = {"name", "unit", "value", "iterations"}
 KNOWN_UNITS = {"ms", "us_per_sim", "us_per_dag", "us_per_decision"}
 BNB_PREFIX = "bnb_"
 BNB_REQUIRED_COUNTERS = {"unproven"}
+BNB_COUNTER_SCHEMAS = {"hedra-perf-report-v3"}
 
 
 def fail(message: str) -> None:
@@ -49,7 +52,6 @@ def main() -> None:
     expected = None
     if "--expect-benchmarks" in sys.argv:
         expected = int(sys.argv[sys.argv.index("--expect-benchmarks") + 1])
-    baseline = "--baseline" in sys.argv
     required = [
         sys.argv[i + 1]
         for i, arg in enumerate(sys.argv)
@@ -95,7 +97,7 @@ def main() -> None:
         for key, value in bench.get("counters", {}).items():
             if not isinstance(value, (int, float)):
                 fail(f"benchmark {bench['name']!r} counter {key!r} not numeric")
-        if bench["name"].startswith(BNB_PREFIX) and not baseline:
+        if bench["name"].startswith(BNB_PREFIX) and schema in BNB_COUNTER_SCHEMAS:
             missing = BNB_REQUIRED_COUNTERS - bench.get("counters", {}).keys()
             if missing:
                 fail(f"benchmark {bench['name']!r} missing counters {sorted(missing)}")
