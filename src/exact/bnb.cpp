@@ -134,7 +134,6 @@ struct SearchState {
   Time energy = 0;
   bool energy_stale = true;
   std::vector<std::uint32_t> remaining_preds;
-  std::vector<Time> finish_at;  ///< finish time of each started node
   std::vector<NodeId> ready_host;   ///< sorted by exploration priority
   std::vector<NodeId> ready_accel;  ///< sorted by exploration priority
   std::vector<Running> running;
@@ -208,7 +207,7 @@ constexpr std::uint64_t kBudgetPollMask = 0x3FF;  // every 1024 nodes
 class DfsEngine {
  public:
   DfsEngine(const SearchContext& ctx, SharedSearch* shared)
-      : ctx_(ctx), shared_(shared) {
+      : ctx_(ctx), shared_(shared), running_left_(ctx.flat.num_nodes(), 0) {
     if (shared_ == nullptr) {
       deadline_ = search_deadline(ctx.config);
     } else {
@@ -226,7 +225,6 @@ class DfsEngine {
     }
     s_.free_cores = ctx_.m;
     s_.started = DynamicBitset(n);
-    s_.finish_at.resize(n);
     for (NodeId v = 0; v < n; ++v) {
       if (ctx_.flat.wcet(v) == 0) continue;
       if (ctx_.flat.device(v) != graph::kHostDevice) {
@@ -463,21 +461,27 @@ class DfsEngine {
     return lb;
   }
 
-  /// The tail-energy term (tail_energy.h) at `now`: a node that has not started
-  /// contributes its WCET, a started one what remains of it.  Starting v
-  /// at `now` moves C(v) from the first kind to the second unchanged, so
-  /// the term is the same for every start branch of one event time and is
-  /// computed once per event, on the first node the classic terms fail to
-  /// prune — the same pruning as evaluating it at every node.
+  /// The tail-energy term (tail_energy.h) at `now`: a node that has not
+  /// started contributes its WCET, a running one what remains of it, a
+  /// finished one nothing.  Starting v at `now` moves C(v) from the first
+  /// kind to the second unchanged, so the term is the same for every start
+  /// branch of one event time and is computed once per event, on the first
+  /// node the classic terms fail to prune — the same pruning as evaluating
+  /// it at every node.
   [[nodiscard]] Time energy_bound() {
     if (s_.energy_stale) {
+      // running holds exactly the started nodes with finish > now.
+      for (const Running& r : s_.running) {
+        running_left_[r.node] = r.finish - s_.now;
+      }
       const auto left = [this](NodeId v) -> Time {
         if (!s_.started.test_unchecked(v)) return ctx_.flat.wcet(v);
-        return std::max<Time>(0, s_.finish_at[v] - s_.now);
+        return running_left_[v];
       };
       s_.energy = s_.now + tail_energy_sweep(ctx_.by_tail, ctx_.m,
                                              remaining_work(), left);
       s_.energy_stale = false;
+      for (const Running& r : s_.running) running_left_[r.node] = 0;
     }
     return s_.energy;
   }
@@ -528,7 +532,6 @@ class DfsEngine {
   void start_node(NodeId v, bool on_accel) {
     s_.started.set_unchecked(v);
     const Time finish = s_.now + ctx_.flat.wcet(v);
-    s_.finish_at[v] = finish;
     s_.running.push_back(Running{finish, v, on_accel});
     if (on_accel) {
       s_.accel_free = false;
@@ -727,6 +730,10 @@ class DfsEngine {
   const SearchContext& ctx_;
   SharedSearch* shared_ = nullptr;  ///< null = sequential (deterministic)
   SearchState s_;
+  /// Remaining work of each running node while energy_bound() sweeps, zero
+  /// otherwise.  Rebuilt from s_.running, so it is per engine, not part of
+  /// the state a Subproblem copies.
+  std::vector<Time> running_left_;
 
   /// One reusable frame per delay depth.  A deque so references handed out
   /// to a frame stay valid while deeper recursion grows the pool.
