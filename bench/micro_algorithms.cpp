@@ -188,9 +188,8 @@ void BM_TransitiveReduction(benchmark::State& state) {
 }
 BENCHMARK(BM_TransitiveReduction)->Arg(60)->Arg(150);
 
-// The SoA arena pipeline (PR 7): whole-batch generation into one arena vs
-// the legacy vector<Dag> path on the identical RNG stream, and the batched
-// analysis kernels over the arena's flat arrays.
+// The SoA arena pipeline: whole-batch generation into one arena, and the
+// batched analysis kernels over the arena's flat arrays.
 hedra::exp::BatchConfig arena_batch_config(int count) {
   hedra::exp::BatchConfig config;
   config.params = hedra::gen::HierarchicalParams::large_tasks_100_250();
@@ -200,14 +199,6 @@ hedra::exp::BatchConfig arena_batch_config(int count) {
   config.seed = 31;
   return config;
 }
-
-void BM_BatchGenerateLegacy(benchmark::State& state) {
-  const auto config = arena_batch_config(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hedra::exp::generate_batch(config));
-  }
-}
-BENCHMARK(BM_BatchGenerateLegacy)->Arg(8)->Arg(32);
 
 void BM_BatchGenerateArena(benchmark::State& state) {
   const auto config = arena_batch_config(static_cast<int>(state.range(0)));

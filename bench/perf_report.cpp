@@ -359,9 +359,8 @@ int main(int argc, char** argv) {
              1000.0 * ms / static_cast<double>(batch.size()));
     }
 
-    // -- SoA arena pipeline (PR 7): legacy per-Dag batch generation vs the
-    //    arena-writing generator on the identical RNG stream, then the
-    //    whole-batch vectorized K-device analysis over the arena (the
+    // -- SoA arena pipeline: arena batch generation, then the whole-batch
+    //    vectorized K-device analysis over the arena (the
     //    analyze_platform_batch entry the sweeps consume).
     {
       hedra::exp::BatchConfig config;
@@ -371,10 +370,6 @@ int main(int argc, char** argv) {
       config.count = q ? 4 : 32;
       config.seed = 31;
       const auto count = static_cast<double>(config.count);
-      const double legacy_ms =
-          best_ms(reps, [&] { (void)hedra::exp::generate_batch(config); });
-      record("batch_generation_legacy", "us_per_dag",
-             1000.0 * legacy_ms / count);
       hedra::graph::FlatDagBatch arena;
       const double arena_ms =
           best_ms(reps, [&] { arena = hedra::exp::generate_flat_batch(config); });

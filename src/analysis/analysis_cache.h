@@ -63,8 +63,7 @@ class AnalysisCache {
       : batch_(&batch), batch_index_(index), view_(batch.view(index)) {}
 
   /// The analysed Dag.  For an arena-backed cache the first call
-  /// materialises it from the batch (field-identical to the legacy
-  /// pipeline's object, labels included).
+  /// materialises it from the batch (labels included).
   [[nodiscard]] const Dag& original();
 
   /// CSR snapshot of the ORIGINAL graph, built once on first use.  Every

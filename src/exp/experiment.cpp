@@ -1,29 +1,15 @@
 #include "exp/experiment.h"
 
 #include "gen/flat_gen.h"
-#include "gen/multi_device.h"
 
 namespace hedra::exp {
 
 std::vector<graph::Dag> generate_batch(const BatchConfig& config) {
-  // Same fork-chain seeding as the pooled overload, run inline — spawning
-  // a one-thread pool for a serial loop paid a thread start/join per call.
-  HEDRA_REQUIRE(config.count >= 1, "batch count must be >= 1");
-  const auto count = static_cast<std::size_t>(config.count);
-  Rng master(config.seed);
+  const graph::FlatDagBatch batch = generate_flat_batch(config);
   std::vector<graph::Dag> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    Rng rng = master.fork();
-    if (config.params.num_devices > 0) {
-      out.push_back(
-          gen::generate_multi_device(config.params, config.coff_ratio, rng));
-      continue;
-    }
-    graph::Dag dag = gen::generate_hierarchical(config.params, rng);
-    (void)gen::select_offload_node(dag, rng);
-    (void)gen::set_offload_ratio(dag, config.coff_ratio);
-    out.push_back(std::move(dag));
+  out.reserve(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    out.push_back(batch.materialize(i));
   }
   return out;
 }
@@ -45,34 +31,6 @@ graph::FlatDagBatch generate_flat_batch(const BatchConfig& config) {
     }
   }
   return batch;
-}
-
-std::vector<graph::Dag> generate_batch(const BatchConfig& config,
-                                       ThreadPool& pool) {
-  HEDRA_REQUIRE(config.count >= 1, "batch count must be >= 1");
-  const auto count = static_cast<std::size_t>(config.count);
-  // Fork every replication stream serially first: the master RNG is the
-  // only shared state, and each DAG then builds from its own stream into
-  // its own slot, independent of evaluation order.
-  Rng master(config.seed);
-  std::vector<Rng> streams;
-  streams.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) streams.push_back(master.fork());
-  std::vector<graph::Dag> out(count);
-  pool.parallel_for_each(count, [&](std::size_t i) {
-    Rng rng = streams[i];
-    if (config.params.num_devices > 0) {
-      // Multi-device variant: K devices populated per the params knobs,
-      // coff_ratio interpreted as the TOTAL offloaded share of vol(G).
-      out[i] = gen::generate_multi_device(config.params, config.coff_ratio, rng);
-      return;
-    }
-    graph::Dag dag = gen::generate_hierarchical(config.params, rng);
-    (void)gen::select_offload_node(dag, rng);
-    (void)gen::set_offload_ratio(dag, config.coff_ratio);
-    out[i] = std::move(dag);
-  });
-  return out;
 }
 
 std::vector<int> paper_core_counts() { return {2, 4, 8, 16}; }

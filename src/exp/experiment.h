@@ -12,11 +12,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "gen/hierarchical.h"
-#include "gen/offload.h"
+#include "gen/params.h"
 #include "graph/dag.h"
 #include "graph/flat_batch.h"
-#include "util/thread_pool.h"
 
 namespace hedra::exp {
 
@@ -28,25 +26,20 @@ struct BatchConfig {
   std::uint64_t seed = 42;
 };
 
-/// Generates `count` heterogeneous DAGs: hierarchical structure, random
-/// internal v_off, C_off set to the target ratio.
-[[nodiscard]] std::vector<graph::Dag> generate_batch(const BatchConfig& config);
-
-/// Same batch, generated over `pool`.  Replication RNGs are forked serially
-/// from the master and each DAG builds from its own stream into its own
-/// slot, so the result is bit-identical to the serial overload.
-[[nodiscard]] std::vector<graph::Dag> generate_batch(const BatchConfig& config,
-                                                     ThreadPool& pool);
-
-/// Same batch as generate_batch — bit-identical DAGs from the same RNG
-/// fork chain — but emitted straight into a structure-of-arrays arena: no
-/// per-DAG Dag objects, no per-attempt allocations in the rejection loop.
-/// `batch.view(i)` equals `FlatDag(generate_batch(config)[i])` array for
-/// array; `batch.materialize(i)` reproduces the Dag itself.  This is the
-/// hot path for every sweep-shaped experiment; generation is serial (it is
+/// Generates `count` heterogeneous DAGs in one structure-of-arrays arena:
+/// hierarchical structure, then either one random internal v_off with
+/// C_off set to the target ratio (params.num_devices == 0) or the K-device
+/// placement of gen::generate_multi_device_flat.  Every DAG builds from its
+/// own fork of the seed's master RNG.  `batch.view(i)` is the CSR form of
+/// DAG i and `batch.materialize(i)` the Dag itself.  This is the hot path
+/// for every sweep-shaped experiment; generation is serial (it is
 /// allocation-, not compute-, bound once staged).
 [[nodiscard]] graph::FlatDagBatch generate_flat_batch(
     const BatchConfig& config);
+
+/// The same batch as Dag objects: generate_flat_batch(config) with every
+/// DAG materialised.
+[[nodiscard]] std::vector<graph::Dag> generate_batch(const BatchConfig& config);
 
 /// Core counts evaluated throughout §5: m = 2, 4, 8, 16.
 [[nodiscard]] std::vector<int> paper_core_counts();

@@ -1,5 +1,7 @@
 #include "exp/runner.h"
 
+#include "util/rng.h"
+
 namespace hedra::exp {
 
 std::vector<std::uint64_t> batch_seeds(std::uint64_t master_seed,
@@ -32,9 +34,5 @@ std::vector<SweepPoint> make_grid(const GridSpec& spec) {
 
 Runner::Runner(int jobs)
     : pool_(jobs <= 0 ? ThreadPool::default_workers() : jobs) {}
-
-std::vector<graph::Dag> Runner::generate(const BatchConfig& config) {
-  return generate_batch(config, pool_);
-}
 
 }  // namespace hedra::exp

@@ -87,15 +87,10 @@ class Runner {
   /// completed one instead of silently consuming fewer rows.
   void set_deadline(util::Deadline deadline) noexcept { deadline_ = deadline; }
 
-  /// Outcome of the most recent sweep*/generate call on this runner.
+  /// Outcome of the most recent sweep* call on this runner.
   [[nodiscard]] util::Outcome last_outcome() const noexcept {
     return last_outcome_;
   }
-
-  /// Batch generation fanned out over the pool; bit-identical to
-  /// generate_batch (replication RNGs are forked serially, generation runs
-  /// per-slot).
-  [[nodiscard]] std::vector<graph::Dag> generate(const BatchConfig& config);
 
   /// The generic core of sweep(): any point type, any batch item type.
   /// `make_batch(point) -> std::vector<Item>` runs serially on the calling
@@ -137,11 +132,11 @@ class Runner {
   /// thread, with `samples` in replication order.  Rows come back
   /// point-major, m-minor — the order the figures print.
   ///
-  /// Batches are generated as one SoA arena (generate_flat_batch, bit
-  /// -identical to generate_batch) and every cache binds to its arena slice:
-  /// the platform-bound path runs straight over flat arrays, and only
-  /// callbacks that force the τ ⇒ τ' transform (fig6/8/9) materialise a Dag
-  /// — lazily, once, field-identical to the legacy object.
+  /// Batches are generated as one SoA arena (generate_flat_batch) and every
+  /// cache binds to its arena slice: the platform-bound path runs straight
+  /// over flat arrays, and only callbacks that force the τ ⇒ τ' transform
+  /// (fig6/8/9) materialise a Dag — lazily, once, equal to
+  /// generate_batch(point.batch)[i].
   template <typename PerDag, typename Reduce>
   auto sweep(const std::vector<SweepPoint>& points, PerDag&& per_dag,
              Reduce&& reduce) {

@@ -18,10 +18,10 @@ struct Fragment {
   NodeId exit;
 };
 
-/// The fork–join recursion of generate_hierarchical, writing into staging
-/// buffers instead of a Dag.  Draw order is the legacy Builder's exactly:
-/// (terminal? one wcet) | (fork wcet, join wcet, branch count k, then the
-/// k branches depth-first), with edges recorded as the recursion unwinds.
+/// The fork–join recursion of the hierarchical generator, writing into
+/// staging buffers.  Draw order: (terminal? one wcet) | (fork wcet, join
+/// wcet, branch count k, then the k branches depth-first), with edges
+/// recorded as the recursion unwinds.
 class StagedBuilder {
  public:
   StagedBuilder(const HierarchicalParams& params, Rng& rng, StagedDag& staged)
@@ -106,7 +106,7 @@ void generate_offload_flat(const HierarchicalParams& params, double coff_ratio,
   thread_local std::vector<NodeId> internal;
   generate_hierarchical_staged(params, rng, staged);
 
-  // select_offload_node: one index draw over the internal nodes.
+  // Selection: one index draw over the internal nodes.
   HEDRA_REQUIRE(staged.num_nodes() >= 3,
                 "need at least 3 nodes to pick an internal offload node");
   collect_internal(staged, internal);
@@ -114,7 +114,7 @@ void generate_offload_flat(const HierarchicalParams& params, double coff_ratio,
   const NodeId chosen = internal[rng.index(internal.size())];
   staged.device[chosen] = 1;
 
-  // set_offload_ratio: C_off / (vol_rest + C_off) = ratio.
+  // Ratio: C_off / (vol_rest + C_off) = ratio.
   const Time vol_rest = staged_volume(staged) - staged.wcet[chosen];
   HEDRA_REQUIRE(vol_rest > 0, "host workload must be positive");
   const double target =
@@ -161,7 +161,7 @@ void generate_multi_device_flat(const HierarchicalParams& params,
   thread_local std::vector<NodeId> nodes_on;
   generate_hierarchical_staged(params, rng, staged);
 
-  // select_offload_nodes: Fisher-Yates shuffle of the internal list, then
+  // Placement: Fisher-Yates shuffle of the internal list, then
   // device-major assignment of the first `needed` entries.
   collect_internal(staged, internal);
   const std::size_t needed =
@@ -179,9 +179,11 @@ void generate_multi_device_flat(const HierarchicalParams& params,
     }
   }
 
-  // set_offload_ratio_multi: C_total / (vol_host + C_total) = ratio, split
-  // by mix weight, each device's budget spread by cumulative rounding over
-  // its nodes in ascending id order.
+  // Volumes: C_total / (vol_host + C_total) = ratio, split by mix weight
+  // (a device with speedup s runs its share in 1/s of the ticks), each
+  // device's budget spread by cumulative rounding over its nodes in
+  // ascending id order so the split does not drift; every node keeps a
+  // WCET of at least 1.
   Time vol_host = 0;
   for (NodeId v = 0; v < staged.num_nodes(); ++v) {
     if (staged.device[v] == graph::kHostDevice) vol_host += staged.wcet[v];

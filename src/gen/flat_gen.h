@@ -1,26 +1,26 @@
 #pragma once
 
 /// \file flat_gen.h
-/// Arena-writing batch generators (the SoA fast path).
+/// The DAG generators of §5.1, writing into a structure-of-arrays arena.
 ///
-/// These mirror the three per-DAG generation pipelines —
+/// There are three recipes:
 ///
-///   1. plain hierarchical structure          (generate_hierarchical)
-///   2. single-offload §5.1 pipeline          (generate_hierarchical +
-///      select_offload_node + set_offload_ratio)
-///   3. multi-device pipeline                 (generate_multi_device)
+///   1. plain hierarchical structure          (generate_hierarchical_flat)
+///   2. single-offload §5.1 pipeline          (generate_offload_flat)
+///   3. multi-device pipeline                 (generate_multi_device_flat)
 ///
-/// — but emit CSR directly into a `graph::FlatDagBatch` arena instead of
+/// Each emits CSR directly into a `graph::FlatDagBatch` arena instead of
 /// allocating a `Dag` per DAG.  The fork–join recursion writes into a
 /// reusable `StagedDag` scratch, so rejection-sampling attempts cost no
 /// allocations at steady state.
 ///
-/// Determinism contract (regression-pinned in tests/gen/flat_gen_test.cpp):
-/// every entry point consumes the RNG stream *identically* to its legacy
-/// counterpart — same draws, same order, including rejected attempts — so
-/// for any seed the arena batch is bit-identical to the legacy batch
-/// (`view(i)` equals `FlatDag(dag_i)` array-for-array, and `materialize(i)`
-/// equals `dag_i` field-for-field).  There is no seed-schema bump.
+/// This is the only generator path: every generated `Dag`
+/// (gen::generate_hierarchical, gen::generate_multi_device,
+/// exp::generate_batch) is an arena DAG materialised with
+/// `FlatDagBatch::materialize`.  Determinism contract: for a given seed the
+/// draws, their order (rejected attempts included) and the resulting DAGs
+/// are fixed; golden hashes in tests/gen/flat_gen_test.cpp pin both the
+/// arena arrays and the materialised Dags.
 
 #include "gen/params.h"
 #include "graph/flat_batch.h"
@@ -30,9 +30,8 @@ namespace hedra::gen {
 
 /// Runs the rejection-sampled fork–join recursion once and leaves the
 /// accepted attempt in `staged` (host-only nodes, edges in recursion
-/// order).  Consumes `rng` exactly like generate_hierarchical.  Throws
-/// hedra::Error if `params` is invalid or the node window is not hit within
-/// max_attempts tries.
+/// order).  Throws hedra::Error if `params` is invalid or the node window
+/// is not hit within max_attempts tries.
 void generate_hierarchical_staged(const HierarchicalParams& params, Rng& rng,
                                   graph::StagedDag& staged);
 
@@ -41,13 +40,14 @@ void generate_hierarchical_flat(const HierarchicalParams& params, Rng& rng,
                                 graph::FlatDagBatch& batch);
 
 /// Appends one §5.1 heterogeneous DAG: hierarchical structure, one random
-/// internal v_off (device 1), C_off set to `coff_ratio` of vol(G).
-/// RNG-identical to generate_hierarchical + select_offload_node +
-/// set_offload_ratio.
+/// internal v_off (device 1), C_off set to `coff_ratio` of vol(G) — the
+/// arena form of generate_hierarchical + select_offload_node +
+/// set_offload_ratio (gen/offload.h).
 void generate_offload_flat(const HierarchicalParams& params, double coff_ratio,
                            Rng& rng, graph::FlatDagBatch& batch);
 
-/// Appends one K-device DAG; RNG-identical to generate_multi_device.
+/// Appends one K-device DAG; see generate_multi_device (gen/multi_device.h)
+/// for the placement and volume-split rules.
 void generate_multi_device_flat(const HierarchicalParams& params,
                                 double coff_ratio, Rng& rng,
                                 graph::FlatDagBatch& batch);

@@ -6,18 +6,9 @@
 namespace hedra::gen {
 
 graph::Dag generate_hierarchical(const HierarchicalParams& params, Rng& rng) {
-  // The rejection loop runs in reusable staging buffers (no Dag — and at
-  // steady state no allocation at all — per rejected attempt); only the
-  // accepted attempt materialises.  RNG consumption is identical to the
-  // historical per-attempt Dag builder: the recursion never read the Dag.
-  thread_local graph::StagedDag staged;
-  generate_hierarchical_staged(params, rng, staged);
-  graph::Dag dag;
-  for (std::size_t v = 0; v < staged.num_nodes(); ++v) {
-    (void)dag.add_node(staged.wcet[v]);
-  }
-  for (const auto& [from, to] : staged.edges) dag.add_edge(from, to);
-  return dag;
+  graph::FlatDagBatch batch;
+  generate_hierarchical_flat(params, rng, batch);
+  return batch.materialize(0);
 }
 
 }  // namespace hedra::gen

@@ -20,8 +20,9 @@
 
 namespace hedra::gen {
 
-/// Generates one DAG.  Throws hedra::Error if `params` is invalid or no
-/// graph within the node window is found in max_attempts tries.
+/// Generates one DAG: generate_hierarchical_flat (gen/flat_gen.h) into a
+/// one-DAG arena, materialised.  Throws hedra::Error if `params` is invalid
+/// or no graph within the node window is found in max_attempts tries.
 [[nodiscard]] graph::Dag generate_hierarchical(const HierarchicalParams& params,
                                                Rng& rng);
 

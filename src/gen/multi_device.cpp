@@ -1,128 +1,22 @@
 #include "gen/multi_device.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "gen/hierarchical.h"
+#include "gen/flat_gen.h"
+#include "graph/flat_batch.h"
 
 namespace hedra::gen {
 
-using graph::Dag;
-using graph::DeviceId;
-using graph::NodeId;
-using graph::Time;
-
-std::vector<NodeId> select_offload_nodes(Dag& dag, int num_devices,
-                                         int per_device, Rng& rng) {
-  HEDRA_REQUIRE(num_devices >= 1, "need at least one accelerator device");
-  HEDRA_REQUIRE(per_device >= 1, "need at least one offload node per device");
-  HEDRA_REQUIRE(dag.offload_nodes().empty(),
-                "graph already has offload nodes");
-  std::vector<NodeId> internal;
-  internal.reserve(dag.num_nodes());
-  for (NodeId v = 0; v < dag.num_nodes(); ++v) {
-    if (dag.in_degree(v) > 0 && dag.out_degree(v) > 0) internal.push_back(v);
-  }
-  const std::size_t needed =
-      static_cast<std::size_t>(num_devices) * static_cast<std::size_t>(per_device);
-  HEDRA_REQUIRE(internal.size() >= needed,
-                "graph has " + std::to_string(internal.size()) +
-                    " internal node(s) but " + std::to_string(needed) +
-                    " offload placements were requested");
-  rng.shuffle(internal);
-  std::vector<NodeId> chosen(internal.begin(),
-                             internal.begin() + static_cast<std::ptrdiff_t>(needed));
-  for (int d = 1; d <= num_devices; ++d) {
-    for (int j = 0; j < per_device; ++j) {
-      dag.set_device(chosen[static_cast<std::size_t>(d - 1) * per_device + j],
-                     static_cast<DeviceId>(d));
-    }
-  }
-  return chosen;
-}
-
-OffloadSplit set_offload_ratio_multi(Dag& dag, double ratio,
-                                     const std::vector<double>& mix,
-                                     const std::vector<double>& speedup) {
-  HEDRA_REQUIRE(ratio > 0.0 && ratio < 1.0,
-                "offload ratio must lie strictly inside (0, 1)");
-  const auto devices = dag.device_ids();
-  HEDRA_REQUIRE(!devices.empty(), "no offload nodes selected");
-  HEDRA_REQUIRE(mix.empty() || mix.size() == devices.size(),
-                "device mix must have one weight per device present");
-  // A zero weight would make weight_sum == 0 possible (division by zero →
-  // llround(NaN) is undefined behaviour), and even with a positive sum it
-  // silently starves its device to the 1-tick-per-node floor; reject the
-  // whole class of degenerate weights up front.
-  for (std::size_t i = 0; i < mix.size(); ++i) {
-    HEDRA_REQUIRE(std::isfinite(mix[i]) && mix[i] > 0.0,
-                  "device mix weight " + std::to_string(i) +
-                      " must be finite and strictly positive");
-  }
-  HEDRA_REQUIRE(speedup.empty() || speedup.size() == devices.size(),
-                "device speedup must have one factor per device present");
-  for (std::size_t i = 0; i < speedup.size(); ++i) {
-    HEDRA_REQUIRE(std::isfinite(speedup[i]) && speedup[i] > 0.0,
-                  "device speedup factor " + std::to_string(i) +
-                      " must be finite and strictly positive");
-  }
-  const Time vol_host = dag.volume_on(graph::kHostDevice);
-  HEDRA_REQUIRE(vol_host > 0, "host workload must be positive");
-
-  // Solve C_total / (vol_host + C_total) = ratio, then split by mix weight.
-  const double total = ratio / (1.0 - ratio) * static_cast<double>(vol_host);
-  double weight_sum = 0.0;
-  for (std::size_t i = 0; i < devices.size(); ++i) {
-    weight_sum += mix.empty() ? 1.0 : mix[i];
-  }
-
-  OffloadSplit split;
-  for (std::size_t i = 0; i < devices.size(); ++i) {
-    const double weight = mix.empty() ? 1.0 : mix[i];
-    // A device with speedup s executes its nominal share in 1/s of the
-    // ticks, so the device-time budget shrinks by the factor.
-    const double budget = total * weight / weight_sum /
-                          (speedup.empty() ? 1.0 : speedup[i]);
-    const auto nodes = dag.nodes_on(devices[i]);
-    // Cumulative rounding spreads the budget across the device's nodes
-    // without drift; every node keeps a WCET of at least 1.
-    Time device_total = 0;
-    for (std::size_t j = 0; j < nodes.size(); ++j) {
-      const auto cum = [&](std::size_t k) {
-        return std::llround(budget * static_cast<double>(k) /
-                            static_cast<double>(nodes.size()));
-      };
-      const Time wcet = std::max<Time>(1, cum(j + 1) - cum(j));
-      dag.set_wcet(nodes[j], wcet);
-      device_total += wcet;
-    }
-    split.per_device.emplace_back(devices[i], device_total);
-    split.total += device_total;
-  }
-  return split;
-}
-
-double device_ratio(const Dag& dag, DeviceId device) {
-  const Time vol = dag.volume();
+double device_ratio(const graph::Dag& dag, graph::DeviceId device) {
+  const graph::Time vol = dag.volume();
   HEDRA_REQUIRE(vol > 0, "graph has zero volume");
   return static_cast<double>(dag.volume_on(device)) /
          static_cast<double>(vol);
 }
 
-Dag generate_multi_device(const HierarchicalParams& params, double coff_ratio,
-                          Rng& rng) {
-  params.validate();
-  HEDRA_REQUIRE(params.num_devices >= 1,
-                "generate_multi_device requires num_devices >= 1");
-  HEDRA_REQUIRE(params.min_nodes >=
-                    params.num_devices * params.offloads_per_device + 2,
-                "node window too small for the requested offload placements");
-  Dag dag = generate_hierarchical(params, rng);
-  (void)select_offload_nodes(dag, params.num_devices,
-                             params.offloads_per_device, rng);
-  (void)set_offload_ratio_multi(dag, coff_ratio, params.device_mix,
-                                params.device_speedup);
-  return dag;
+graph::Dag generate_multi_device(const HierarchicalParams& params,
+                                 double coff_ratio, Rng& rng) {
+  graph::FlatDagBatch batch;
+  generate_multi_device_flat(params, coff_ratio, rng, batch);
+  return batch.materialize(0);
 }
 
 }  // namespace hedra::gen

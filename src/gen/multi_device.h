@@ -1,20 +1,12 @@
 #pragma once
 
 /// \file multi_device.h
-/// Turning a homogeneous random DAG into a *multi-device* heterogeneous task
-/// — the K-accelerator generalisation of gen/offload.h.  Mirrors the
-/// paper's §5.1 recipe device by device: random distinct internal nodes are
-/// placed on each accelerator class, and the per-device offloaded volumes
-/// are solved against a target total C_off/vol ratio split across devices by
-/// a mix vector.
-///
-/// The single-device pipeline (select_offload_node + set_offload_ratio)
-/// stays untouched so the paper's reproduction is bit-identical; these
-/// functions drive the fig10 multi-device sweep and the platform-bound
-/// property tests.
-
-#include <utility>
-#include <vector>
+/// Multi-device heterogeneous DAG tasks — the K-accelerator generalisation
+/// of gen/offload.h.  Mirrors the paper's §5.1 recipe device by device:
+/// random distinct internal nodes are placed on each accelerator class, and
+/// the per-device offloaded volumes are solved against a target total
+/// C_off/vol ratio split across devices by a mix vector.  These DAGs drive
+/// the fig10 multi-device sweep and the platform-bound property tests.
 
 #include "gen/params.h"
 #include "graph/dag.h"
@@ -22,51 +14,24 @@
 
 namespace hedra::gen {
 
-/// Places `per_device` uniformly chosen distinct internal nodes (neither
-/// source nor sink) on each of devices 1..num_devices via Dag::set_device,
-/// keeping labels and edges.  Returns the chosen node ids device-major
-/// (device 1's nodes first).  Requires num_devices >= 1, a graph with at
-/// least num_devices·per_device internal nodes, and no pre-existing offload
-/// node.
-std::vector<graph::NodeId> select_offload_nodes(graph::Dag& dag,
-                                                int num_devices,
-                                                int per_device, Rng& rng);
-
-/// Per-device outcome of set_offload_ratio_multi, so the cumulative-rounding
-/// split is verifiable by callers and tests: `total` is the realised
-/// offloaded volume and `per_device` holds one (device id, vol_d) entry per
-/// device present, ascending by id.  Invariant (regression-tested):
-/// Σ_d vol_d == total.
-struct OffloadSplit {
-  graph::Time total = 0;
-  std::vector<std::pair<graph::DeviceId, graph::Time>> per_device;
-};
-
-/// Sets the WCETs of the offloaded nodes so the total offloaded volume is
-/// ≈ `ratio` of the final vol(G) (ratio strictly inside (0, 1)), split
-/// across devices proportionally to `mix` (empty = even split; otherwise
-/// one strictly positive, finite weight per device present — zero,
-/// negative, NaN and infinite weights are rejected, since a zero-weight
-/// sum would previously divide by zero and a near-zero weight silently
-/// starved its device down to the 1-tick floor) and evenly across each
-/// device's nodes (every node keeps WCET >= 1).  `speedup` (empty = all
-/// 1.0; otherwise one strictly positive finite factor per device present)
-/// models heterogeneous WCET scaling: device i's tick budget is divided by
-/// speedup[i], so a 2× device realises half the ticks for the same nominal
-/// share — the written WCETs are device-time and feed analysis/simulation
-/// unscaled.  Returns the realised total plus its per-device breakdown.
-OffloadSplit set_offload_ratio_multi(graph::Dag& dag, double ratio,
-                                     const std::vector<double>& mix = {},
-                                     const std::vector<double>& speedup = {});
-
 /// The realised per-device ratio vol_d / vol(G).
 [[nodiscard]] double device_ratio(const graph::Dag& dag,
                                   graph::DeviceId device);
 
-/// One-call generator: hierarchical structure (params), then
-/// select_offload_nodes(params.num_devices, params.offloads_per_device),
-/// then set_offload_ratio_multi(coff_ratio, params.device_mix,
-/// params.device_speedup).  Requires params.num_devices >= 1.
+/// One K-device DAG: generate_multi_device_flat (gen/flat_gen.h) into a
+/// one-DAG arena, materialised.  Hierarchical structure from `params`, then
+/// params.offloads_per_device distinct internal nodes on each of devices
+/// 1..params.num_devices, then offloaded WCETs such that the total
+/// offloaded volume is ≈ `coff_ratio` of the final vol(G) (ratio strictly
+/// inside (0, 1)).  The total is split across devices proportionally to
+/// params.device_mix (empty = even split; otherwise one strictly positive,
+/// finite weight per device) and evenly across each device's nodes by
+/// cumulative rounding; every node keeps WCET >= 1.  params.device_speedup
+/// (empty = all 1.0; otherwise one strictly positive finite factor per
+/// device) divides device i's tick budget by speedup[i], so a 2× device
+/// realises half the ticks for the same nominal share — the written WCETs
+/// are device-time and feed analysis/simulation unscaled.  Requires
+/// params.num_devices >= 1 and enough internal nodes for every placement.
 [[nodiscard]] graph::Dag generate_multi_device(const HierarchicalParams& params,
                                                double coff_ratio, Rng& rng);
 

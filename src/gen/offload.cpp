@@ -52,20 +52,6 @@ Time set_offload_ratio(Dag& dag, double ratio) {
   return c_off;
 }
 
-Time assign_offload_uniform(Dag& dag, double max_pct, Rng& rng) {
-  HEDRA_REQUIRE(max_pct > 0.0 && max_pct < 1.0,
-                "max_pct must lie strictly inside (0, 1)");
-  const auto voff = dag.offload_node();
-  HEDRA_REQUIRE(voff.has_value(), "no offload node selected");
-  const Time vol_rest = dag.volume() - dag.wcet(*voff);
-  const double upper =
-      max_pct / (1.0 - max_pct) * static_cast<double>(vol_rest);
-  const Time c_max = std::max<Time>(1, std::llround(upper));
-  const Time c_off = rng.uniform_int(1, c_max);
-  dag.set_wcet(*voff, c_off);
-  return c_off;
-}
-
 double offload_ratio(const Dag& dag) {
   const auto voff = dag.offload_node();
   HEDRA_REQUIRE(voff.has_value(), "no offload node selected");

@@ -26,10 +26,6 @@ graph::NodeId select_offload_node(graph::Dag& dag, Rng& rng);
 /// offload node must already be selected.  Returns the assigned C_off.
 graph::Time set_offload_ratio(graph::Dag& dag, double ratio);
 
-/// The paper's randomised assignment: C_off uniform in [1, max_pct·vol_rest/
-/// (1−max_pct)] so that C_off is at most `max_pct` of the final volume.
-graph::Time assign_offload_uniform(graph::Dag& dag, double max_pct, Rng& rng);
-
 /// The realised ratio C_off / vol(G) of a heterogeneous DAG.
 [[nodiscard]] double offload_ratio(const graph::Dag& dag);
 

@@ -34,8 +34,8 @@ struct HierarchicalParams {
 
   // -- Multi-device knobs (see gen/multi_device.h).  generate_hierarchical
   //    itself produces pure host DAGs and ignores these; the multi-device
-  //    variant and exp::generate_batch consume them.  num_devices = 0 keeps
-  //    the paper's pipeline (separate single-offload selection) untouched.
+  //    generator and exp::generate_batch consume them.  num_devices = 0
+  //    selects the paper's single-offload recipe instead.
   int num_devices = 0;          ///< K accelerator device classes to populate
   int offloads_per_device = 1;  ///< offload nodes assigned to each device
   /// Relative share of the offloaded volume each device receives (size
@@ -51,7 +51,7 @@ struct HierarchicalParams {
   /// WCET speedup per accelerator class (size num_devices, strictly
   /// positive finite entries); empty = every device runs at the host's
   /// reference speed.  Unlike device_units this DOES affect generation:
-  /// set_offload_ratio_multi divides each device's volume budget by its
+  /// generate_multi_device divides each device's volume budget by its
   /// speedup, so a 2× device realises half the ticks for the same nominal
   /// share of work (heterogeneous WCET scaling; the generated WCETs are
   /// device-time, ready for analysis and simulation unscaled).

@@ -20,13 +20,13 @@
 /// reached.
 ///
 /// Determinism contract: `append` derives the CSR arrays so that `view(i)`
-/// is byte-identical to `FlatDag(dag_i)` of the legacy pipeline, and
-/// `materialize(i)` reproduces the legacy `Dag` field-for-field (labels
-/// included).  The two legacy pipelines leave different predecessor
-/// orderings behind — `select_offload_node` REBUILDS the Dag from
-/// `Dag::edges()` (grouping edges by source id ascending), while the
-/// multi-device path keeps raw insertion order — so each record carries its
-/// `EdgeOrder` convention.
+/// is byte-identical to `FlatDag(materialize(i))`, and `materialize(i)` is
+/// the one way a generated `Dag` comes into being (gen/flat_gen.h).  The
+/// two generator recipes pin different predecessor orderings: the
+/// single-offload recipe orders each predecessor list by source id
+/// ascending (as `select_offload_node`, which rebuilds its Dag from
+/// `Dag::edges()`, leaves it), while the plain and multi-device recipes keep
+/// raw insertion order — so each record carries its `EdgeOrder` convention.
 
 #include <cstdint>
 #include <span>
@@ -78,11 +78,11 @@ struct StagedDag {
 
 class FlatDagBatch {
  public:
-  /// Which legacy pipeline's predecessor ordering (and materialisation
-  /// labels) a DAG follows; see the file comment.
+  /// Which predecessor ordering (and materialisation labels) a DAG
+  /// follows; see the file comment.
   enum class EdgeOrder : std::uint8_t {
     /// Predecessor lists in raw edge-insertion order; materialises via
-    /// `add_node(wcet)` + `set_device` (multi-device pipeline).
+    /// `add_node(wcet)` + `set_device` (plain and multi-device recipes).
     kInsertion,
     /// Predecessor lists grouped by source id ascending, reproducing the
     /// `select_offload_node` rebuild; the single offload node materialises
@@ -123,9 +123,9 @@ class FlatDagBatch {
   /// CSR view of DAG `i`; valid until the next append/clear/move.
   [[nodiscard]] FlatView view(std::size_t i) const;
 
-  /// Rebuilds DAG `i` as a full `Dag`, field-identical (labels included) to
-  /// the legacy pipeline's object.  O(n + e); intended for the cold paths
-  /// (dag_io, DOT, transformation) only.
+  /// Rebuilds DAG `i` as a full `Dag` (labels included) whose CSR snapshot
+  /// equals `view(i)`.  O(n + e); intended for the cold paths (dag_io, DOT,
+  /// transformation) only.
   [[nodiscard]] Dag materialize(std::size_t i) const;
 
   /// Whole-arena attribute arrays (all DAGs back to back) for batch kernels.
@@ -164,7 +164,7 @@ class FlatDagBatch {
   std::vector<std::uint8_t> sync_;
   std::vector<NodeId> topo_;
   // Raw edge list in insertion order, kept so kInsertion DAGs can
-  // materialise with the exact legacy edge ordering.
+  // materialise with their exact edge-insertion ordering.
   std::vector<NodeId> edge_from_;
   std::vector<NodeId> edge_to_;
   std::vector<std::uint32_t> cursor_;  ///< counting-sort scratch

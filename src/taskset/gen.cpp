@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "gen/flat_gen.h"
-#include "gen/taskset_gen.h"
+#include "gen/uunifast.h"
 #include "graph/critical_path.h"
 #include "graph/flat_batch.h"
 
@@ -42,11 +42,10 @@ TaskSet generate_task_set(const TaskSetGenConfig& config, Rng& rng) {
   const auto utils =
       gen::uunifast(config.num_tasks, config.total_utilization, rng);
   TaskSet set(config.platform());
-  // All tasks generate straight into ONE shared arena (same RNG stream as
-  // the legacy Dag generators — regression-pinned): period and deadline
+  // All tasks generate straight into ONE shared arena: period and deadline
   // derive from the flat arrays, and every task stays arena-backed — the
   // contention analysis and taskset simulator run off the CSR views, and a
-  // field-identical Dag is only materialised if a consumer asks for one.
+  // Dag is only materialised if a consumer asks for one.
   auto arena = std::make_shared<graph::FlatDagBatch>();
   for (int i = 0; i < config.num_tasks; ++i) {
     Rng task_rng = rng.fork();

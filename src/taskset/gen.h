@@ -2,12 +2,12 @@
 
 /// \file gen.h (taskset)
 /// Random generation of sporadic task sets over a shared heterogeneous
-/// platform — the multi-device successor of gen/taskset_gen.h, following
-/// the standard recipe of the real-time literature: per-task utilisations
-/// from UUniFast (Bini & Buttazzo), DAG structure and device placement from
-/// the existing generators (gen::generate_hierarchical /
-/// gen::generate_multi_device, so offload selection, per-device volume mix
-/// and speedup scaling all apply per task), periods derived as
+/// platform, following the standard recipe of the real-time literature:
+/// per-task utilisations from UUniFast (Bini & Buttazzo, gen/uunifast.h),
+/// DAG structure and device placement from the arena generators
+/// (gen::generate_hierarchical_flat / gen::generate_multi_device_flat, so
+/// offload selection, per-device volume mix and speedup scaling all apply
+/// per task), periods derived as
 /// T_i = vol(G_i)/u_i, and constrained deadlines drawn between len(G_i) and
 /// T_i.
 ///
@@ -59,8 +59,10 @@ struct TaskSetGenConfig {
 };
 
 /// Generates one task set (tasks named "tau1".."tauN").  Each task's period
-/// is vol(G_i)/u_i rounded up and floored at len(G_i), exactly as in
-/// gen::generate_task_set.
+/// is vol(G_i)/u_i rounded up and floored at len(G_i) (a task with
+/// T < len(G) is trivially infeasible on any number of cores, so the
+/// generator never produces one; the realised utilisation is then slightly
+/// below the target).
 [[nodiscard]] TaskSet generate_task_set(const TaskSetGenConfig& config,
                                         Rng& rng);
 

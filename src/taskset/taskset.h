@@ -12,12 +12,10 @@
 /// taskset-level analysis (taskset/contention_rta.h), generator
 /// (taskset/gen.h) and simulator (taskset/sim.h) all operate on.
 ///
-/// Unlike model::TaskSet (a bare task vector for the federated
-/// schedulability-study example), a taskset::TaskSet knows its platform:
-/// validation checks every task's device placements against it, and the
-/// per-device utilisation accessors expose how loaded each shared
-/// accelerator class is — the quantity the contention analysis inflates
-/// per-task bounds with.
+/// A taskset::TaskSet knows its platform: validation checks every task's
+/// device placements against it, and the per-device utilisation accessors
+/// expose how loaded each shared accelerator class is — the quantity the
+/// contention analysis inflates per-task bounds with.
 ///
 /// The text round-trip format mirrors graph/dag_io.h, one directive per
 /// line with '#' comments:
@@ -98,8 +96,7 @@ class TaskSet {
 
   /// Σ_i vol_d(G_i)/T_i across tasks (double: periods from
   /// utilisation-driven generators are large and mutually coprime, so the
-  /// exact rational sum can overflow 64-bit numerators — same rationale as
-  /// model::TaskSet).
+  /// exact rational sum can overflow 64-bit numerators).
   // hedra-lint: allow(float-in-bound, reporting aggregate, bounds stay exact)
   [[nodiscard]] double device_utilization(graph::DeviceId device) const;
 

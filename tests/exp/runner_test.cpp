@@ -7,7 +7,6 @@
 
 #include "exp/fig6.h"
 #include "exp/fig9.h"
-#include "graph/dag_io.h"
 
 /// The engine's core promises: N-thread sweeps are bit-identical to serial
 /// ones, and batch seeds derived from nearby master seeds can never collide
@@ -59,24 +58,6 @@ TEST(MakeGridTest, ExpandsRatioMajorWithForkedSeeds) {
     EXPECT_EQ(points[i].batch.count, 5);
     EXPECT_EQ(points[i].batch.seed, seeds[i]);
     EXPECT_EQ(points[i].cores, spec.cores);
-  }
-}
-
-TEST(RunnerTest, ParallelBatchGenerationIsBitIdenticalToSerial) {
-  BatchConfig config;
-  config.params.min_nodes = 20;
-  config.params.max_nodes = 60;
-  config.coff_ratio = 0.2;
-  config.count = 24;
-  config.seed = 1234;
-  const auto serial = generate_batch(config);
-  Runner runner(4);
-  const auto parallel = runner.generate(config);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(graph::write_dag_text(serial[i]),
-              graph::write_dag_text(parallel[i]))
-        << "replication " << i;
   }
 }
 

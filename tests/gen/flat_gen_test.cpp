@@ -1,9 +1,13 @@
 /// \file flat_gen_test.cpp
-/// Arena-vs-legacy equivalence: the SoA batch generators must consume the
-/// RNG fork-chain streams identically to the per-DAG pipelines, so for any
-/// seed the arena batch is bit-identical to the legacy batch.  A golden
-/// FNV-1a batch hash pins the stream against silent regressions in either
-/// path.
+/// The arena generators are the only generator path: exp::generate_batch,
+/// gen::generate_hierarchical and gen::generate_multi_device materialise
+/// their DAGs from an arena.  Golden FNV-1a hashes pin the generated stream
+/// twice over — the arena's CSR arrays, and the materialised Dags (labels,
+/// kinds, devices, successor and predecessor order).  The materialised-Dag
+/// goldens were taken from the legacy per-Dag pipeline these generators
+/// replaced, so they prove the materialised Dags bit-identical to it.  Each
+/// arena view must also agree with a FlatDag snapshot of its own
+/// materialised Dag.
 
 #include "gen/flat_gen.h"
 
@@ -14,7 +18,7 @@
 #include "exp/experiment.h"
 #include "gen/hierarchical.h"
 #include "gen/multi_device.h"
-#include "gen/offload.h"
+#include "graph/dag_io.h"
 #include "graph/flat_dag.h"
 
 namespace hedra::gen {
@@ -27,7 +31,7 @@ using graph::FlatDagBatch;
 using graph::FlatView;
 using graph::NodeId;
 
-/// Element-wise equality of a legacy FlatDag snapshot and an arena view.
+/// Element-wise equality of an arena view and a FlatDag snapshot.
 void expect_view_equals_flat(const FlatView& view, const FlatDag& flat,
                              const std::string& context) {
   SCOPED_TRACE(context);
@@ -49,34 +53,12 @@ void expect_view_equals_flat(const FlatView& view, const FlatDag& flat,
                                  flat.topological_order()));
 }
 
-/// Field-for-field equality of a materialised Dag and the legacy Dag,
-/// labels included.
-void expect_dag_equals(const Dag& got, const Dag& want,
-                       const std::string& context) {
-  SCOPED_TRACE(context);
-  ASSERT_EQ(got.num_nodes(), want.num_nodes());
-  ASSERT_EQ(got.num_edges(), want.num_edges());
-  for (NodeId v = 0; v < want.num_nodes(); ++v) {
-    EXPECT_EQ(got.wcet(v), want.wcet(v));
-    EXPECT_EQ(got.device(v), want.device(v));
-    EXPECT_EQ(got.kind(v), want.kind(v));
-    EXPECT_EQ(got.label(v), want.label(v));
-    EXPECT_EQ(got.successors(v), want.successors(v));
-    EXPECT_EQ(got.predecessors(v), want.predecessors(v));
-  }
-}
-
-void expect_batch_equals_legacy(const BatchConfig& config,
-                                const std::string& context) {
-  const std::vector<Dag> legacy = exp::generate_batch(config);
-  const FlatDagBatch batch = exp::generate_flat_batch(config);
-  ASSERT_EQ(batch.size(), legacy.size()) << context;
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    const FlatDag flat(legacy[i]);
-    expect_view_equals_flat(batch.view(i), flat,
+void expect_views_match_materialized(const FlatDagBatch& batch,
+                                     const std::string& context) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const Dag dag = batch.materialize(i);
+    expect_view_equals_flat(batch.view(i), FlatDag(dag),
                             context + ", dag " + std::to_string(i));
-    expect_dag_equals(batch.materialize(i), legacy[i],
-                      context + ", dag " + std::to_string(i));
   }
 }
 
@@ -91,64 +73,111 @@ BatchConfig small_config(std::uint64_t seed, double ratio) {
   return config;
 }
 
+/// The K = 2 batch with a skewed mix and per-device speedups.
+BatchConfig mix_speedup_config() {
+  BatchConfig config = small_config(4242, 0.4);
+  config.params.num_devices = 2;
+  config.params.offloads_per_device = 2;
+  config.params.device_mix = {2.0, 1.0};
+  config.params.device_speedup = {3.0, 1.5};
+  return config;
+}
+
+/// FNV-1a over write_dag_text (labels, WCETs, kinds, devices, successor
+/// order) plus every node's predecessor list, for each DAG in turn.
+std::uint64_t dag_hash(const std::vector<Dag>& dags) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t x) {
+    h = (h ^ x) * 1099511628211ULL;
+  };
+  for (const Dag& dag : dags) {
+    for (const char c : graph::write_dag_text(dag)) {
+      mix(static_cast<unsigned char>(c));
+    }
+    for (NodeId v = 0; v < dag.num_nodes(); ++v) {
+      mix(dag.in_degree(v));
+      for (const NodeId p : dag.predecessors(v)) mix(p);
+    }
+  }
+  return h;
+}
+
 TEST(FlatGenTest, SingleOffloadBatchBitIdenticalToLegacy) {
+  // The single offload node materialises as "vOff" with its predecessor
+  // lists grouped by source.
+  EXPECT_EQ(dag_hash(exp::generate_batch(small_config(42, 0.1))),
+            8365139801959191763ULL);
   for (const std::uint64_t seed : {7ULL, 42ULL, 12345ULL}) {
     for (const double ratio : {0.1, 0.3}) {
-      expect_batch_equals_legacy(
-          small_config(seed, ratio),
+      expect_views_match_materialized(
+          exp::generate_flat_batch(small_config(seed, ratio)),
           "seed " + std::to_string(seed) + " ratio " + std::to_string(ratio));
     }
   }
 }
 
 TEST(FlatGenTest, MultiDeviceBatchBitIdenticalToLegacy) {
+  std::vector<Dag> all;
   for (const int devices : {1, 2, 3}) {
     for (const int units : {1, 2}) {
       BatchConfig config = small_config(91u + devices, 0.3);
       config.params.num_devices = devices;
       config.params.offloads_per_device = 2;
       config.params.device_units.assign(devices, units);
-      expect_batch_equals_legacy(config,
-                                 "devices " + std::to_string(devices) +
-                                     " units " + std::to_string(units));
+      expect_views_match_materialized(exp::generate_flat_batch(config),
+                                      "devices " + std::to_string(devices) +
+                                          " units " + std::to_string(units));
+      for (Dag& dag : exp::generate_batch(config)) {
+        all.push_back(std::move(dag));
+      }
     }
   }
+  EXPECT_EQ(dag_hash(all), 11533395353513394323ULL);
 }
 
 TEST(FlatGenTest, MultiDeviceMixAndSpeedupBitIdenticalToLegacy) {
-  BatchConfig config = small_config(4242, 0.4);
-  config.params.num_devices = 2;
-  config.params.offloads_per_device = 2;
-  config.params.device_mix = {2.0, 1.0};
-  config.params.device_speedup = {3.0, 1.5};
-  expect_batch_equals_legacy(config, "mix+speedup");
+  EXPECT_EQ(dag_hash(exp::generate_batch(mix_speedup_config())),
+            18168704034080184476ULL);
+  expect_views_match_materialized(
+      exp::generate_flat_batch(mix_speedup_config()), "mix+speedup");
 }
 
 TEST(FlatGenTest, RejectionLoopConsumesIdenticalStream) {
-  // A narrow node window forces many rejected attempts; afterwards both
-  // generators must leave the RNG at the same point.
+  // A narrow node window forces many rejected attempts; every one of them
+  // consumes the stream, so the RNG must land on the pinned position.
   HierarchicalParams params = HierarchicalParams::small_tasks();
   params.min_nodes = 30;
   params.max_nodes = 34;
-  Rng legacy_rng(99);
   Rng flat_rng(99);
-  const Dag dag = generate_hierarchical(params, legacy_rng);
   FlatDagBatch batch;
   generate_hierarchical_flat(params, flat_rng, batch);
-  EXPECT_EQ(batch.num_nodes(0), dag.num_nodes());
-  EXPECT_EQ(legacy_rng.next_u64(), flat_rng.next_u64());
+  EXPECT_EQ(batch.num_nodes(0), 34u);
+  EXPECT_EQ(flat_rng.next_u64(), 561437648765769457ULL);
+  Rng dag_rng(99);
+  const Dag dag = generate_hierarchical(params, dag_rng);
+  EXPECT_EQ(dag_hash({dag}), 8460226927352907143ULL);
+  EXPECT_EQ(dag_rng.next_u64(), 561437648765769457ULL);
 }
 
 TEST(FlatGenTest, HierarchicalFlatMatchesLegacyStructure) {
-  HierarchicalParams params = HierarchicalParams::large_tasks_100_250();
-  Rng legacy_rng(5);
+  const HierarchicalParams params = HierarchicalParams::large_tasks_100_250();
+  Rng dag_rng(5);
+  const Dag dag = generate_hierarchical(params, dag_rng);
+  EXPECT_EQ(dag_hash({dag}), 6348168355503947846ULL);
   Rng flat_rng(5);
-  const Dag dag = generate_hierarchical(params, legacy_rng);
   FlatDagBatch batch;
   generate_hierarchical_flat(params, flat_rng, batch);
-  const FlatDag flat(dag);
-  expect_view_equals_flat(batch.view(0), flat, "plain hierarchical");
-  expect_dag_equals(batch.materialize(0), dag, "plain hierarchical");
+  expect_view_equals_flat(batch.view(0), FlatDag(dag), "plain hierarchical");
+  EXPECT_EQ(dag_rng.next_u64(), flat_rng.next_u64());
+}
+
+TEST(FlatGenTest, MultiDeviceDagMatchesLegacyStream) {
+  Rng rng(4242);
+  const Dag dag =
+      generate_multi_device(mix_speedup_config().params, 0.4, rng);
+  EXPECT_EQ(dag.num_nodes(), 34u);
+  EXPECT_EQ(dag_hash({dag}), 8970023882460925909ULL);
+  EXPECT_EQ(rng.next_u64(), 10246067676933457225ULL);
 }
 
 /// FNV-1a over the structural arrays of every DAG of a batch — one number

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
-#include <set>
+#include <vector>
 
-#include "gen/hierarchical.h"
 #include "gen/multi_device.h"
 #include "graph/validate.h"
 #include "util/rng.h"
@@ -19,75 +19,83 @@ gen::HierarchicalParams test_params() {
   return params;
 }
 
-TEST(MultiDeviceGenTest, SelectPlacesDistinctInternalNodesDeviceMajor) {
+/// `test_params()` with `devices` accelerator classes of `per_device`
+/// offload nodes each.
+gen::HierarchicalParams device_params(int devices, int per_device) {
+  gen::HierarchicalParams params = test_params();
+  params.num_devices = devices;
+  params.offloads_per_device = per_device;
+  return params;
+}
+
+TEST(MultiDeviceGenTest, PlacesDistinctInternalNodesOnEveryDevice) {
   Rng rng(1);
-  graph::Dag dag = gen::generate_hierarchical(test_params(), rng);
-  const auto chosen = gen::select_offload_nodes(dag, 3, 2, rng);
-  ASSERT_EQ(chosen.size(), 6u);
-  const std::set<graph::NodeId> unique(chosen.begin(), chosen.end());
-  EXPECT_EQ(unique.size(), 6u);
-  for (std::size_t i = 0; i < chosen.size(); ++i) {
-    const auto expected_device = static_cast<graph::DeviceId>(1 + i / 2);
-    EXPECT_EQ(dag.device(chosen[i]), expected_device);
-    EXPECT_GT(dag.in_degree(chosen[i]), 0u);
-    EXPECT_GT(dag.out_degree(chosen[i]), 0u);
-  }
+  const graph::Dag dag =
+      gen::generate_multi_device(device_params(3, 2), 0.3, rng);
   EXPECT_EQ(dag.device_ids(), (std::vector<graph::DeviceId>{1, 2, 3}));
   EXPECT_EQ(dag.offload_nodes().size(), 6u);
+  for (const graph::DeviceId device : dag.device_ids()) {
+    const auto nodes = dag.nodes_on(device);
+    EXPECT_EQ(nodes.size(), 2u) << "device " << device;
+    for (const graph::NodeId v : nodes) {
+      EXPECT_EQ(dag.kind(v), graph::NodeKind::kOffload);
+      EXPECT_GT(dag.in_degree(v), 0u);
+      EXPECT_GT(dag.out_degree(v), 0u);
+    }
+  }
 }
 
 TEST(MultiDeviceGenTest, SelectRejectsBadRequests) {
   Rng rng(2);
-  graph::Dag dag = gen::generate_hierarchical(test_params(), rng);
-  EXPECT_THROW((void)gen::select_offload_nodes(dag, 0, 1, rng), Error);
-  EXPECT_THROW((void)gen::select_offload_nodes(dag, 1, 0, rng), Error);
   EXPECT_THROW(
-      (void)gen::select_offload_nodes(dag, 1000, 1000, rng), Error);
-  (void)gen::select_offload_nodes(dag, 1, 1, rng);
-  EXPECT_THROW((void)gen::select_offload_nodes(dag, 1, 1, rng), Error);
+      (void)gen::generate_multi_device(device_params(0, 1), 0.3, rng), Error);
+  EXPECT_THROW(
+      (void)gen::generate_multi_device(device_params(1, 0), 0.3, rng), Error);
+  // More placements than the node window leaves room for.
+  EXPECT_THROW(
+      (void)gen::generate_multi_device(device_params(20, 2), 0.3, rng), Error);
 }
 
 TEST(MultiDeviceGenTest, EvenSplitHitsTheTargetTotalRatio) {
-  Rng rng(3);
-  graph::Dag dag = gen::generate_hierarchical(test_params(), rng);
-  (void)gen::select_offload_nodes(dag, 2, 2, rng);
   for (const double ratio : {0.05, 0.2, 0.4, 0.6}) {
-    const gen::OffloadSplit split = gen::set_offload_ratio_multi(dag, ratio);
-    graph::Time device_sum = 0;
-    for (const auto device : dag.device_ids()) {
-      device_sum += dag.volume_on(device);
-    }
-    EXPECT_EQ(split.total, device_sum);
+    Rng rng(3);
+    const graph::Dag dag =
+        gen::generate_multi_device(device_params(2, 2), ratio, rng);
     const double realised =
-        static_cast<double>(split.total) / static_cast<double>(dag.volume());
+        static_cast<double>(dag.volume() - dag.host_volume()) /
+        static_cast<double>(dag.volume());
     EXPECT_NEAR(realised, ratio, 0.02) << "target " << ratio;
     // Even mix: device shares are balanced within rounding.
     EXPECT_NEAR(gen::device_ratio(dag, 1), gen::device_ratio(dag, 2), 0.02);
   }
 }
 
-/// SATELLITE REGRESSION: the returned per-device breakdown makes the
-/// cumulative-rounding split verifiable — every entry matches the graph's
-/// realised per-device volume and the budget invariant Σ_d vol_d == total
-/// holds for even and skewed mixes alike.
+/// Cumulative rounding spreads each device's budget over its nodes without
+/// drift: a device realises exactly llround(budget) ticks, unless the
+/// one-tick-per-node floor lifts it to its node count.  The per-device
+/// breakdown therefore follows from the host volume alone, and sums to the
+/// realised offloaded volume.
 TEST(MultiDeviceGenTest, BreakdownMatchesRealisedVolumesAndSumsToTotal) {
+  const std::vector<double> mix{5.0, 1.0, 0.001};
   for (const std::uint64_t seed : {8u, 9u, 10u}) {
+    gen::HierarchicalParams params = device_params(3, 2);
+    params.device_mix = mix;
     Rng rng(seed);
-    graph::Dag dag = gen::generate_hierarchical(test_params(), rng);
-    (void)gen::select_offload_nodes(dag, 3, 2, rng);
-    const std::vector<double> mix{5.0, 1.0, 0.001};
-    const gen::OffloadSplit split = gen::set_offload_ratio_multi(dag, 0.35, mix);
-    ASSERT_EQ(split.per_device.size(), 3u);
+    const graph::Dag dag = gen::generate_multi_device(params, 0.35, rng);
+    const double total =
+        0.35 / 0.65 * static_cast<double>(dag.host_volume());
+    const double weight_sum = mix[0] + mix[1] + mix[2];
     graph::Time sum = 0;
-    for (const auto& [device, volume] : split.per_device) {
-      EXPECT_EQ(volume, dag.volume_on(device)) << "device " << device;
-      // The documented floor: every node keeps WCET >= 1, so a device with
-      // k offload nodes realises at least k ticks even at near-zero weight.
-      EXPECT_GE(volume, static_cast<graph::Time>(dag.nodes_on(device).size()))
-          << "device " << device;
-      sum += volume;
+    for (std::size_t i = 0; i < mix.size(); ++i) {
+      const auto device = static_cast<graph::DeviceId>(i + 1);
+      const auto floor =
+          static_cast<graph::Time>(dag.nodes_on(device).size());
+      const graph::Time expected = std::max<graph::Time>(
+          floor, std::llround(total * mix[i] / weight_sum));
+      EXPECT_EQ(dag.volume_on(device), expected) << "device " << device;
+      sum += expected;
     }
-    EXPECT_EQ(sum, split.total);
+    EXPECT_EQ(sum, dag.volume() - dag.host_volume());
   }
 }
 
@@ -95,34 +103,37 @@ TEST(MultiDeviceGenTest, BreakdownMatchesRealisedVolumesAndSumsToTotal) {
 /// (weight_sum == 0 → llround(NaN), undefined behaviour) and silently
 /// starved devices; degenerate weights are now rejected up front.
 TEST(MultiDeviceGenTest, RejectsZeroNegativeAndNonFiniteMixWeights) {
-  Rng rng(11);
-  graph::Dag dag = gen::generate_hierarchical(test_params(), rng);
-  (void)gen::select_offload_nodes(dag, 2, 1, rng);
-  EXPECT_THROW((void)gen::set_offload_ratio_multi(dag, 0.3, {0.0, 0.0}), Error)
+  const auto generate = [](std::vector<double> mix) {
+    gen::HierarchicalParams params = device_params(2, 2);
+    params.device_mix = std::move(mix);
+    Rng rng(11);
+    return gen::generate_multi_device(params, 0.3, rng);
+  };
+  EXPECT_THROW((void)generate({0.0, 0.0}), Error)
       << "all-zero weights divide by zero";
-  EXPECT_THROW((void)gen::set_offload_ratio_multi(dag, 0.3, {0.0, 1.0}), Error)
+  EXPECT_THROW((void)generate({0.0, 1.0}), Error)
       << "a zero weight starves its device";
-  EXPECT_THROW((void)gen::set_offload_ratio_multi(dag, 0.3, {-1.0, 2.0}),
-               Error);
-  EXPECT_THROW((void)gen::set_offload_ratio_multi(
-                   dag, 0.3,
-                   {std::numeric_limits<double>::quiet_NaN(), 1.0}),
-               Error);
-  EXPECT_THROW((void)gen::set_offload_ratio_multi(
-                   dag, 0.3,
-                   {std::numeric_limits<double>::infinity(), 1.0}),
-               Error);
-  // Tiny but positive weights stay legal and keep the per-node floor.
-  const gen::OffloadSplit split =
-      gen::set_offload_ratio_multi(dag, 0.3, {1e-9, 1.0});
-  EXPECT_GE(split.per_device[0].second, 1);
+  EXPECT_THROW((void)generate({-1.0, 2.0}), Error);
+  EXPECT_THROW(
+      (void)generate({std::numeric_limits<double>::quiet_NaN(), 1.0}), Error);
+  EXPECT_THROW(
+      (void)generate({std::numeric_limits<double>::infinity(), 1.0}), Error);
+  // Tiny but positive weights stay legal, and every node keeps the
+  // documented floor of one tick, so a device with k offload nodes
+  // realises at least k ticks even at near-zero weight.
+  const graph::Dag dag = generate({1e-9, 1.0});
+  for (const graph::DeviceId device : dag.device_ids()) {
+    EXPECT_GE(dag.volume_on(device),
+              static_cast<graph::Time>(dag.nodes_on(device).size()))
+        << "device " << device;
+  }
 }
 
 TEST(MultiDeviceGenTest, MixWeightsSkewTheDeviceShares) {
+  gen::HierarchicalParams params = device_params(2, 1);
+  params.device_mix = {3.0, 1.0};
   Rng rng(4);
-  graph::Dag dag = gen::generate_hierarchical(test_params(), rng);
-  (void)gen::select_offload_nodes(dag, 2, 1, rng);
-  (void)gen::set_offload_ratio_multi(dag, 0.4, {3.0, 1.0});
+  const graph::Dag dag = gen::generate_multi_device(params, 0.4, rng);
   const double r1 = gen::device_ratio(dag, 1);
   const double r2 = gen::device_ratio(dag, 2);
   EXPECT_NEAR(r1 / r2, 3.0, 0.5);
@@ -131,13 +142,13 @@ TEST(MultiDeviceGenTest, MixWeightsSkewTheDeviceShares) {
 
 TEST(MultiDeviceGenTest, RatioRejectsBadInput) {
   Rng rng(5);
-  graph::Dag dag = gen::generate_hierarchical(test_params(), rng);
-  EXPECT_THROW((void)gen::set_offload_ratio_multi(dag, 0.3), Error)
-      << "no offload nodes selected yet";
-  (void)gen::select_offload_nodes(dag, 2, 1, rng);
-  EXPECT_THROW((void)gen::set_offload_ratio_multi(dag, 0.0), Error);
-  EXPECT_THROW((void)gen::set_offload_ratio_multi(dag, 1.0), Error);
-  EXPECT_THROW((void)gen::set_offload_ratio_multi(dag, 0.3, {1.0}), Error)
+  EXPECT_THROW(
+      (void)gen::generate_multi_device(device_params(2, 1), 0.0, rng), Error);
+  EXPECT_THROW(
+      (void)gen::generate_multi_device(device_params(2, 1), 1.0, rng), Error);
+  gen::HierarchicalParams params = device_params(2, 1);
+  params.device_mix = {1.0};
+  EXPECT_THROW((void)gen::generate_multi_device(params, 0.3, rng), Error)
       << "mix size must match the devices present";
 }
 
@@ -163,46 +174,34 @@ TEST(MultiDeviceGenTest, GeneratorProducesValidDeviceAnnotatedDags) {
 }
 
 TEST(MultiDeviceGenTest, SpeedupScalesPerDeviceBudgets) {
-  // SATELLITE (PR 5): heterogeneous WCET scaling.  A 2x device realises
+  // Heterogeneous WCET scaling: a 2x device realises
   // about half the device-time volume of its unit-speed twin generated
   // from the identical RNG stream; unscaled devices are untouched.
-  gen::HierarchicalParams params = test_params();
-  params.num_devices = 2;
-  params.offloads_per_device = 2;
+  const gen::HierarchicalParams params = device_params(2, 2);
+  gen::HierarchicalParams fast = params;
+  fast.device_speedup = {2.0, 1.0};
   Rng a(31);
   Rng b(31);
-  graph::Dag plain = gen::generate_hierarchical(params, a);
-  graph::Dag scaled = gen::generate_hierarchical(params, b);
-  (void)gen::select_offload_nodes(plain, 2, 2, a);
-  (void)gen::select_offload_nodes(scaled, 2, 2, b);
-  const auto plain_split = gen::set_offload_ratio_multi(plain, 0.4);
-  const auto scaled_split =
-      gen::set_offload_ratio_multi(scaled, 0.4, {}, {2.0, 1.0});
-  ASSERT_EQ(plain_split.per_device.size(), 2u);
-  ASSERT_EQ(scaled_split.per_device.size(), 2u);
-  EXPECT_NEAR(static_cast<double>(scaled_split.per_device[0].second),
-              static_cast<double>(plain_split.per_device[0].second) / 2.0,
-              2.0);
-  EXPECT_EQ(scaled_split.per_device[1].second,
-            plain_split.per_device[1].second);
-  // The split invariant holds for the scaled graph too.
-  graph::Time sum = 0;
-  for (const auto& [device, volume] : scaled_split.per_device) sum += volume;
-  EXPECT_EQ(sum, scaled_split.total);
+  const graph::Dag plain = gen::generate_multi_device(params, 0.4, a);
+  const graph::Dag scaled = gen::generate_multi_device(fast, 0.4, b);
+  ASSERT_EQ(plain.num_nodes(), scaled.num_nodes());
+  EXPECT_EQ(plain.nodes_on(1), scaled.nodes_on(1));
+  EXPECT_NEAR(static_cast<double>(scaled.volume_on(1)),
+              static_cast<double>(plain.volume_on(1)) / 2.0, 2.0);
+  EXPECT_EQ(scaled.volume_on(2), plain.volume_on(2));
+  EXPECT_EQ(scaled.host_volume(), plain.host_volume());
 }
 
 TEST(MultiDeviceGenTest, SpeedupRejectsDegenerateFactors) {
-  gen::HierarchicalParams params = test_params();
-  params.num_devices = 2;
-  Rng rng(32);
-  graph::Dag dag = gen::generate_hierarchical(params, rng);
-  (void)gen::select_offload_nodes(dag, 2, 1, rng);
-  EXPECT_THROW((void)gen::set_offload_ratio_multi(dag, 0.3, {}, {1.0}),
-               Error);  // one factor for two devices
-  EXPECT_THROW((void)gen::set_offload_ratio_multi(dag, 0.3, {}, {0.0, 1.0}),
-               Error);
-  EXPECT_THROW((void)gen::set_offload_ratio_multi(dag, 0.3, {}, {-2.0, 1.0}),
-               Error);
+  const auto generate = [](std::vector<double> speedup) {
+    gen::HierarchicalParams params = device_params(2, 1);
+    params.device_speedup = std::move(speedup);
+    Rng rng(32);
+    return gen::generate_multi_device(params, 0.3, rng);
+  };
+  EXPECT_THROW((void)generate({1.0}), Error);  // one factor for two devices
+  EXPECT_THROW((void)generate({0.0, 1.0}), Error);
+  EXPECT_THROW((void)generate({-2.0, 1.0}), Error);
 }
 
 TEST(MultiDeviceGenTest, HierarchicalParamsValidateSpeedups) {

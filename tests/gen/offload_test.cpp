@@ -105,31 +105,6 @@ TEST(OffloadTest, RatioBoundsEnforced) {
   EXPECT_THROW(set_offload_ratio(plain, 0.5), Error);
 }
 
-TEST(OffloadTest, UniformAssignmentStaysWithinCap) {
-  // §5.1: C_off uniform in [1, C_off_MAX] with C_off_MAX up to 60% of volume.
-  Rng rng(13);
-  for (int i = 0; i < 200; ++i) {
-    auto ex = testing::paper_example();
-    (void)assign_offload_uniform(ex.dag, 0.6, rng);
-    EXPECT_GE(ex.dag.wcet(ex.voff), 1);
-    EXPECT_LE(offload_ratio(ex.dag), 0.6 + 0.03);  // rounding slack
-  }
-}
-
-TEST(OffloadTest, UniformAssignmentCoversRange) {
-  Rng rng(17);
-  graph::Time smallest = 1 << 30;
-  graph::Time largest = 0;
-  for (int i = 0; i < 300; ++i) {
-    auto ex = testing::paper_example();
-    const graph::Time c = assign_offload_uniform(ex.dag, 0.6, rng);
-    smallest = std::min(smallest, c);
-    largest = std::max(largest, c);
-  }
-  EXPECT_EQ(smallest, 1);
-  EXPECT_GE(largest, 15);  // cap is 0.6/0.4*14 = 21
-}
-
 TEST(OffloadTest, OffloadRatioRequiresOffloadNode) {
   const graph::Dag plain = testing::chain(3, 1);
   EXPECT_THROW((void)offload_ratio(plain), Error);

@@ -68,7 +68,7 @@ TEST(DagIoTest, RejectsMalformedWcet) {
 
 TEST(DagIoTest, ErrorMentionsLineNumber) {
   try {
-    read_dag_text("node a 1\nbogus\n");
+    (void)read_dag_text("node a 1\nbogus\n");
     FAIL() << "expected throw";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);

@@ -31,8 +31,8 @@ TEST(DescriptiveTest, OddMedian) {
 }
 
 TEST(DescriptiveTest, EmptySampleThrows) {
-  EXPECT_THROW(summarize({}), Error);
-  EXPECT_THROW(mean({}), Error);
+  EXPECT_THROW((void)summarize({}), Error);
+  EXPECT_THROW((void)mean({}), Error);
 }
 
 TEST(DescriptiveTest, Percentiles) {
@@ -40,14 +40,14 @@ TEST(DescriptiveTest, Percentiles) {
   EXPECT_DOUBLE_EQ(percentile(v, 0), 1.0);
   EXPECT_DOUBLE_EQ(percentile(v, 100), 10.0);
   EXPECT_DOUBLE_EQ(percentile(v, 50), 5.5);
-  EXPECT_THROW(percentile(v, 101), Error);
-  EXPECT_THROW(percentile({}, 50), Error);
+  EXPECT_THROW((void)percentile(v, 101), Error);
+  EXPECT_THROW((void)percentile({}, 50), Error);
 }
 
 TEST(DescriptiveTest, PercentageChange) {
   EXPECT_DOUBLE_EQ(percentage_change(120.0, 100.0), 20.0);
   EXPECT_DOUBLE_EQ(percentage_change(80.0, 100.0), -20.0);
-  EXPECT_THROW(percentage_change(1.0, 0.0), Error);
+  EXPECT_THROW((void)percentage_change(1.0, 0.0), Error);
 }
 
 TEST(SeriesTest, AccumulatesPerKey) {
@@ -58,7 +58,7 @@ TEST(SeriesTest, AccumulatesPerKey) {
   EXPECT_EQ(s.xs(), (std::vector<double>{0.1, 0.2}));
   EXPECT_DOUBLE_EQ(s.at(0.1).mean, 15.0);
   EXPECT_DOUBLE_EQ(s.at(0.2).mean, 30.0);
-  EXPECT_THROW(s.at(0.3), Error);
+  EXPECT_THROW((void)s.at(0.3), Error);
 }
 
 TEST(SeriesTest, MeanPointsAscending) {
@@ -101,8 +101,8 @@ TEST(SeriesTest, NoSignChangeIsNaN) {
 TEST(SeriesTest, EmptySeriesGuards) {
   const Series s;
   EXPECT_TRUE(s.empty());
-  EXPECT_THROW(s.global_max(), Error);
-  EXPECT_THROW(s.argmax_mean(), Error);
+  EXPECT_THROW((void)s.global_max(), Error);
+  EXPECT_THROW((void)s.argmax_mean(), Error);
 }
 
 }  // namespace

@@ -28,6 +28,22 @@ TaskSet small_set() {
   return set;
 }
 
+TEST(TaskSetTest, SizeAndIndexing) {
+  const TaskSet set = small_set();
+  EXPECT_EQ(set.size(), 2u);
+  EXPECT_FALSE(set.empty());
+  EXPECT_EQ(set[0].name(), "tau1");
+  EXPECT_EQ(set[1].name(), "tau2");
+  EXPECT_THROW((void)set[2], Error);
+}
+
+TEST(TaskSetTest, EmptySetTotalsAreZero) {
+  const TaskSet set(Platform::parse("4:gpu"));
+  EXPECT_TRUE(set.empty());
+  EXPECT_DOUBLE_EQ(set.total_utilization(), 0.0);
+  EXPECT_DOUBLE_EQ(set.device_utilization(graph::kHostDevice), 0.0);
+}
+
 TEST(TaskSetTest, ValidatesCleanSet) {
   EXPECT_NO_THROW(small_set().validate());
 }

@@ -35,7 +35,7 @@ TEST(BitsetTest, SetResetTest) {
 TEST(BitsetTest, OutOfRangeThrows) {
   DynamicBitset b(10);
   EXPECT_THROW(b.set(10), Error);
-  EXPECT_THROW(b.test(10), Error);
+  EXPECT_THROW((void)b.test(10), Error);
   EXPECT_THROW(b.reset(10), Error);
 }
 

@@ -63,7 +63,9 @@ TEST_P(FracFuzz, OrderingIsTotalAndConsistent) {
     EXPECT_EQ(static_cast<int>(lt) + static_cast<int>(gt) +
                   static_cast<int>(eq),
               1);
-    if (lt) EXPECT_LT(a.to_double(), b.to_double() + 1e-9);
+    if (lt) {
+      EXPECT_LT(a.to_double(), b.to_double() + 1e-9);
+    }
     // Translation invariance: a < b  <=>  a + c < b + c.
     const Frac c = random_frac(rng);
     EXPECT_EQ(a < b, a + c < b + c);

@@ -43,17 +43,17 @@ TEST(StringsTest, FormatPercent) {
 TEST(StringsTest, ParseInt) {
   EXPECT_EQ(parse_int("42"), 42);
   EXPECT_EQ(parse_int("  -17 "), -17);
-  EXPECT_THROW(parse_int("12x"), Error);
-  EXPECT_THROW(parse_int(""), Error);
-  EXPECT_THROW(parse_int("3.5"), Error);
+  EXPECT_THROW((void)parse_int("12x"), Error);
+  EXPECT_THROW((void)parse_int(""), Error);
+  EXPECT_THROW((void)parse_int("3.5"), Error);
 }
 
 TEST(StringsTest, ParseReal) {
   EXPECT_DOUBLE_EQ(parse_real("0.25"), 0.25);
   EXPECT_DOUBLE_EQ(parse_real(" -1e3 "), -1000.0);
-  EXPECT_THROW(parse_real("abc"), Error);
-  EXPECT_THROW(parse_real(""), Error);
-  EXPECT_THROW(parse_real("1.2.3"), Error);
+  EXPECT_THROW((void)parse_real("abc"), Error);
+  EXPECT_THROW((void)parse_real(""), Error);
+  EXPECT_THROW((void)parse_real("1.2.3"), Error);
 }
 
 }  // namespace
