@@ -131,30 +131,16 @@ void generate_multi_device_flat(const HierarchicalParams& params,
   params.validate();
   HEDRA_REQUIRE(params.num_devices >= 1,
                 "generate_multi_device requires num_devices >= 1");
-  HEDRA_REQUIRE(params.offloads_per_device >= 1,
-                "need at least one offload node per device");
   HEDRA_REQUIRE(params.min_nodes >=
                     params.num_devices * params.offloads_per_device + 2,
                 "node window too small for the requested offload placements");
   HEDRA_REQUIRE(coff_ratio > 0.0 && coff_ratio < 1.0,
                 "offload ratio must lie strictly inside (0, 1)");
+  // validate() has checked the mix and speedup vectors: empty, or one
+  // finite, strictly positive entry per device.
   const auto& mix = params.device_mix;
   const auto& speedup = params.device_speedup;
   const auto num_devices = static_cast<std::size_t>(params.num_devices);
-  HEDRA_REQUIRE(mix.empty() || mix.size() == num_devices,
-                "device mix must have one weight per device present");
-  for (std::size_t i = 0; i < mix.size(); ++i) {
-    HEDRA_REQUIRE(std::isfinite(mix[i]) && mix[i] > 0.0,
-                  "device mix weight " + std::to_string(i) +
-                      " must be finite and strictly positive");
-  }
-  HEDRA_REQUIRE(speedup.empty() || speedup.size() == num_devices,
-                "device speedup must have one factor per device present");
-  for (std::size_t i = 0; i < speedup.size(); ++i) {
-    HEDRA_REQUIRE(std::isfinite(speedup[i]) && speedup[i] > 0.0,
-                  "device speedup factor " + std::to_string(i) +
-                      " must be finite and strictly positive");
-  }
 
   thread_local graph::StagedDag staged;
   thread_local std::vector<NodeId> internal;

@@ -44,8 +44,11 @@ void HierarchicalParams::validate() const {
   HEDRA_REQUIRE(device_mix.empty() ||
                     device_mix.size() == static_cast<std::size_t>(num_devices),
                 "device_mix must be empty or have one entry per device");
+  // A zero share would let the weights sum to zero (a division by zero
+  // in the volume split) or starve its device to the one-tick floor.
   for (const double share : device_mix) {
-    HEDRA_REQUIRE(share > 0.0, "device_mix shares must be positive");
+    HEDRA_REQUIRE(std::isfinite(share) && share > 0.0,
+                  "device_mix shares must be finite and positive");
   }
   HEDRA_REQUIRE(
       device_units.empty() ||

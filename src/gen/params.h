@@ -39,7 +39,8 @@ struct HierarchicalParams {
   int num_devices = 0;          ///< K accelerator device classes to populate
   int offloads_per_device = 1;  ///< offload nodes assigned to each device
   /// Relative share of the offloaded volume each device receives (size
-  /// num_devices, positive entries, need not sum to 1); empty = even split.
+  /// num_devices, finite positive entries, need not sum to 1); empty = even
+  /// split.
   std::vector<double> device_mix;
   /// Execution units per accelerator class (size num_devices, entries
   /// >= 1); empty = one unit each (the paper's platform).  Generation

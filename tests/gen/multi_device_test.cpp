@@ -174,9 +174,9 @@ TEST(MultiDeviceGenTest, GeneratorProducesValidDeviceAnnotatedDags) {
 }
 
 TEST(MultiDeviceGenTest, SpeedupScalesPerDeviceBudgets) {
-  // Heterogeneous WCET scaling: a 2x device realises
-  // about half the device-time volume of its unit-speed twin generated
-  // from the identical RNG stream; unscaled devices are untouched.
+  // Heterogeneous WCET scaling: a 2x device realises about half the
+  // device-time volume of its unit-speed twin generated from the identical
+  // RNG stream; unscaled devices are untouched.
   const gen::HierarchicalParams params = device_params(2, 2);
   gen::HierarchicalParams fast = params;
   fast.device_speedup = {2.0, 1.0};
