@@ -44,8 +44,7 @@ std::string to_json(const hedra::exp::BatchConfig& batch, int m,
      << "  \"count\": " << batch.count << ",\n"
      << "  \"seed\": " << batch.seed << ",\n"
      << "  \"solver\": {\"max_nodes\": " << solver.max_nodes
-     << ", \"time_limit_sec\": " << solver.time_limit_sec
-     << ", \"jobs\": " << solver.jobs << "},\n"
+     << ", \"time_limit_sec\": " << solver.time_limit_sec << "},\n"
      << "  \"shard_index\": " << shard_index << ",\n"
      << "  \"shard_count\": " << shard_count << ",\n"
      << "  \"instances\": [\n";
@@ -79,8 +78,6 @@ int main(int argc, char** argv) {
       parser.add_int("solver-nodes", 5000000, "solver node budget");
   const auto* time_limit =
       parser.add_real("time-limit", 300.0, "solver seconds per instance");
-  const auto* jobs = parser.add_int(
-      "jobs", 1, "threads per B&B solve (0 = all hardware threads)");
   const auto* shard_index = parser.add_int("shard-index", 0, "this shard");
   const auto* shard_count = parser.add_int("shard-count", 1, "total shards");
   const auto* out = parser.add_string(
@@ -102,7 +99,6 @@ int main(int argc, char** argv) {
     hedra::exact::BnbConfig solver;
     solver.max_nodes = static_cast<std::uint64_t>(*solver_nodes);
     solver.time_limit_sec = *time_limit;
-    solver.jobs = static_cast<int>(*jobs);
 
     // Every shard regenerates the identical batch (cheap next to solving)
     // and claims its stride; indices are global, so the merged result is

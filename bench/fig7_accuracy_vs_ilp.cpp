@@ -28,10 +28,6 @@ int main(int argc, char** argv) {
   const auto* csv = parser.add_string("csv", "", "also write results to CSV");
   const auto* jobs = parser.add_int(
       "jobs", 0, "worker threads (0 = all hardware threads)");
-  const auto* solver_jobs = parser.add_int(
-      "solver-jobs", 1,
-      "threads per B&B solve (work-stealing search; only effective with "
-      "--jobs 1, 0 = all hardware threads)");
   try {
     if (!parser.parse(argc, argv)) return 0;
 
@@ -41,7 +37,6 @@ int main(int argc, char** argv) {
     config.jobs = static_cast<int>(*jobs);
     config.solver.time_limit_sec = *time_limit;
     config.solver.max_nodes = static_cast<std::uint64_t>(*max_nodes);
-    config.solver.jobs = static_cast<int>(*solver_jobs);
 
     std::cout << "== Figure 7: increment of R_hom / R_het over the minimum "
                  "makespan (exact solver) ==\n"

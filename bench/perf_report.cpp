@@ -10,12 +10,10 @@
 /// incremental B&B).  CI runs `perf_report --quick` as a smoke test and
 /// validates the emitted schema (scripts/validate_perf_report.py).
 ///
-/// Baseline kernels run single-threaded by design: the per-DAG constants
-/// measured here compose multiplicatively with the experiment engine's
-/// `--jobs N` fan-out.  The bnb_parallel_* pair is the exception — it times
-/// the work-stealing exact solver at jobs 1 vs. all hardware threads, so the
-/// report records the machine's `hardware_concurrency` (a jobs-N sample on a
-/// 1-thread container is honest but shows no speedup).
+/// Kernels run single-threaded by design: the per-DAG constants measured
+/// here compose multiplicatively with the experiment engine's `--jobs N`
+/// fan-out.  The report still records the machine's `hardware_concurrency`
+/// so a reader knows what that fan-out could use.
 
 #include <algorithm>
 #include <chrono>
@@ -67,19 +65,18 @@ struct Benchmark {
 
 double json_number(double v) { return v < 0 ? 0.0 : v; }
 
-std::string to_json(const std::vector<Benchmark>& benchmarks, bool quick,
-                    int parallel_jobs) {
+std::string to_json(const std::vector<Benchmark>& benchmarks, bool quick) {
   std::ostringstream os;
   os.setf(std::ios::fixed);
   os.precision(3);
-  // v2 replaces v1's "single_threaded": true — the report is still measured
-  // one kernel at a time, but the bnb_parallel_* kernels use worker threads,
-  // so the report records how many ("jobs") and what the machine offers.
-  // v3 keeps the v2 keys; every bnb_* kernel carries an "unproven" counter.
+  // v2 replaced v1's "single_threaded": true with the worker threads the
+  // kernels use ("jobs", 1 since the parallel exact-solver kernels went)
+  // and what the machine offers.  v3 keeps the v2 keys; every bnb_* kernel
+  // carries an "unproven" counter.
   os << "{\n"
      << "  \"schema\": \"hedra-perf-report-v3\",\n"
      << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-     << "  \"jobs\": " << parallel_jobs << ",\n"
+     << "  \"jobs\": 1,\n"
      << "  \"hardware_concurrency\": " << hedra::ThreadPool::default_workers()
      << ",\n"
      << "  \"benchmarks\": [\n";
@@ -147,9 +144,6 @@ int main(int argc, char** argv) {
     if (!parser.parse(argc, argv)) return 0;
     const bool q = *quick;
     const int reps = q ? 1 : 5;
-    // Thread count for the bnb_parallel_* jobsN kernel (and the report's
-    // top-level "jobs" field): everything the machine offers.
-    const int parallel_jobs = hedra::ThreadPool::default_workers();
     std::vector<Benchmark> benchmarks;
     const auto record = [&](std::string name, std::string unit, double value,
                             std::vector<Counter> counters = {}) {
@@ -298,49 +292,6 @@ int main(int argc, char** argv) {
                  ms > 0 ? 1000.0 * static_cast<double>(nodes) / ms : 0},
                 {"unproven", static_cast<double>(unproven)},
                 {"prune_energy", static_cast<double>(prune_energy)}});
-      }
-    }
-
-    // -- Work-stealing exact solver (PR 6): the bnb_small_m2 workload at
-    //    jobs = 1 (sequential DFS) vs. jobs = hardware threads.  On a
-    //    multi-core machine the jobsN row divides the jobs1 row by ~the
-    //    core count; the recorded hardware_concurrency says which it was.
-    {
-      hedra::exp::BatchConfig batch_config;
-      batch_config.params = hedra::gen::HierarchicalParams::small_tasks();
-      batch_config.params.min_nodes = 3;
-      batch_config.params.max_nodes = 20;
-      batch_config.coff_ratio = 0.35;
-      batch_config.count = q ? 4 : 20;
-      batch_config.seed = 21;
-      const auto batch = hedra::exp::generate_batch(batch_config);
-      // jobsN is named by role, not thread count: on a 1-thread machine it
-      // degenerates to another sequential run (its "jobs" counter says so).
-      const struct {
-        const char* name;
-        int jobs;
-      } modes[] = {{"bnb_parallel_small_m2_jobs1", 1},
-                   {"bnb_parallel_small_m2_jobsN", parallel_jobs}};
-      for (const auto& mode : modes) {
-        hedra::exact::BnbConfig solver;
-        solver.max_nodes = 5'000'000;
-        solver.time_limit_sec = 300.0;
-        solver.jobs = mode.jobs;
-        std::uint64_t nodes = 0, unproven = 0;
-        const double ms = best_ms(reps, [&] {
-          nodes = unproven = 0;
-          for (const Dag& dag : batch) {
-            const auto r = hedra::exact::min_makespan(dag, 2, solver);
-            nodes += r.nodes_explored;
-            unproven += r.proven_optimal ? 0 : 1;
-          }
-        });
-        record(mode.name, "ms", ms,
-               {{"jobs", static_cast<double>(mode.jobs)},
-                {"nodes", static_cast<double>(nodes)},
-                {"nodes_per_sec",
-                 ms > 0 ? 1000.0 * static_cast<double>(nodes) / ms : 0},
-                {"unproven", static_cast<double>(unproven)}});
       }
     }
 
@@ -569,7 +520,7 @@ int main(int argc, char** argv) {
              1000.0 * reduction_ms / static_cast<double>(dense.size()));
     }
 
-    const std::string json = to_json(benchmarks, q, parallel_jobs);
+    const std::string json = to_json(benchmarks, q);
     if (*out == "-") {
       std::cout << json;
     } else {

@@ -4,14 +4,14 @@
 The bnb_batch CLI regenerates the full instance batch from the seed in
 every process and solves only `index % shard_count == shard_index`, so
 shards need no coordination: this driver just launches one process per
-shard (each typically given all cores of its machine via --jobs), waits,
-and merges the shard files into one document covering the whole batch.
+shard (typically one per core or per machine), waits, and merges the
+shard files into one document covering the whole batch.
 
 Usage:
   # Run 4 shards locally and merge:
   scripts/bnb_shard.py run --binary build/bnb_batch \\
       --shards 4 --count 40 --m 2 --min-nodes 3 --max-nodes 20 \\
-      --seed 42 --jobs 0 --out batch.json
+      --seed 42 --out batch.json
 
   # Merge shard files produced elsewhere (e.g. one per fleet job):
   scripts/bnb_shard.py merge shard_*.json --out batch.json
@@ -141,7 +141,6 @@ def cmd_run(args: argparse.Namespace) -> None:
                 "--seed", str(args.seed),
                 "--solver-nodes", str(args.solver_nodes),
                 "--time-limit", str(args.time_limit),
-                "--jobs", str(args.jobs),
                 "--shard-index", str(shard),
                 "--shard-count", str(args.shards),
                 "--out", str(shard_file),
@@ -178,8 +177,6 @@ def main() -> None:
     run.add_argument("--seed", type=int, default=42)
     run.add_argument("--solver-nodes", type=int, default=5_000_000)
     run.add_argument("--time-limit", type=float, default=300.0)
-    run.add_argument("--jobs", type=int, default=1,
-                     help="threads per solve inside each shard process")
     run.add_argument("--out", default=None,
                      help="merged JSON path (default: stdout)")
     run.set_defaults(func=cmd_run)

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
+#include <bit>
 #include <chrono>
-#include <deque>
+#include <cstdint>
 #include <sstream>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -19,8 +18,6 @@
 #include "obs/metrics.h"
 #include "util/bitset.h"
 #include "util/fault.h"
-#include "util/thread_pool.h"
-#include "util/work_stealing_deque.h"
 
 namespace hedra::exact {
 
@@ -53,13 +50,41 @@ struct Running {
   bool on_accel;
 };
 
+/// A set of ready nodes as bits over priority rank: bit r stands for
+/// SearchContext::by_down[r], ceil(n/64) words.
+using RankMask = std::vector<std::uint64_t>;
+
+/// Returned by next_rank when no bit at or above `from` is set; as a
+/// threshold it admits no rank at all.
+constexpr std::size_t kNoRank = static_cast<std::size_t>(-1);
+
+/// The lowest set rank >= from, or kNoRank.  Crosses word boundaries, so
+/// a threshold in one word finds the next ready node in any later word.
+[[nodiscard]] std::size_t next_rank(const RankMask& mask, std::size_t from) {
+  std::size_t w = from >> 6;
+  if (w >= mask.size()) return kNoRank;
+  std::uint64_t bits = mask[w] & (~std::uint64_t{0} << (from & 63));
+  while (bits == 0) {
+    if (++w == mask.size()) return kNoRank;
+    bits = mask[w];
+  }
+  return (w << 6) | static_cast<std::size_t>(std::countr_zero(bits));
+}
+
+void set_rank(RankMask& mask, std::size_t r) {
+  mask[r >> 6] |= std::uint64_t{1} << (r & 63);
+}
+
+void clear_rank(RankMask& mask, std::size_t r) {
+  mask[r >> 6] &= ~(std::uint64_t{1} << (r & 63));
+}
+
 /// Everything a delay branch needs to restore the search state exactly —
 /// the historical solver snapshotted the whole mutable state (one O(n)
 /// deep copy per delay node); this frame records only the delta: retired
-/// running entries, instantly-completed sync nodes, and the small scalar
-/// counters.  `remaining_preds` and the `started` bitset are restored by
-/// replaying the deltas backwards, and the ready arrays (a few dozen ids)
-/// are the only verbatim copies.
+/// running entries, instantly-completed sync nodes, the small scalar
+/// counters and the ready-mask words.  `remaining_preds` and the `started`
+/// bitset are restored by replaying the deltas backwards.
 struct DelayFrame {
   Time now = 0;
   int free_cores = 0;
@@ -69,18 +94,22 @@ struct DelayFrame {
   Time sum_finish_accel = 0;
   int n_running_host = 0;
   int n_running_accel = 0;
-  std::size_t accel_ready_count = 0;
   std::size_t down_ptr = 0;
   Time energy = 0;
   bool energy_stale = true;
-  std::vector<NodeId> ready_host;
-  std::vector<NodeId> ready_accel;
+  RankMask ready_host;
+  RankMask ready_accel;
   std::vector<NodeId> zero_completed;
   std::vector<std::pair<std::size_t, Running>> retired;  ///< (index, entry)
-  std::vector<NodeId> newly;  ///< scratch for the retirement scan
 };
 
-/// Immutable per-solve context shared (read-only) by every worker.
+/// Copies a mask of the same word count; a plain loop, since the usual
+/// mask is one or two words and a library memmove would cost more.
+void copy_mask(const RankMask& from, RankMask& to) {
+  for (std::size_t w = 0; w < from.size(); ++w) to[w] = from[w];
+}
+
+/// Immutable per-solve context.
 struct SearchContext {
   SearchContext(const Dag& dag, int m_in, const BnbConfig& config_in)
       : flat(dag),
@@ -93,10 +122,12 @@ struct SearchContext {
     for (NodeId v = 0; v < n; ++v) by_down[v] = v;
     std::sort(by_down.begin(), by_down.end(),
               [this](NodeId a, NodeId b) { return prior(a, b); });
+    rank.resize(n);
+    for (std::size_t r = 0; r < n; ++r) rank[by_down[r]] = r;
     single_offload = flat.num_offload_nodes() == 1;
   }
 
-  /// Priority order inside the ready lists: critical (largest down) first.
+  /// Priority order of ready nodes: critical (largest down) first.
   [[nodiscard]] bool prior(NodeId a, NodeId b) const {
     return down[a] != down[b] ? down[a] > down[b] : a < b;
   }
@@ -105,15 +136,13 @@ struct SearchContext {
   int m;
   BnbConfig config;
   std::vector<Time> down;
-  std::vector<NodeId> by_down;  ///< node ids, descending down(v)
+  std::vector<NodeId> by_down;  ///< node ids by priority: by_down[rank]
+  std::vector<std::size_t> rank;  ///< inverse of by_down
   std::vector<TailEntry> by_tail;  ///< work-carrying nodes, descending tail
   bool single_offload = false;
 };
 
-/// The full mutable search position (was the Solver's member soup).  The
-/// sequential DFS mutates one instance in place with undo frames; the
-/// parallel frontier snapshots copies, each copy the root of an
-/// independent subtree that a worker explores with its own frame pool.
+/// The full mutable search position, mutated in place with undo frames.
 struct SearchState {
   Time now = 0;
   int free_cores = 0;
@@ -121,8 +150,6 @@ struct SearchState {
   std::size_t completed = 0;
   Time unstarted_host_work = 0;
   Time unstarted_accel_work = 0;
-  std::size_t accel_ready_count = 0;  ///< unstarted entries in ready_accel
-                                      ///  (gates the dominance rule)
   Time sum_finish_host = 0;   ///< Σ finish over running host nodes
   Time sum_finish_accel = 0;  ///< Σ finish over running accelerator nodes
   int n_running_host = 0;
@@ -134,56 +161,13 @@ struct SearchState {
   Time energy = 0;
   bool energy_stale = true;
   std::vector<std::uint32_t> remaining_preds;
-  std::vector<NodeId> ready_host;   ///< sorted by exploration priority
-  std::vector<NodeId> ready_accel;  ///< sorted by exploration priority
+  RankMask ready_host;   ///< ready, unstarted host nodes
+  RankMask ready_accel;  ///< ready, unstarted offload nodes
   std::vector<Running> running;
   DynamicBitset started;  ///< started or finished
 };
 
-/// One frontier task: an independent subtree rooted at `state`.  min_host /
-/// min_accel carry the canonical-order suffix constraints of the pending
-/// decision (see DfsEngine::search), depth counts the splits from the root.
-struct Subproblem {
-  SearchState state;
-  std::size_t min_host = 0;
-  std::size_t min_accel = 0;
-  int depth = 0;
-};
-
-/// Coordination shared by every worker of one parallel solve.  The
-/// incumbent is the load-bearing member: a bound CAS-tightened by one
-/// worker immediately prunes all other subtrees.
-///
-/// Every mutable member is an atomic published without locks — the
-/// structure is deliberately lock-free, so there is no capability for the
-/// thread-safety analysis to track; instead the invariants are enforced by
-/// construction: the atomics are lock-free on every supported target
-/// (static_assert below) and `deadline` is const after construction, so no
-/// worker can observe a torn or stale value of either kind.
-struct SharedSearch {
-  SharedSearch(Time initial,
-               std::chrono::steady_clock::time_point limit)
-      : best(initial), initial_best(initial), deadline(limit) {}
-  std::atomic<Time> best;                ///< incumbent upper bound
-  const Time initial_best;               ///< the root heuristic upper bound
-  std::atomic<std::uint64_t> nodes{0};   ///< flushed decision-node total
-  std::atomic<bool> aborted{false};      ///< any worker ran out of budget
-  std::atomic<int> hungry{0};  ///< workers currently without local work
-  std::atomic<long long> in_flight{0};   ///< queued + executing subproblems
-  const std::chrono::steady_clock::time_point deadline;
-};
-static_assert(std::atomic<Time>::is_always_lock_free &&
-                  std::atomic<std::uint64_t>::is_always_lock_free &&
-                  std::atomic<long long>::is_always_lock_free,
-              "SharedSearch members must be lock-free: workers poll them "
-              "on the search hot path");
-
-/// Splitting stops at this depth even if workers are still hungry: a
-/// frontier this deep means the tree is too thin to parallelise and the
-/// O(n) state copies per split would dominate the subtree they hand off.
-constexpr int kMaxSplitDepth = 64;
-
-/// Local decision nodes between polls of the shared/wall-clock budget.
+/// Local decision nodes between polls of the wall-clock budget.
 constexpr std::uint64_t kBudgetPollMask = 0x3FF;  // every 1024 nodes
 
 /// Depth-first branch-and-bound over left-shifted schedules (see bnb.h)
@@ -193,31 +177,21 @@ constexpr std::uint64_t kBudgetPollMask = 0x3FF;  // every 1024 nodes
 ///    all n nodes per search node; the area terms are running sums),
 ///  - a tail-energy term behind it, swept once per event time and cached
 ///    in the state (energy_bound()),
-///  - O(1) ready-list removal: ready nodes stay in their priority-sorted
-///    arrays and branches mark them via the `started` bitset, which keeps
-///    the branch enumeration order identical to the historical erase/insert
-///    implementation, and
+///  - ready sets as rank bitsets: a start clears one bit and its undo sets
+///    it again, and branches walk the set bits in rank (= priority) order,
+///    and
 ///  - an undo-based delay branch (DelayFrame) instead of a full state
 ///    snapshot.
-///
-/// One engine instance is the sequential solver (shared == nullptr: local
-/// incumbent, exact node-budget truncation).  In parallel mode each worker
-/// owns one engine that runs many subtree Subproblems back to back against
-/// the shared incumbent, flushing its node count every 1024 nodes.
 class DfsEngine {
  public:
-  DfsEngine(const SearchContext& ctx, SharedSearch* shared)
-      : ctx_(ctx), shared_(shared), running_left_(ctx.flat.num_nodes(), 0) {
-    if (shared_ == nullptr) {
-      deadline_ = search_deadline(ctx.config);
-    } else {
-      deadline_ = shared_->deadline;
-      initial_best_ = shared_->initial_best;
-    }
-  }
-
-  /// Builds the root search state (time 0, sources ready).
-  void init_root() {
+  /// Builds the root search state (time 0, sources ready) under the
+  /// heuristic upper bound `best`.
+  DfsEngine(const SearchContext& ctx, Time best)
+      : ctx_(ctx),
+        running_left_(ctx.flat.num_nodes(), 0),
+        best_(best),
+        initial_best_(best),
+        deadline_(search_deadline(ctx.config)) {
     const std::size_t n = ctx_.flat.num_nodes();
     s_.remaining_preds.resize(n);
     for (NodeId v = 0; v < n; ++v) {
@@ -234,127 +208,30 @@ class DfsEngine {
       }
     }
     s_.running.reserve(static_cast<std::size_t>(ctx_.m) + 1);
-    s_.ready_host.reserve(n);
-    s_.ready_accel.reserve(n);
-
-    std::vector<NodeId> newly;
+    s_.ready_host.assign((n + 63) / 64, 0);
+    s_.ready_accel.assign((n + 63) / 64, 0);
     for (NodeId v = 0; v < n; ++v) {
-      if (s_.remaining_preds[v] == 0) newly.push_back(v);
+      if (s_.remaining_preds[v] == 0) newly_.push_back(v);
     }
-    absorb(newly, nullptr);
+    absorb(newly_, nullptr);
   }
 
-  void set_best(Time best) {
-    best_ = best;
-    initial_best_ = best;
-  }
   [[nodiscard]] Time best() const { return best_; }
   [[nodiscard]] std::uint64_t nodes() const { return nodes_; }
   [[nodiscard]] bool aborted() const { return aborted_; }
-  [[nodiscard]] const SearchState& state() const { return s_; }
 
   /// The engine's telemetry so far (node count filled in from the live
-  /// counter; the worker-level steal/split fields stay zero here).
+  /// counter).
   [[nodiscard]] SearchStats stats() const {
     SearchStats out = stats_;
     out.nodes = nodes_;
     return out;
   }
 
-  /// Runs the DFS from the current state (sequential entry point).
-  void run(std::size_t min_host, std::size_t min_accel) {
-    search(min_host, min_accel);
-  }
-
-  /// Runs the DFS from a frontier subproblem (parallel entry point).
-  void run_subproblem(const Subproblem& sp) {
-    s_ = sp.state;
-    search(sp.min_host, sp.min_accel);
-  }
-
-  /// Expands one decision node of `sp` breadth-first: every branch the DFS
-  /// would explore becomes a child Subproblem (canonical order preserved).
-  /// Mirrors search() exactly — budget, incumbent update on completion,
-  /// lower-bound prune — so frontier expansion is itself part of the
-  /// branch-and-bound, not a preprocessing pass.
-  void expand(const Subproblem& sp, std::vector<Subproblem>& children) {
-    s_ = sp.state;
-    if (out_of_budget()) return;
-    ++nodes_;
-
-    if (s_.completed == ctx_.flat.num_nodes()) {
-      offer_best(s_.now);
-      return;
-    }
-    if (prune()) return;
-
-    const auto child = [&](std::size_t min_host, std::size_t min_accel) {
-      Subproblem c;
-      c.state = s_;
-      c.min_host = min_host;
-      c.min_accel = min_accel;
-      c.depth = sp.depth + 1;
-      children.push_back(std::move(c));
-    };
-
-    // Dominance: a lone offload node starts the moment it is ready.
-    if (ctx_.single_offload && s_.accel_free && s_.accel_ready_count > 0) {
-      std::size_t i = 0;
-      while (s_.started.test_unchecked(s_.ready_accel[i])) ++i;
-      const NodeId v = s_.ready_accel[i];
-      const std::size_t saved_ptr = s_.down_ptr;
-      start_node(v, /*on_accel=*/true);
-      child(sp.min_host, 0);
-      undo_start(v, /*on_accel=*/true);
-      s_.down_ptr = saved_ptr;
-      return;
-    }
-
-    if (s_.free_cores > 0) {
-      for (std::size_t i = sp.min_host; i < s_.ready_host.size(); ++i) {
-        const NodeId v = s_.ready_host[i];
-        if (s_.started.test_unchecked(v)) continue;
-        const std::size_t saved_ptr = s_.down_ptr;
-        start_node(v, /*on_accel=*/false);
-        child(i + 1, s_.ready_accel.size());
-        undo_start(v, /*on_accel=*/false);
-        s_.down_ptr = saved_ptr;
-      }
-    }
-
-    if (s_.accel_free) {
-      for (std::size_t i = sp.min_accel; i < s_.ready_accel.size(); ++i) {
-        const NodeId v = s_.ready_accel[i];
-        if (s_.started.test_unchecked(v)) continue;
-        const std::size_t saved_ptr = s_.down_ptr;
-        start_node(v, /*on_accel=*/true);
-        child(sp.min_host, i + 1);
-        undo_start(v, /*on_accel=*/true);
-        s_.down_ptr = saved_ptr;
-      }
-    }
-
-    if (s_.running.empty()) return;  // nothing in flight: delaying deadlocks
-    advance_to_next_event();
-    child(0, 0);
-    undo_event();
-  }
-
-  /// Adds any node count not yet flushed to the shared total (call once
-  /// when a worker finishes).
-  void flush_nodes() {
-    if (shared_ == nullptr) return;
-    shared_->nodes.fetch_add(nodes_ - flushed_nodes_,
-                             std::memory_order_relaxed);
-    flushed_nodes_ = nodes_;
-  }
+  /// Runs the DFS from the root.
+  void run() { search(0, 0); }
 
  private:
-  [[nodiscard]] Time current_best() const {
-    return shared_ == nullptr ? best_
-                              : shared_->best.load(std::memory_order_relaxed);
-  }
-
   /// True when the node's lower bound reaches the incumbent: first the
   /// cheap path/area terms, then the (cached) tail-energy term.  A cut is
   /// attributed to what the incumbent was — an incumbent some completed
@@ -362,45 +239,16 @@ class DfsEngine {
   /// bound itself — and counted in prune_energy too when only the energy
   /// term reached it.
   bool prune() {
-    const Time bound = current_best();
-    if (lower_bound() < bound) {
-      if (energy_bound() < bound) return false;
+    if (lower_bound() < best_) {
+      if (energy_bound() < best_) return false;
       ++stats_.prune_energy;
     }
-    if (bound < initial_best_) {
+    if (best_ < initial_best_) {
       ++stats_.prune_incumbent;
     } else {
       ++stats_.prune_bound;
     }
     return true;
-  }
-
-  /// Tightens the incumbent.  Sequential: plain min.  Parallel: CAS-min on
-  /// the shared atomic — safe because the bound only ever decreases and a
-  /// concurrent reader seeing a stale (larger) value merely prunes less.
-  void offer_best(Time t) {
-    if (shared_ == nullptr) {
-      best_ = std::min(best_, t);
-      return;
-    }
-    Time cur = shared_->best.load(std::memory_order_relaxed);
-    while (t < cur && !shared_->best.compare_exchange_weak(
-                          cur, t, std::memory_order_relaxed)) {
-    }
-  }
-
-  void sorted_insert(std::vector<NodeId>& list, NodeId v) {
-    const auto it = std::lower_bound(
-        list.begin(), list.end(), v,
-        [this](NodeId a, NodeId b) { return ctx_.prior(a, b); });
-    list.insert(it, v);
-  }
-
-  /// Drops entries this time step's branches have started; the survivors
-  /// keep their relative (priority) order.
-  void compact(std::vector<NodeId>& list) {
-    std::erase_if(list,
-                  [this](NodeId v) { return s_.started.test_unchecked(v); });
   }
 
   /// Files newly ready nodes; zero-WCET nodes complete instantly (recorded
@@ -418,12 +266,9 @@ class DfsEngine {
         }
         continue;
       }
-      if (ctx_.flat.device(v) != graph::kHostDevice) {
-        sorted_insert(s_.ready_accel, v);
-        ++s_.accel_ready_count;
-      } else {
-        sorted_insert(s_.ready_host, v);
-      }
+      set_rank(ctx_.flat.device(v) != graph::kHostDevice ? s_.ready_accel
+                                                         : s_.ready_host,
+               ctx_.rank[v]);
     }
   }
 
@@ -486,42 +331,20 @@ class DfsEngine {
     return s_.energy;
   }
 
+  /// The node budget truncates at exactly max_nodes (golden-pinned); only
+  /// the steady_clock read is amortised.
   bool out_of_budget() {
     if (aborted_) return true;
-    if (shared_ == nullptr) {
-      // Sequential mode: the node budget truncates at exactly max_nodes
-      // (golden-pinned); only the steady_clock read is amortised.
-      if (nodes_ >= ctx_.config.max_nodes) {
-        aborted_ = true;
-        return true;
-      }
-      if ((nodes_ & kBudgetPollMask) == 0) {
-        ++stats_.budget_polls;
-        // Fault seam inside the amortised branch: the per-node hot path
-        // (tens of millions of nodes/s) never pays for it.
-        HEDRA_FAULT("exact.bnb.node");
-        if (std::chrono::steady_clock::now() >= deadline_) {
-          aborted_ = true;
-          return true;
-        }
-      }
-      return false;
+    if (nodes_ >= ctx_.config.max_nodes) {
+      aborted_ = true;
+      return true;
     }
-    // Parallel mode: the budgets are shared.  Flush the local node count
-    // and poll the shared state every 1024 nodes — so the node budget may
-    // overshoot by up to 1024 nodes per worker (documented in bnb.h).
-    // No fault seam here: a throw would escape the worker thread.
     if ((nodes_ & kBudgetPollMask) == 0) {
       ++stats_.budget_polls;
-      const std::uint64_t total =
-          shared_->nodes.fetch_add(nodes_ - flushed_nodes_,
-                                   std::memory_order_relaxed) +
-          (nodes_ - flushed_nodes_);
-      flushed_nodes_ = nodes_;
-      if (shared_->aborted.load(std::memory_order_relaxed) ||
-          total >= ctx_.config.max_nodes ||
-          std::chrono::steady_clock::now() >= deadline_) {
-        shared_->aborted.store(true, std::memory_order_relaxed);
+      // Fault seam inside the amortised branch: the per-node hot path
+      // (tens of millions of nodes/s) never pays for it.
+      HEDRA_FAULT("exact.bnb.node");
+      if (std::chrono::steady_clock::now() >= deadline_) {
         aborted_ = true;
         return true;
       }
@@ -529,17 +352,20 @@ class DfsEngine {
     return false;
   }
 
-  void start_node(NodeId v, bool on_accel) {
+  /// Starts the ready node of rank r now, on the accelerator or a core.
+  void start_node(std::size_t r, bool on_accel) {
+    const NodeId v = ctx_.by_down[r];
     s_.started.set_unchecked(v);
     const Time finish = s_.now + ctx_.flat.wcet(v);
     s_.running.push_back(Running{finish, v, on_accel});
     if (on_accel) {
+      clear_rank(s_.ready_accel, r);
       s_.accel_free = false;
       s_.unstarted_accel_work -= ctx_.flat.wcet(v);
       s_.sum_finish_accel += finish;
       ++s_.n_running_accel;
-      --s_.accel_ready_count;
     } else {
+      clear_rank(s_.ready_host, r);
       --s_.free_cores;
       s_.unstarted_host_work -= ctx_.flat.wcet(v);
       s_.sum_finish_host += finish;
@@ -547,18 +373,20 @@ class DfsEngine {
     }
   }
 
-  void undo_start(NodeId v, bool on_accel) {
+  void undo_start(std::size_t r, bool on_accel) {
+    const NodeId v = ctx_.by_down[r];
     s_.started.reset_unchecked(v);
     HEDRA_ASSERT(!s_.running.empty() && s_.running.back().node == v);
     const Time finish = s_.running.back().finish;
     s_.running.pop_back();
     if (on_accel) {
+      set_rank(s_.ready_accel, r);
       s_.accel_free = true;
       s_.unstarted_accel_work += ctx_.flat.wcet(v);
       s_.sum_finish_accel -= finish;
       --s_.n_running_accel;
-      ++s_.accel_ready_count;
     } else {
+      set_rank(s_.ready_host, r);
       ++s_.free_cores;
       s_.unstarted_host_work += ctx_.flat.wcet(v);
       s_.sum_finish_host -= finish;
@@ -575,7 +403,11 @@ class DfsEngine {
     Time next = s_.running.front().finish;
     for (const auto& r : s_.running) next = std::min(next, r.finish);
 
-    if (delay_depth_ == frame_pool_.size()) frame_pool_.emplace_back();
+    if (delay_depth_ == frame_pool_.size()) {
+      frame_pool_.emplace_back();
+      frame_pool_.back().ready_host.resize(s_.ready_host.size());
+      frame_pool_.back().ready_accel.resize(s_.ready_accel.size());
+    }
     DelayFrame& frame = frame_pool_[delay_depth_++];
     frame.now = s_.now;
     frame.free_cores = s_.free_cores;
@@ -585,53 +417,49 @@ class DfsEngine {
     frame.sum_finish_accel = s_.sum_finish_accel;
     frame.n_running_host = s_.n_running_host;
     frame.n_running_accel = s_.n_running_accel;
-    frame.accel_ready_count = s_.accel_ready_count;
     frame.down_ptr = s_.down_ptr;
     frame.energy = s_.energy;
     frame.energy_stale = s_.energy_stale;
     s_.energy_stale = true;
-    frame.ready_host.assign(s_.ready_host.begin(), s_.ready_host.end());
-    frame.ready_accel.assign(s_.ready_accel.begin(), s_.ready_accel.end());
+    copy_mask(s_.ready_host, frame.ready_host);
+    copy_mask(s_.ready_accel, frame.ready_accel);
     frame.zero_completed.clear();
     frame.retired.clear();
-    frame.newly.clear();
 
-    std::vector<NodeId>& newly = frame.newly;
+    // Retired entries are swap-removed: the order of `running` matters to
+    // nothing but the undo, which reverses each swap exactly.
     for (std::size_t i = 0; i < s_.running.size();) {
-      if (s_.running[i].finish == next) {
-        const Running r = s_.running[i];
-        frame.retired.emplace_back(i, r);
-        if (r.on_accel) {
-          s_.accel_free = true;
-          s_.sum_finish_accel -= r.finish;
-          --s_.n_running_accel;
-        } else {
-          ++s_.free_cores;
-          s_.sum_finish_host -= r.finish;
-          --s_.n_running_host;
-        }
-        ++s_.completed;
-        for (const NodeId w : ctx_.flat.successors(r.node)) {
-          if (--s_.remaining_preds[w] == 0) newly.push_back(w);
-        }
-        s_.running.erase(s_.running.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
+      if (s_.running[i].finish != next) {
         ++i;
+        continue;
       }
+      const Running r = s_.running[i];
+      frame.retired.emplace_back(i, r);
+      if (r.on_accel) {
+        s_.accel_free = true;
+        s_.sum_finish_accel -= r.finish;
+        --s_.n_running_accel;
+      } else {
+        ++s_.free_cores;
+        s_.sum_finish_host -= r.finish;
+        --s_.n_running_host;
+      }
+      ++s_.completed;
+      for (const NodeId w : ctx_.flat.successors(r.node)) {
+        if (--s_.remaining_preds[w] == 0) newly_.push_back(w);
+      }
+      s_.running[i] = s_.running.back();
+      s_.running.pop_back();
     }
-    // Entries started by this time step's branches are dropped so the
-    // arrays are pure (sorted, unstarted-only) again for the new time.
-    compact(s_.ready_host);
-    compact(s_.ready_accel);
     s_.now = next;
-    absorb(newly, &frame.zero_completed);
+    absorb(newly_, &frame.zero_completed);
   }
 
-  /// Undoes the topmost advance_to_next_event(): scalars, ready arrays,
+  /// Undoes the topmost advance_to_next_event(): scalars, ready masks,
   /// instant completions, retired running entries (back at their original
   /// positions).
   void undo_event() {
-    DelayFrame& frame = frame_pool_[delay_depth_ - 1];
+    DelayFrame& frame = frame_pool_[--delay_depth_];
     s_.now = frame.now;
     s_.free_cores = frame.free_cores;
     s_.accel_free = frame.accel_free;
@@ -640,66 +468,64 @@ class DfsEngine {
     s_.sum_finish_accel = frame.sum_finish_accel;
     s_.n_running_host = frame.n_running_host;
     s_.n_running_accel = frame.n_running_accel;
-    s_.accel_ready_count = frame.accel_ready_count;
     s_.down_ptr = frame.down_ptr;
     s_.energy = frame.energy;
     s_.energy_stale = frame.energy_stale;
-    s_.ready_host.assign(frame.ready_host.begin(), frame.ready_host.end());
-    s_.ready_accel.assign(frame.ready_accel.begin(), frame.ready_accel.end());
+    copy_mask(frame.ready_host, s_.ready_host);
+    copy_mask(frame.ready_accel, s_.ready_accel);
     for (const NodeId v : frame.zero_completed) {
       s_.started.reset_unchecked(v);
       for (const NodeId w : ctx_.flat.successors(v)) ++s_.remaining_preds[w];
     }
     for (auto it = frame.retired.rbegin(); it != frame.retired.rend(); ++it) {
-      s_.running.insert(
-          s_.running.begin() + static_cast<std::ptrdiff_t>(it->first),
-          it->second);
+      s_.running.push_back(it->second);
+      std::swap(s_.running[it->first], s_.running.back());
       for (const NodeId w : ctx_.flat.successors(it->second.node)) {
         ++s_.remaining_preds[w];
       }
     }
-    --delay_depth_;
   }
 
   /// DFS over decisions at the current event time.  `min_host` / `min_accel`
-  /// are positions in the (priority-sorted) ready arrays: only suffix
-  /// entries not yet started may still start at this time, cancelling
-  /// permutation symmetry of simultaneous starts exactly as the historical
-  /// erase-based enumeration did.
+  /// are rank thresholds: only ready nodes of at least that rank may still
+  /// start at this time, which generates each set of simultaneous starts
+  /// once, in canonical order.  The thresholds stay valid for the whole
+  /// event time because no node becomes ready within it; the delay branch
+  /// resets them.
   void search(std::size_t min_host, std::size_t min_accel) {
     if (out_of_budget()) return;
     ++nodes_;
 
     if (s_.completed == ctx_.flat.num_nodes()) {
-      offer_best(s_.now);
+      best_ = std::min(best_, s_.now);
       return;
     }
     if (prune()) return;
 
     // Dominance: a lone offload node starts the moment it is ready.
-    if (ctx_.single_offload && s_.accel_free && s_.accel_ready_count > 0) {
-      std::size_t i = 0;
-      while (s_.started.test_unchecked(s_.ready_accel[i])) ++i;
-      const NodeId v = s_.ready_accel[i];
-      const std::size_t saved_ptr = s_.down_ptr;
-      start_node(v, /*on_accel=*/true);
-      search(min_host, 0);
-      undo_start(v, /*on_accel=*/true);
-      s_.down_ptr = saved_ptr;
-      return;
+    if (ctx_.single_offload && s_.accel_free) {
+      const std::size_t r = next_rank(s_.ready_accel, 0);
+      if (r != kNoRank) {
+        const std::size_t saved_ptr = s_.down_ptr;
+        start_node(r, /*on_accel=*/true);
+        search(min_host, 0);
+        undo_start(r, /*on_accel=*/true);
+        s_.down_ptr = saved_ptr;
+        return;
+      }
     }
 
-    // Branch: start a ready host node (canonical suffix order).
+    // Branch: start a ready host node (canonical order).  The recursion
+    // restores both masks before it returns, so the walk resumes past r.
     if (s_.free_cores > 0) {
-      for (std::size_t i = min_host; i < s_.ready_host.size(); ++i) {
-        const NodeId v = s_.ready_host[i];
-        if (s_.started.test_unchecked(v)) continue;
+      for (std::size_t r = next_rank(s_.ready_host, min_host); r != kNoRank;
+           r = next_rank(s_.ready_host, r + 1)) {
         const std::size_t saved_ptr = s_.down_ptr;
-        start_node(v, /*on_accel=*/false);
+        start_node(r, /*on_accel=*/false);
         // Canonical order for simultaneous starts: accelerator starts come
         // before host starts, so none are allowed after this one.
-        search(i + 1, s_.ready_accel.size());
-        undo_start(v, /*on_accel=*/false);
+        search(r + 1, kNoRank);
+        undo_start(r, /*on_accel=*/false);
         s_.down_ptr = saved_ptr;
         if (aborted_) return;
       }
@@ -708,13 +534,12 @@ class DfsEngine {
     // Branch: start a ready offload node (multi-offload case only; the
     // single-offload case is handled by the dominance rule above).
     if (s_.accel_free) {
-      for (std::size_t i = min_accel; i < s_.ready_accel.size(); ++i) {
-        const NodeId v = s_.ready_accel[i];
-        if (s_.started.test_unchecked(v)) continue;
+      for (std::size_t r = next_rank(s_.ready_accel, min_accel); r != kNoRank;
+           r = next_rank(s_.ready_accel, r + 1)) {
         const std::size_t saved_ptr = s_.down_ptr;
-        start_node(v, /*on_accel=*/true);
-        search(min_host, i + 1);
-        undo_start(v, /*on_accel=*/true);
+        start_node(r, /*on_accel=*/true);
+        search(min_host, r + 1);
+        undo_start(r, /*on_accel=*/true);
         s_.down_ptr = saved_ptr;
         if (aborted_) return;
       }
@@ -728,132 +553,24 @@ class DfsEngine {
   }
 
   const SearchContext& ctx_;
-  SharedSearch* shared_ = nullptr;  ///< null = sequential (deterministic)
   SearchState s_;
   /// Remaining work of each running node while energy_bound() sweeps, zero
-  /// otherwise.  Rebuilt from s_.running, so it is per engine, not part of
-  /// the state a Subproblem copies.
+  /// otherwise.
   std::vector<Time> running_left_;
 
-  /// One reusable frame per delay depth.  A deque so references handed out
-  /// to a frame stay valid while deeper recursion grows the pool.
-  std::deque<DelayFrame> frame_pool_;
+  /// One reusable frame per delay depth.  No reference to a frame is held
+  /// across a recursive call, so the pool may reallocate as it grows.
+  std::vector<DelayFrame> frame_pool_;
   std::size_t delay_depth_ = 0;
+  std::vector<NodeId> newly_;  ///< scratch: nodes found ready, for absorb()
 
-  Time best_ = 0;  ///< sequential-mode incumbent (parallel uses shared_)
+  Time best_ = 0;  ///< incumbent upper bound
   Time initial_best_ = 0;  ///< the root heuristic UB (prune attribution)
   std::uint64_t nodes_ = 0;
-  std::uint64_t flushed_nodes_ = 0;
   SearchStats stats_;  ///< local counters; nodes filled in by stats()
   bool aborted_ = false;
   std::chrono::steady_clock::time_point deadline_;
 };
-
-/// Worker loop of the parallel solve: drain the own deque bottom-first;
-/// when empty, steal the oldest (shallowest) subproblem from the next
-/// victim in ring order.  A popped subproblem is *split* (one breadth-first
-/// expansion, children pushed locally) whenever some worker is hungry and
-/// the subtree is shallow enough to be worth handing off; otherwise it runs
-/// to exhaustion in the fast in-place DFS.  Termination: `in_flight` counts
-/// queued + executing subproblems, so 0 means the whole tree is done.
-void worker_loop(const SearchContext& ctx, SharedSearch& shared,
-                 std::vector<WorkStealingDeque<Subproblem>>& deques, int wid,
-                 int jobs, SearchStats& stats_out) {
-  DfsEngine engine(ctx, &shared);
-  std::vector<Subproblem> children;
-  Subproblem sp;
-  // Scheduling telemetry lives here (the engine counts search-tree
-  // events): plain locals, written out once when the worker retires.
-  std::uint64_t steals = 0;
-  std::uint64_t splits = 0;
-  std::uint64_t split_refusals = 0;
-  for (;;) {
-    bool got = deques[static_cast<std::size_t>(wid)].pop_bottom(sp);
-    if (!got) {
-      shared.hungry.fetch_add(1, std::memory_order_relaxed);
-      while (!got) {
-        if (shared.in_flight.load(std::memory_order_acquire) == 0) break;
-        for (int k = 1; k < jobs && !got; ++k) {
-          got = deques[static_cast<std::size_t>((wid + k) % jobs)].steal_top(
-              sp);
-        }
-        if (!got) std::this_thread::yield();
-      }
-      shared.hungry.fetch_sub(1, std::memory_order_relaxed);
-      if (!got) break;
-      ++steals;
-    }
-    const bool split = sp.depth < kMaxSplitDepth &&
-                       shared.hungry.load(std::memory_order_relaxed) > 0 &&
-                       !shared.aborted.load(std::memory_order_relaxed);
-    if (split) {
-      ++splits;
-      children.clear();
-      engine.expand(sp, children);
-      // Reverse push so pop_bottom explores children in canonical branch
-      // order while steal_top hands thieves the oldest entries.
-      for (auto it = children.rbegin(); it != children.rend(); ++it) {
-        shared.in_flight.fetch_add(1, std::memory_order_acq_rel);
-        deques[static_cast<std::size_t>(wid)].push_bottom(std::move(*it));
-      }
-    } else {
-      ++split_refusals;
-      engine.run_subproblem(sp);
-    }
-    shared.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-  }
-  engine.flush_nodes();
-  stats_out = engine.stats();
-  stats_out.steals = steals;
-  stats_out.splits = splits;
-  stats_out.split_refusals = split_refusals;
-}
-
-BnbResult parallel_min_makespan(const SearchContext& ctx, BnbResult seed,
-                                int jobs) {
-  SharedSearch shared(seed.heuristic_upper_bound, search_deadline(ctx.config));
-
-  std::vector<WorkStealingDeque<Subproblem>> deques(
-      static_cast<std::size_t>(jobs));
-  {
-    DfsEngine root_engine(ctx, &shared);
-    root_engine.init_root();
-    Subproblem root;
-    root.state = root_engine.state();
-    shared.in_flight.store(1, std::memory_order_relaxed);
-    deques[0].push_bottom(std::move(root));
-  }
-
-  std::vector<SearchStats> per_worker(static_cast<std::size_t>(jobs));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(jobs - 1));
-  for (int wid = 1; wid < jobs; ++wid) {
-    threads.emplace_back([&ctx, &shared, &deques, &per_worker, wid, jobs] {
-      worker_loop(ctx, shared, deques, wid, jobs,
-                  per_worker[static_cast<std::size_t>(wid)]);
-    });
-  }
-  worker_loop(ctx, shared, deques, /*wid=*/0, jobs, per_worker[0]);
-  for (auto& t : threads) t.join();
-
-  seed.makespan = shared.best.load(std::memory_order_relaxed);
-  seed.nodes_explored = shared.nodes.load(std::memory_order_relaxed);
-  seed.proven_optimal = !shared.aborted.load(std::memory_order_relaxed);
-  seed.outcome = seed.proven_optimal ? util::Outcome::kComplete
-                                     : util::Outcome::kBudgetExhausted;
-  seed.worker_stats = std::move(per_worker);
-  for (const SearchStats& w : seed.worker_stats) {
-    seed.stats.nodes += w.nodes;
-    seed.stats.prune_incumbent += w.prune_incumbent;
-    seed.stats.prune_bound += w.prune_bound;
-    seed.stats.prune_energy += w.prune_energy;
-    seed.stats.budget_polls += w.budget_polls;
-    seed.stats.steals += w.steals;
-    seed.stats.splits += w.splits;
-    seed.stats.split_refusals += w.split_refusals;
-  }
-  return seed;
-}
 
 /// Flushes one solve's aggregate telemetry into the global metrics
 /// registry (no-ops when metrics are disabled; never touched per node).
@@ -864,9 +581,6 @@ void flush_search_metrics(const BnbResult& result) {
   HEDRA_METRIC_ADD("exact.bnb.prune_bound", result.stats.prune_bound);
   HEDRA_METRIC_ADD("exact.bnb.prune_energy", result.stats.prune_energy);
   HEDRA_METRIC_ADD("exact.bnb.budget_polls", result.stats.budget_polls);
-  HEDRA_METRIC_ADD("exact.bnb.steals", result.stats.steals);
-  HEDRA_METRIC_ADD("exact.bnb.splits", result.stats.splits);
-  HEDRA_METRIC_ADD("exact.bnb.split_refusals", result.stats.split_refusals);
 }
 
 }  // namespace
@@ -878,38 +592,29 @@ BnbResult min_makespan(const Dag& dag, int m, const BnbConfig& config) {
   HEDRA_REQUIRE(dag.max_device() <= 1,
                 "exact solvers model a single accelerator device; "
                 "multi-device DAGs are not supported");
+  HEDRA_REQUIRE(config.jobs == 1,
+                "BnbConfig::jobs must be 1: the solver is sequential");
   const SearchContext ctx(dag, m, config);
 
   BnbResult result;
   result.root_lower_bound = makespan_lower_bound(dag, m);
   result.heuristic_upper_bound = best_heuristic_makespan(ctx.flat, m).makespan;
   if (result.heuristic_upper_bound == result.root_lower_bound) {
-    // Root-bound shortcut: no search ran, worker_stats stays empty.
+    // Root-bound shortcut: no search ran, the stats stay zero.
     result.makespan = result.heuristic_upper_bound;
     result.proven_optimal = true;
     flush_search_metrics(result);
     return result;
   }
 
-  const int jobs =
-      config.jobs >= 1 ? config.jobs : ThreadPool::default_workers();
-  if (jobs > 1) {
-    BnbResult parallel = parallel_min_makespan(ctx, result, jobs);
-    flush_search_metrics(parallel);
-    return parallel;
-  }
-
-  DfsEngine engine(ctx, nullptr);
-  engine.set_best(result.heuristic_upper_bound);
-  engine.init_root();
-  engine.run(0, 0);
+  DfsEngine engine(ctx, result.heuristic_upper_bound);
+  engine.run();
   result.makespan = engine.best();
   result.proven_optimal = !engine.aborted();
   result.nodes_explored = engine.nodes();
   result.outcome = result.proven_optimal ? util::Outcome::kComplete
                                          : util::Outcome::kBudgetExhausted;
   result.stats = engine.stats();
-  result.worker_stats.push_back(result.stats);
   flush_search_metrics(result);
   return result;
 }
@@ -924,21 +629,9 @@ std::string explain_search(const BnbResult& result) {
   os << "search: nodes=" << s.nodes << " prune_incumbent="
      << s.prune_incumbent << " prune_bound=" << s.prune_bound
      << " prune_energy=" << s.prune_energy
-     << " budget_polls=" << s.budget_polls << " steals=" << s.steals
-     << " splits=" << s.splits << " split_refusals=" << s.split_refusals
-     << "\n";
-  if (result.worker_stats.empty()) {
-    os << "workers: none (root bound closed the gap before any search)\n";
-    return os.str();
-  }
-  for (std::size_t w = 0; w < result.worker_stats.size(); ++w) {
-    const SearchStats& ws = result.worker_stats[w];
-    os << "worker " << w << ": nodes=" << ws.nodes << " prune_incumbent="
-       << ws.prune_incumbent << " prune_bound=" << ws.prune_bound
-       << " prune_energy=" << ws.prune_energy
-       << " budget_polls=" << ws.budget_polls << " steals=" << ws.steals
-       << " splits=" << ws.splits << " split_refusals=" << ws.split_refusals
-       << "\n";
+     << " budget_polls=" << s.budget_polls << "\n";
+  if (result.proven_optimal && s.nodes == 0) {
+    os << "no search: the heuristic met the root lower bound\n";
   }
   return os.str();
 }

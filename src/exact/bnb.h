@@ -27,26 +27,25 @@
 ///    of one event time, so it is computed once per event time, lazily,
 ///    and counted in SearchStats::prune_energy when it alone cuts.
 ///
+/// The ready nodes of each resource are kept as bitsets over priority
+/// rank: a node's rank is its position in the node order sorted by
+/// descending down(v), ties by id — the order the solver explores ready
+/// nodes in.  Visiting set bits in ascending rank therefore enumerates the
+/// branches in the same order the earlier sorted ready arrays did, so the
+/// search tree and every counter are unchanged; a completion event saves
+/// and restores a few mask words instead of copying and compacting arrays.
+///
 /// The search is budgeted (node count + wall clock).  On exhaustion the best
 /// schedule found so far is returned with proven_optimal = false; the
-/// figure-7 harness reports the fraction of instances proven optimal.
-///
-/// Parallel mode (`BnbConfig::jobs > 1`): the root expands breadth-first
-/// into a frontier of independent subtree tasks, workers drain per-worker
-/// deques (stealing the shallowest pending subtree from a victim when their
-/// own runs dry), and the incumbent upper bound is a shared atomic that
-/// every worker prunes against and CAS-updates.  Proven-optimal makespans
-/// are exactly the sequential ones (see DESIGN.md for the safety argument);
-/// `nodes_explored` and any budget-truncated (unproven) makespan may vary
-/// run to run.  `jobs == 1` is the deterministic mode: the sequential DFS,
-/// identical from run to run and matching the committed goldens.  Its
-/// proven makespans are those of every earlier solver; budget-truncated
-/// results (node counts, unproven makespans) differ from solvers before
-/// the tail-energy term, which prunes a different tree.
+/// figure-7 harness reports the fraction of instances proven optimal.  The
+/// search is sequential and deterministic: the same inputs and node budget
+/// explore the same tree, which the committed goldens pin.  Proven
+/// makespans are those of every earlier solver; budget-truncated results
+/// (node counts, unproven makespans) differ from solvers before the
+/// tail-energy term, which prunes a different tree.
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "graph/dag.h"
 #include "util/deadline.h"
@@ -62,19 +61,19 @@ struct BnbConfig {
   /// with time_limit_sec: the search stops at whichever expires first.  The
   /// default never expires, so batch callers see no behaviour change.
   util::Deadline deadline;
-  /// Worker threads for the subtree search.  1 (the default) is the
-  /// deterministic sequential DFS; <= 0 selects all hardware threads.  The
-  /// node and wall-clock budgets are shared across workers (the node total
-  /// is polled every 1024 local nodes, so a parallel run may overshoot
-  /// max_nodes by at most 1024 nodes per worker).
+  /// Must be 1.  The solver is sequential (a parallel mode never beat
+  /// one thread and was removed); the field stays so that callers which
+  /// set it keep compiling, and min_makespan rejects any other value.
+  /// Instance-level parallelism lives in the callers (exp::Runner,
+  /// bench/bnb_batch sharding).
   int jobs = 1;
 };
 
-/// Search telemetry of one worker (or of the whole solve when aggregated).
-/// Plain local counters on the search path — no atomics, no locks, no
-/// clock reads — flushed once when the worker retires, so recording costs
-/// a handful of register increments per node and never perturbs the
-/// explored tree (sequential output stays bit-identical to the goldens).
+/// Search telemetry of one solve.  Plain local counters on the search path
+/// — no atomics, no locks, no clock reads — flushed once when the solve
+/// ends, so recording costs a handful of register increments per node and
+/// never perturbs the explored tree (output stays bit-identical to the
+/// goldens).
 struct SearchStats {
   std::uint64_t nodes = 0;            ///< decision nodes expanded
   /// Subtrees cut by a lower bound >= best, split by what `best` was:
@@ -86,9 +85,6 @@ struct SearchStats {
   /// incumbent (the path and area terms alone fell short).
   std::uint64_t prune_energy = 0;
   std::uint64_t budget_polls = 0;     ///< amortised budget/clock checks
-  std::uint64_t steals = 0;           ///< subproblems stolen from a victim
-  std::uint64_t splits = 0;           ///< subproblems expanded breadth-first
-  std::uint64_t split_refusals = 0;   ///< popped but run in place instead
 };
 
 /// Solver outcome.
@@ -102,11 +98,9 @@ struct BnbResult {
   /// (node cap, time limit, external deadline) truncated the search — the
   /// makespan is then a sound upper bound, not proven minimal.
   util::Outcome outcome = util::Outcome::kComplete;
-  SearchStats stats;  ///< aggregate search telemetry over all workers
-  /// Per-worker telemetry: one entry in sequential mode, `jobs` entries in
-  /// parallel mode (worker 0 first).  Empty for the root-bound shortcut
-  /// where no search ran.
-  std::vector<SearchStats> worker_stats;
+  /// Search telemetry; all zero for the root-bound shortcut, where no
+  /// search ran.
+  SearchStats stats;
 };
 
 /// Minimum makespan of `dag` on m cores + 1 accelerator.  Requires an
@@ -115,9 +109,9 @@ struct BnbResult {
 [[nodiscard]] BnbResult min_makespan(const graph::Dag& dag, int m,
                                      const BnbConfig& config = {});
 
-/// explain()-style structured summary of a solve: the headline result,
-/// the aggregate search counters, and one line per worker — the tool for
-/// "where did the budget go" when a parallel solve is slow.
+/// explain()-style structured summary of a solve: the headline result and
+/// the search counters — the tool for "where did the budget go" when a
+/// solve is slow.
 [[nodiscard]] std::string explain_search(const BnbResult& result);
 
 }  // namespace hedra::exact

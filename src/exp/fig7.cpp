@@ -34,13 +34,7 @@ Fig7Result run_fig7(const Fig7Config& config) {
   }
 
   Runner runner(config.jobs);
-  // Per-instance solver parallelism composes with the Runner's per-DAG
-  // fan-out without oversubscription: when the sweep itself fans out over
-  // worker threads, each solve runs sequentially; solver.jobs only takes
-  // effect in a single-job sweep (the fleet-sharding shape: one process
-  // per shard, all cores on one instance at a time).
-  exact::BnbConfig solver = config.solver;
-  if (runner.jobs() > 1) solver.jobs = 1;
+  const exact::BnbConfig& solver = config.solver;
   Fig7Result result;
   result.rows = runner.sweep(
       points,

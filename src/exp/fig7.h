@@ -28,10 +28,7 @@ struct Fig7Config {
   gen::HierarchicalParams params = gen::HierarchicalParams::small_tasks();
   int dags_per_point = 25;
   std::uint64_t seed = 42;
-  /// Solver budget and parallelism.  `solver.jobs` only takes effect when
-  /// the sweep itself runs with `jobs == 1` — per-instance threads nested
-  /// under the per-DAG fan-out would oversubscribe the machine, so run_fig7
-  /// forces the solver sequential whenever the Runner is parallel.
+  /// Solver budget, applied to every instance.
   exact::BnbConfig solver;
   /// Worker threads; <= 0 picks the hardware default.  Unlike the other
   /// figures, fig7 is only jobs-invariant if the solver runs without a

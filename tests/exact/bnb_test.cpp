@@ -103,6 +103,12 @@ TEST(BnbTest, MultiOffloadSerialisation) {
 TEST(BnbTest, InvalidInputsThrow) {
   EXPECT_THROW((void)min_makespan(graph::Dag{}, 2), Error);
   EXPECT_THROW((void)min_makespan(testing::chain(2, 1), 0), Error);
+  // The solver is sequential: jobs must stay at its default of 1.
+  for (const int jobs : {0, 4}) {
+    BnbConfig config;
+    config.jobs = jobs;
+    EXPECT_THROW((void)min_makespan(testing::chain(2, 1), 2, config), Error);
+  }
 }
 
 TEST(BruteForceTest, GuardsAgainstLargeGraphs) {

@@ -128,45 +128,38 @@ TEST_F(ObsDeterminismTest, SearchStatsAreInternallyConsistent) {
   exact::BnbConfig config;
   config.jobs = 1;
   const exact::BnbResult result = exact::min_makespan(dag, 2, config);
-  ASSERT_FALSE(result.worker_stats.empty())
-      << "fixture no longer forces a search";
-  ASSERT_EQ(result.worker_stats.size(), 1u);
-  EXPECT_GT(result.stats.nodes, 0u);
+  ASSERT_GT(result.stats.nodes, 0u) << "fixture no longer forces a search";
   EXPECT_EQ(result.stats.nodes, result.nodes_explored);
-  EXPECT_EQ(result.worker_stats[0].nodes, result.stats.nodes);
-  EXPECT_EQ(result.stats.steals, 0u);   // sequential: nothing to steal
-  EXPECT_EQ(result.stats.splits, 0u);
+  // Each cut ends one expanded node and is attributed to exactly one
+  // incumbent kind; energy cuts are a subset of them.
+  EXPECT_LE(result.stats.prune_energy,
+            result.stats.prune_incumbent + result.stats.prune_bound);
+  EXPECT_LE(result.stats.prune_incumbent + result.stats.prune_bound,
+            result.stats.nodes);
+  EXPECT_GE(result.stats.budget_polls, 1u);  // the first node polls
   const std::string text = exact::explain_search(result);
   EXPECT_NE(text.find("proven optimal"), std::string::npos);
-  EXPECT_NE(text.find("worker 0:"), std::string::npos);
+  EXPECT_NE(text.find("search: nodes=" + std::to_string(result.stats.nodes)),
+            std::string::npos);
+  EXPECT_EQ(text.find("no search"), std::string::npos);
 }
 
 TEST_F(ObsDeterminismTest, RootBoundShortcutLeavesWorkerStatsEmpty) {
-  // fig3 on m=2: the heuristic meets the root lower bound, no search runs.
+  // fig3 on m=2: the heuristic meets the root lower bound, no search runs,
+  // so every search counter stays zero.
   const graph::Dag dag = hedra::testing::fig3_example().dag;
   exact::BnbConfig config;
   config.jobs = 1;
   const exact::BnbResult result = exact::min_makespan(dag, 2, config);
   ASSERT_TRUE(result.proven_optimal);
-  EXPECT_TRUE(result.worker_stats.empty());
+  EXPECT_EQ(result.nodes_explored, 0u);
   EXPECT_EQ(result.stats.nodes, 0u);
+  EXPECT_EQ(result.stats.prune_incumbent, 0u);
+  EXPECT_EQ(result.stats.prune_bound, 0u);
+  EXPECT_EQ(result.stats.prune_energy, 0u);
+  EXPECT_EQ(result.stats.budget_polls, 0u);
   const std::string text = exact::explain_search(result);
-  EXPECT_NE(text.find("workers: none"), std::string::npos);
-}
-
-TEST_F(ObsDeterminismTest, ParallelBnbAggregatesWorkerStats) {
-  const graph::Dag dag = search_forcing_dag();
-  exact::BnbConfig config;
-  config.jobs = 4;
-  const exact::BnbResult result = exact::min_makespan(dag, 2, config);
-  ASSERT_EQ(result.worker_stats.size(), 4u);
-  std::uint64_t nodes = 0;
-  for (const exact::SearchStats& w : result.worker_stats) nodes += w.nodes;
-  EXPECT_EQ(result.stats.nodes, nodes);
-  // Sequential and parallel proven-optimal makespans agree (DESIGN.md).
-  exact::BnbConfig sequential;
-  sequential.jobs = 1;
-  EXPECT_EQ(result.makespan, exact::min_makespan(dag, 2, sequential).makespan);
+  EXPECT_NE(text.find("no search"), std::string::npos);
 }
 
 TEST_F(ObsDeterminismTest, RtaTelemetryCountsThePaths) {
