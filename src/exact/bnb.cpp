@@ -79,12 +79,11 @@ void clear_rank(RankMask& mask, std::size_t r) {
   mask[r >> 6] &= ~(std::uint64_t{1} << (r & 63));
 }
 
-/// Everything a delay branch needs to restore the search state exactly —
-/// the historical solver snapshotted the whole mutable state (one O(n)
-/// deep copy per delay node); this frame records only the delta: retired
-/// running entries, instantly-completed sync nodes, the small scalar
-/// counters and the ready-mask words.  `remaining_preds` and the `started`
-/// bitset are restored by replaying the deltas backwards.
+/// Everything a delay branch needs to restore the search state exactly,
+/// recorded as a delta rather than an O(n) snapshot: retired running
+/// entries, instantly-completed sync nodes, the small scalar counters and
+/// the ready-mask words.  `remaining_preds` and the `started` bitset are
+/// restored by replaying the deltas backwards.
 struct DelayFrame {
   Time now = 0;
   int free_cores = 0;
