@@ -9,8 +9,8 @@
 ///
 /// 2. Analysis-variant ablation.  For the same instances: R_hom (Eq. 1),
 ///    R_het (Theorem 1), min(R_hom, R_het), the unsound naive subtraction
-///    (§3.2, reported for reference only), and the two-resource chain bound
-///    of analysis/multi_offload.h.
+///    (§3.2, reported for reference only), and the chain bound of
+///    analysis/platform_rta.h (at K = 1 the two-resource Graham argument).
 ///
 /// Both ablations run on the exp::Runner engine (--jobs N fans the per-DAG
 /// work out over a thread pool; output is identical for any N).
@@ -19,8 +19,8 @@
 #include <iostream>
 #include <vector>
 
-#include "analysis/multi_offload.h"
 #include "analysis/naive.h"
+#include "analysis/platform_rta.h"
 #include "exp/runner.h"
 #include "sim/scheduler.h"
 #include "stats/descriptive.h"
@@ -140,7 +140,7 @@ void run_analysis_ablation(int dags, std::uint64_t seed, int jobs) {
         const double het = cache.r_het(m).to_double();
         return Sample{
             hom, het, std::min(hom, het),
-            hedra::analysis::rta_multi_offload(cache.original(), m).to_double(),
+            hedra::analysis::rta_platform(cache.original(), m).to_double(),
             hedra::analysis::rta_naive_subtraction(cache.original(), m)
                 .to_double()};
       },

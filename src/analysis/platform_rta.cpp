@@ -16,8 +16,7 @@ Frac evaluate_platform_bound(graph::Time vol_host,
          Frac(max_host_path * (m - 1), m);
 }
 
-/// Accelerator nodes contribute weight 0 but still extend paths, exactly as
-/// in rta_multi_offload.
+/// Accelerator nodes contribute weight 0 but still extend paths.
 graph::Time max_host_path(const graph::Dag& dag,
                           std::span<const graph::NodeId> order) {
   std::vector<graph::Time> best(dag.num_nodes(), 0);

@@ -7,7 +7,7 @@
 /// device classes with n_d execution units each (model/platform.h).
 ///
 /// Derivation (K+1-resource Graham argument, generalising the two-resource
-/// argument of analysis/multi_offload.h).  Fix any work-conserving schedule
+/// one-accelerator argument).  Fix any work-conserving schedule
 /// and build the interference chain C backwards from the last completing
 /// node.  At any instant where the head of the chain is ready but not
 /// executing, either
@@ -29,7 +29,8 @@
 /// the device weights vanish and the path term factors into
 /// max_host_path·(m−1)/m, reproducing the pre-multiplicity bound *exactly*
 /// (a regression test pins the rational equality); with K = 1, n_1 = 1 this
-/// is rta_multi_offload, and with K = 0 the chain form of the classic
+/// is the two-resource bound (tests/common/multi_offload.h keeps an
+/// independent copy as the test oracle), and with K = 0 the chain form of the classic
 /// Graham bound.
 ///
 /// The bound is monotone in each per-device volume, non-increasing in every

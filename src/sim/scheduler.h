@@ -14,28 +14,9 @@
 /// the ablation bench — every one of them is work-conserving, so all of them
 /// must respect the analytical bounds (a property test enforces this).
 ///
-/// Semantics:
-///  - host nodes execute non-preemptively on any free host core;
-///  - offloaded nodes execute on one of their own device's n_d units
-///    (SimConfig::device_units; default 1 per device, the paper's
-///    platform), FIFO per device if several are ready and smallest free
-///    unit index first — devices never steal each other's work;
-///  - zero-WCET host-side nodes (v_sync, dummies) complete instantly,
-///    occupying no unit — they are pure synchronisation points.  Zero-WCET
-///    nodes PLACED ON AN ACCELERATOR are real device work: they queue for a
-///    unit like any offload (historically they retired instantly, silently
-///    bypassing device serialisation — a regression test pins the fix);
-///  - the scheduler is work-conserving: a free unit never idles while a
-///    compatible node is ready.
-///
-/// Implementation (rewritten for the Monte-Carlo hot path): the simulation
-/// runs over a graph::FlatDag CSR snapshot, completions live in a binary
-/// min-heap keyed on finish time (the historical ready/running lists were
-/// rescanned linearly on every event), and the host ready set is held in a
-/// policy-indexed structure — FIFO deque, LIFO stack, or a priority heap —
-/// so every pick is O(log ready) instead of an O(ready) scan.  All of this
-/// is behaviour-preserving: traces are bit-identical to the historical
-/// simulator for every policy (pinned by the golden-trace regression suite).
+/// Every entry point here runs sim/engine.h's event loop as one task with
+/// one release at t = 0 on m = SimConfig::cores cores; the engine's file
+/// comment states the semantics and the readiness order the goldens pin.
 
 #include <cstdint>
 
@@ -67,11 +48,9 @@ struct SimConfig {
   int cores = 2;                  ///< m
   Policy policy = Policy::kBreadthFirst;
   std::uint64_t seed = 1;         ///< used by Policy::kRandom only
-  /// Execution units per accelerator device: index d−1 holds n_d for device
-  /// d.  Devices beyond the vector — including the default empty vector —
-  /// get one unit each, the paper's platform.  Free units of a device are
-  /// assigned smallest-index-first, so single-unit runs are byte-identical
-  /// to the historical busy-flag simulator (golden-pinned).
+  /// Execution units per accelerator device: index d−1 holds n_d >= 1 for
+  /// device d.  Devices beyond the vector — including the default empty
+  /// vector — get one unit each, the paper's platform.
   std::vector<int> device_units;
   /// Re-validate the produced trace against the DAG (precedence, unit
   /// capacity, placement).  Defaults on — any violation is a hedra bug and
@@ -104,11 +83,9 @@ struct SimConfig {
 
 /// Makespan over a non-owning CSR view — the Monte-Carlo batch hot path.
 /// With `config.validate` off (the sweep setting) the run records no trace
-/// at all: no interval storage, no ScheduleTrace, just a running max over
-/// finish times; scheduling decisions are identical to simulate(), so the
-/// returned makespan equals simulate(...).makespan() exactly.  With
-/// `config.validate` on the view must be Dag-backed (view.source() !=
-/// nullptr) and the call takes the recording path so the flag is honoured.
+/// and makes the same decisions as simulate().  With it on, the view must
+/// be Dag-backed (view.source() != nullptr) and the run records and
+/// validates a trace.
 [[nodiscard]] Time simulated_makespan(const graph::FlatView& view,
                                       const SimConfig& config);
 

@@ -1,135 +1,35 @@
 #include "taskset/sim.h"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
-#include <utility>
 
-#include "graph/critical_path.h"
 #include "graph/flat_dag.h"
-#include "util/fault.h"
-#include "util/rng.h"
+#include "sim/engine.h"
 
 namespace hedra::taskset {
 
 namespace {
 
-using graph::FlatDag;
-using graph::NodeId;
-using graph::Time;
+/// Per-job records: each job's release and finish, the per-task worst
+/// response and the makespan.
+struct JobRecorder {
+  TasksetSimResult& result;
+  std::size_t finished = 0;
 
-/// One ready node instance of one task.
-struct Item {
-  std::uint32_t job = 0;  ///< job index within the task
-  NodeId node = 0;
-
-  friend bool operator<(const Item& a, const Item& b) noexcept {
-    return a.job != b.job ? a.job < b.job : a.node < b.node;
+  void release(std::uint32_t task, std::uint32_t job, graph::Time t) {
+    result.tasks[task].jobs[job].release = t;
   }
-};
-
-/// Host-side ready set of ONE task, indexed by the scheduling policy — the
-/// taskset counterpart of the single-DAG simulator's policy structures.
-/// Items are inserted in deterministic (job, node) order per time step.
-class HostReady {
- public:
-  HostReady(sim::Policy policy, const std::vector<Time>* down)
-      : policy_(policy), down_(down) {}
-
-  [[nodiscard]] bool empty() const noexcept {
-    return head_ >= items_.size();
+  void start(const sim::NodeInstance&, int, graph::Time,
+             graph::Time) noexcept {}
+  void job_done(std::uint32_t task, std::uint32_t job, graph::Time t) {
+    TaskObservation& observed = result.tasks[task];
+    JobRecord& record = observed.jobs[job];
+    record.finish = t;
+    record.finished = true;
+    observed.worst_response =
+        std::max(observed.worst_response, record.response());
+    result.makespan = std::max(result.makespan, t);
+    ++finished;
   }
-
-  void push(const Item& item) {
-    switch (policy_) {
-      case sim::Policy::kBreadthFirst:
-      case sim::Policy::kDepthFirst:
-      case sim::Policy::kRandom:
-        items_.push_back(item);
-        break;
-      case sim::Policy::kCriticalPathFirst:
-      case sim::Policy::kIndexOrder:
-        items_.push_back(item);
-        std::push_heap(items_.begin(), items_.end(),
-                       [this](const Item& a, const Item& b) {
-                         return lower_priority(a, b);
-                       });
-        break;
-    }
-  }
-
-  Item pop(Rng& rng) {
-    Item out;
-    switch (policy_) {
-      case sim::Policy::kBreadthFirst:
-        // FIFO via a head index — an O(1) pop like the single-DAG
-        // simulator's deque, without shifting the vector.
-        out = items_[head_++];
-        if (head_ == items_.size()) {
-          items_.clear();
-          head_ = 0;
-        }
-        break;
-      case sim::Policy::kDepthFirst:
-        out = items_.back();
-        items_.pop_back();
-        break;
-      case sim::Policy::kRandom: {
-        const std::size_t pick = rng.index(items_.size());
-        out = items_[pick];
-        items_[pick] = items_.back();
-        items_.pop_back();
-        break;
-      }
-      case sim::Policy::kCriticalPathFirst:
-      case sim::Policy::kIndexOrder:
-        std::pop_heap(items_.begin(), items_.end(),
-                      [this](const Item& a, const Item& b) {
-                        return lower_priority(a, b);
-                      });
-        out = items_.back();
-        items_.pop_back();
-        break;
-    }
-    return out;
-  }
-
- private:
-  /// True if `a` ranks below `b` (heap "less": the top is the best pick).
-  [[nodiscard]] bool lower_priority(const Item& a, const Item& b) const {
-    if (policy_ == sim::Policy::kCriticalPathFirst) {
-      const Time da = (*down_)[a.node];
-      const Time db = (*down_)[b.node];
-      if (da != db) return da < db;  // longer remaining path wins
-    }
-    return b < a;  // smallest (job, node) wins ties / index order
-  }
-
-  sim::Policy policy_;
-  const std::vector<Time>* down_;
-  std::vector<Item> items_;
-  std::size_t head_ = 0;  ///< FIFO read position (kBreadthFirst only)
-};
-
-/// A node instance finishing at `time`; `unit` identifies the resource to
-/// free: -1 = a host core of `task`, d >= 1 = one unit of device d.
-struct Completion {
-  Time time = 0;
-  std::uint64_t seq = 0;  ///< insertion order, for deterministic ties
-  std::uint32_t task = 0;
-  std::uint32_t job = 0;
-  NodeId node = 0;
-  int unit = -1;
-
-  friend bool operator>(const Completion& a, const Completion& b) noexcept {
-    return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-  }
-};
-
-struct Release {
-  Time time = 0;
-  std::uint32_t task = 0;
-  std::uint32_t job = 0;
 };
 
 }  // namespace
@@ -162,297 +62,51 @@ TasksetSimResult simulate_taskset(const TaskSet& set,
                 "host partition exceeds the platform's cores");
 
   const std::size_t num_tasks = set.size();
-  const auto jobs = static_cast<std::uint32_t>(config.jobs_per_task);
-  const int num_devices = set.platform().num_devices();
-  Rng rng(config.seed);
+  const auto jobs = static_cast<std::size_t>(config.jobs_per_task);
 
-  // The taskset sweeps call this thousands of times on small sets, so every
-  // container that does not escape the call lives in per-thread scratch:
-  // the state is rebuilt from scratch below (resize/assign/clear), only the
-  // heap capacity carries over between calls.
-  //
-  // Per-task CSR views: arena-backed tasks are viewed in place (no Dag, no
-  // snapshot); eager tasks snapshot once into `snapshots` (reserved so the
-  // views' pointee never reallocates).  Down-lengths feed the CP policy
-  // only, exactly as in the single-DAG simulator.
-  thread_local std::vector<FlatDag> snapshots;
+  // The taskset sweeps call this thousands of times on small sets, so the
+  // engine's inputs live in per-thread scratch too.  Arena-backed tasks are
+  // viewed in place; eager tasks snapshot once into `snapshots` (reserved
+  // so the views' pointee never reallocates).  Releases follow the
+  // synchronous periodic pattern 0, T_i, 2·T_i, ...
+  thread_local std::vector<graph::FlatDag> snapshots;
   snapshots.clear();
   snapshots.reserve(num_tasks);
-  thread_local std::vector<graph::FlatView> views;
-  views.clear();
-  views.reserve(num_tasks);
-  for (const DagTask& task : set) {
+  thread_local std::vector<graph::Time> releases;
+  releases.resize(num_tasks * jobs);
+  thread_local std::vector<sim::EngineTask> tasks;
+  tasks.resize(num_tasks);
+  for (std::size_t i = 0; i < num_tasks; ++i) {
+    const DagTask& task = set[i];
+    sim::EngineTask& engine_task = tasks[i];
     if (task.has_flat_view()) {
-      views.push_back(task.flat_view());
+      engine_task.view = task.flat_view();
     } else {
       snapshots.emplace_back(task.dag());
-      views.push_back(snapshots.back().view());
+      engine_task.view = snapshots.back().view();
     }
-  }
-  std::vector<std::vector<Time>> down(num_tasks);
-  if (config.policy == sim::Policy::kCriticalPathFirst) {
-    for (std::size_t i = 0; i < num_tasks; ++i) {
-      down[i] = graph::down_lengths(views[i]);
+    engine_task.cores = cores_per_task[i];
+    graph::Time* const release = releases.data() + i * jobs;
+    for (std::size_t j = 0; j < jobs; ++j) {
+      release[j] = task.period() * static_cast<graph::Time>(j);
     }
+    engine_task.releases = {release, jobs};
   }
-
-  // Per-task release statics: the in-degree template copied into each job's
-  // pending counts, and the root nodes pre-classified by destination (the
-  // classification is per-DAG, not per-job — no reason to redo it on every
-  // release).  Roots are kept in ascending node order, matching the
-  // original per-release scan.
-  thread_local std::vector<std::vector<std::uint32_t>> indeg_template;
-  thread_local std::vector<std::vector<NodeId>> sync_roots;
-  thread_local std::vector<std::vector<NodeId>> host_roots;
-  thread_local std::vector<std::vector<std::pair<graph::DeviceId, NodeId>>>
-      device_roots;
-  indeg_template.resize(num_tasks);
-  sync_roots.resize(num_tasks);
-  host_roots.resize(num_tasks);
-  device_roots.resize(num_tasks);
-  for (std::size_t i = 0; i < num_tasks; ++i) {
-    const graph::FlatView& flat = views[i];
-    sync_roots[i].clear();
-    host_roots[i].clear();
-    device_roots[i].clear();
-    auto& indeg = indeg_template[i];
-    indeg.resize(flat.num_nodes());
-    for (NodeId v = 0; v < flat.num_nodes(); ++v) {
-      indeg[v] = static_cast<std::uint32_t>(flat.in_degree(v));
-      if (indeg[v] != 0) continue;
-      const graph::DeviceId device = flat.device(v);
-      if (device == graph::kHostDevice && flat.wcet(v) == 0) {
-        sync_roots[i].push_back(v);
-      } else if (device == graph::kHostDevice) {
-        host_roots[i].push_back(v);
-      } else {
-        device_roots[i].emplace_back(device, v);
-      }
-    }
-  }
-
-  // Per-(task, job) node state: outstanding predecessor counts and the
-  // number of unfinished nodes.  Pending counts are fully overwritten at
-  // each job's release (copy-assigned from the in-degree template), so the
-  // inner vectors only need the right shape here, not fresh contents.
-  thread_local std::vector<std::vector<std::vector<std::uint32_t>>> pending;
-  thread_local std::vector<std::vector<std::size_t>> unfinished;
-  pending.resize(num_tasks);
-  unfinished.resize(num_tasks);
-  for (std::size_t i = 0; i < num_tasks; ++i) {
-    pending[i].resize(jobs);
-    unfinished[i].assign(jobs, views[i].num_nodes());
-  }
+  // An empty Platform::device_units means one unit per class.
+  thread_local std::vector<int> device_units;
+  device_units = set.platform().device_units;
+  device_units.resize(static_cast<std::size_t>(set.platform().num_devices()),
+                      1);
 
   TasksetSimResult result;
-  result.tasks.assign(num_tasks, {});
-  for (std::size_t i = 0; i < num_tasks; ++i) {
-    result.tasks[i].jobs.assign(jobs, {});
-  }
-
-  // All releases, time-major (synchronous periodic pattern).
-  thread_local std::vector<Release> releases;
-  releases.clear();
-  releases.reserve(num_tasks * jobs);
-  for (std::size_t i = 0; i < num_tasks; ++i) {
-    for (std::uint32_t j = 0; j < jobs; ++j) {
-      releases.push_back(Release{set[i].period() * j,
-                                 static_cast<std::uint32_t>(i), j});
-    }
-  }
-  std::sort(releases.begin(), releases.end(),
-            [](const Release& a, const Release& b) {
-              if (a.time != b.time) return a.time < b.time;
-              if (a.task != b.task) return a.task < b.task;
-              return a.job < b.job;
-            });
-  std::size_t next_release = 0;
-
-  // The completion queue is provably drained when the run ends (every job
-  // finished means every dispatched node retired), so the per-thread
-  // instance starts each call empty with its buffer intact.
-  thread_local std::priority_queue<Completion, std::vector<Completion>,
-                                   std::greater<Completion>>
-      completions;
-  while (!completions.empty()) completions.pop();  // a prior throw may leak
-  std::uint64_t seq = 0;
-
-  thread_local std::vector<HostReady> host_ready;
-  host_ready.clear();
-  host_ready.reserve(num_tasks);
-  for (std::size_t i = 0; i < num_tasks; ++i) {
-    host_ready.emplace_back(config.policy, &down[i]);
-  }
-  // FIFO per shared device class, as a vector + head cursor (the deque's
-  // chunked layout buys nothing at these queue depths).
-  thread_local std::vector<std::vector<std::pair<std::uint32_t, Item>>>
-      device_queue;
-  device_queue.resize(static_cast<std::size_t>(num_devices) + 1);
-  for (auto& queue : device_queue) queue.clear();
-  thread_local std::vector<std::size_t> device_head;
-  device_head.assign(static_cast<std::size_t>(num_devices) + 1, 0);
-  thread_local std::vector<int> free_units;
-  free_units.assign(static_cast<std::size_t>(num_devices) + 1, 0);
-  for (int d = 1; d <= num_devices; ++d) {
-    free_units[static_cast<std::size_t>(d)] =
-        set.platform().units_of(static_cast<graph::DeviceId>(d));
-  }
-  thread_local std::vector<int> free_cores;
-  free_cores.assign(cores_per_task.begin(), cores_per_task.end());
-
-  // Same-time ready nodes are staged per destination and flushed in sorted
-  // (task, job, node) order, so insertion order — and with it every policy's
-  // pick — is independent of event-processing order.
-  thread_local std::vector<std::vector<Item>> host_staging;
-  host_staging.resize(num_tasks);
-  for (auto& staging : host_staging) staging.clear();
-  thread_local std::vector<std::vector<std::pair<std::uint32_t, Item>>>
-      device_staging;
-  device_staging.resize(static_cast<std::size_t>(num_devices) + 1);
-  for (auto& staging : device_staging) staging.clear();
-
-  std::size_t jobs_remaining = num_tasks * jobs;
-
-  // Completes (task, job, node) at time t; zero-WCET host successors retire
-  // instantly and cascade.  The cascade stack lives outside the lambda —
-  // one allocation for the whole run, not one per completion.
-  thread_local std::vector<Item> cascade;
-  const auto complete_node = [&](std::uint32_t task, std::uint32_t job,
-                                 NodeId node, Time t) {
-    cascade.clear();
-    cascade.push_back(Item{job, node});
-    const graph::FlatView& view = views[task];
-    auto& task_pending = pending[task];
-    auto& task_unfinished = unfinished[task];
-    auto& task_result = result.tasks[task];
-    auto& task_staging = host_staging[task];
-    while (!cascade.empty()) {
-      const Item item = cascade.back();
-      cascade.pop_back();
-      if (--task_unfinished[item.job] == 0) {
-        JobRecord& record = task_result.jobs[item.job];
-        record.finish = t;
-        record.finished = true;
-        task_result.worst_response =
-            std::max(task_result.worst_response, record.response());
-        result.makespan = std::max(result.makespan, t);
-        --jobs_remaining;
-      }
-      auto& counts = task_pending[item.job];
-      for (const NodeId succ : view.successors(item.node)) {
-        if (--counts[succ] != 0) continue;
-        const graph::DeviceId device = view.device(succ);
-        if (device == graph::kHostDevice && view.wcet(succ) == 0) {
-          cascade.push_back(Item{item.job, succ});  // pure sync point
-        } else if (device == graph::kHostDevice) {
-          task_staging.push_back(Item{item.job, succ});
-        } else {
-          device_staging[device].push_back({task, Item{item.job, succ}});
-        }
-      }
-    }
-  };
-
-  std::uint64_t events = 0;
-  while (jobs_remaining > 0) {
-    HEDRA_FAULT("taskset.sim.event");
-    // Deadline poll amortised over event rounds; an expiry stops the loop
-    // at an event boundary, so finished jobs keep exact records.
-    if (!config.deadline.unlimited() && (++events & 0xFF) == 0 &&
-        config.deadline.expired()) {
-      result.outcome = util::Outcome::kBudgetExhausted;
-      break;
-    }
-    HEDRA_REQUIRE(!completions.empty() || next_release < releases.size(),
-                  "taskset simulation stalled (hedra bug)");
-    Time t = std::numeric_limits<Time>::max();
-    if (!completions.empty()) t = completions.top().time;
-    if (next_release < releases.size()) {
-      t = std::min(t, releases[next_release].time);
-    }
-
-    // Retire every completion at t.
-    while (!completions.empty() && completions.top().time == t) {
-      const Completion done = completions.top();
-      completions.pop();
-      if (done.unit < 0) {
-        ++free_cores[done.task];
-      } else {
-        ++free_units[static_cast<std::size_t>(done.unit)];
-      }
-      complete_node(done.task, done.job, done.node, t);
-    }
-
-    // Release every job arriving at t.  Root destinations are static per
-    // task; the loops below only spread the precomputed classification over
-    // the job index (completion order within one release is commutative —
-    // staging is globally sorted before any pick).
-    while (next_release < releases.size() &&
-           releases[next_release].time == t) {
-      const Release release = releases[next_release++];
-      pending[release.task][release.job] = indeg_template[release.task];
-      result.tasks[release.task].jobs[release.job].release = t;
-      for (const NodeId v : sync_roots[release.task]) {
-        complete_node(release.task, release.job, v, t);
-      }
-      for (const NodeId v : host_roots[release.task]) {
-        host_staging[release.task].push_back(Item{release.job, v});
-      }
-      for (const auto& [device, v] : device_roots[release.task]) {
-        device_staging[device].push_back({release.task, Item{release.job, v}});
-      }
-    }
-
-    // Flush staged ready nodes in deterministic order.
-    for (std::size_t i = 0; i < num_tasks; ++i) {
-      auto& staging = host_staging[i];
-      if (staging.empty()) continue;
-      std::sort(staging.begin(), staging.end());
-      for (const Item& item : staging) host_ready[i].push(item);
-      staging.clear();
-    }
-    for (int d = 1; d <= num_devices; ++d) {
-      auto& staging = device_staging[static_cast<std::size_t>(d)];
-      if (staging.empty()) continue;
-      std::sort(staging.begin(), staging.end(),
-                [](const auto& a, const auto& b) {
-                  if (a.first != b.first) return a.first < b.first;
-                  return a.second < b.second;
-                });
-      for (const auto& entry : staging) {
-        device_queue[static_cast<std::size_t>(d)].push_back(entry);
-      }
-      staging.clear();
-    }
-
-    // Work-conserving dispatch: each task's dedicated cores, then each
-    // shared device's free units (FIFO across tasks).
-    for (std::size_t i = 0; i < num_tasks; ++i) {
-      while (free_cores[i] > 0 && !host_ready[i].empty()) {
-        const Item item = host_ready[i].pop(rng);
-        --free_cores[i];
-        completions.push(Completion{t + views[i].wcet(item.node), seq++,
-                                    static_cast<std::uint32_t>(i), item.job,
-                                    item.node, -1});
-      }
-    }
-    for (int d = 1; d <= num_devices; ++d) {
-      auto& queue = device_queue[static_cast<std::size_t>(d)];
-      auto& head = device_head[static_cast<std::size_t>(d)];
-      auto& units = free_units[static_cast<std::size_t>(d)];
-      while (units > 0 && head < queue.size()) {
-        const auto [task, item] = queue[head++];
-        --units;
-        completions.push(Completion{t + views[task].wcet(item.node), seq++,
-                                    task, item.job, item.node, d});
-      }
-      if (head == queue.size() && head != 0) {
-        queue.clear();
-        head = 0;
-      }
-    }
-  }
-  result.jobs_unfinished = jobs_remaining;
+  result.tasks.assign(num_tasks, TaskObservation{std::vector<JobRecord>(jobs)});
+  const sim::EngineConfig engine{config.policy, config.seed, device_units,
+                                 config.deadline};
+  JobRecorder recorder{result};
+  result.outcome = sim::run_engine(
+      std::span<const sim::EngineTask>(tasks.data(), num_tasks), engine,
+      recorder);
+  result.jobs_unfinished = num_tasks * jobs - recorder.finished;
   return result;
 }
 

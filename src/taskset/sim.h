@@ -2,9 +2,8 @@
 
 /// \file sim.h (taskset)
 /// Discrete-event simulation of a WHOLE sporadic task set on one shared
-/// platform — the taskset layer's counterpart of sim/scheduler.h, layered
-/// on the same ingredients (graph::FlatDag CSR snapshots, a binary min-heap
-/// of timed events) but with two new dimensions:
+/// platform.  It runs the same event loop as the single-DAG simulator
+/// (sim/engine.h), with every task's jobs in one run:
 ///
 ///  - RELEASES: every task τ_i releases a job at 0, T_i, 2·T_i, ... (the
 ///    synchronous periodic arrival pattern, the densest a sporadic task is
@@ -18,12 +17,8 @@
 ///    must stay below the admitted bounds (the fig12 sweep and the
 ///    randomized property tests count violations with exact rationals).
 ///
-/// Semantics carried over from the single-DAG simulator: non-preemptive
-/// execution, zero-WCET host nodes retire instantly as pure
-/// synchronisation points, zero-WCET accelerator nodes queue for a unit
-/// like any offload, and every dispatch is work-conserving.  Determinism:
-/// all same-time ready events are ordered by (task, job, node id), so runs
-/// are bit-reproducible for every policy (kRandom draws from the seeded
+/// Same-instant events follow the engine's readiness order, so runs are
+/// bit-reproducible for every policy (kRandom draws from the seeded
 /// portable RNG).
 
 #include <cstdint>

@@ -1,4 +1,4 @@
-#include "analysis/multi_offload.h"
+#include "common/multi_offload.h"
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@ namespace {
 
 using graph::NodeId;
 using graph::NodeKind;
+using testing::rta_multi_offload;
 
 /// Diamond with two offload branches sharing the single accelerator.
 graph::Dag two_offload_diamond() {

@@ -1,15 +1,15 @@
 #include <gtest/gtest.h>
 
 #include "analysis/analysis_cache.h"
-#include "analysis/multi_offload.h"
 #include "analysis/platform_rta.h"
 #include "common/fixtures.h"
+#include "common/multi_offload.h"
 #include "exp/experiment.h"
 #include "gen/multi_device.h"
 #include "util/rng.h"
 
 /// The K-device chain bound (analysis/platform_rta.h) against its K = 1
-/// reference implementation (analysis/multi_offload.h).  The equivalence
+/// reference implementation (tests/common/multi_offload.h).  The equivalence
 /// regression is exact: both are rationals, so EXPECT_EQ compares num/den.
 
 namespace hedra {
@@ -84,7 +84,7 @@ TEST(PlatformRtaTest, SingleDeviceBoundEqualsMultiOffloadExactly) {
     for (const auto& dag : exp::generate_batch(config)) {
       for (const int m : {1, 2, 4, 8, 16}) {
         EXPECT_EQ(analysis::rta_platform(dag, m),
-                  analysis::rta_multi_offload(dag, m))
+                  testing::rta_multi_offload(dag, m))
             << "seed=" << seed << " m=" << m;
       }
     }
@@ -104,7 +104,7 @@ TEST(PlatformRtaTest, SingleDeviceMultiOffloadBoundEqualsMultiOffloadExactly) {
     EXPECT_EQ(dag.offload_nodes().size(), 3u);
     for (const int m : {1, 2, 4, 8, 16}) {
       EXPECT_EQ(analysis::rta_platform(dag, m),
-                analysis::rta_multi_offload(dag, m))
+                testing::rta_multi_offload(dag, m))
           << "i=" << i << " m=" << m;
     }
   }

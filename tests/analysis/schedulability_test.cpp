@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/multi_offload.h"
 #include "common/fixtures.h"
+#include "common/multi_offload.h"
 
 namespace hedra::analysis {
 namespace {
@@ -95,7 +95,7 @@ TEST(SchedulabilityTest, PlatformKindAtKOneEqualsTheHeterogeneousPathBound) {
   for (const int m : {1, 2, 4, 8, 16}) {
     const model::DagTask task(ex.dag, 100, 100);
     const auto report = check_schedulability(task, m, AnalysisKind::kPlatform);
-    EXPECT_EQ(report.bound, rta_multi_offload(ex.dag, m)) << "m=" << m;
+    EXPECT_EQ(report.bound, testing::rta_multi_offload(ex.dag, m)) << "m=" << m;
     EXPECT_EQ(report.dominating_device, 1);
     EXPECT_EQ(report.dominating_device_term, Frac(4));  // C_off = 4
   }

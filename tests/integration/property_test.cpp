@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "analysis/analysis_cache.h"
-#include "analysis/multi_offload.h"
 #include "analysis/platform_rta.h"
 #include "analysis/rta_heterogeneous.h"
 #include "common/fixtures.h"
+#include "common/multi_offload.h"
 #include "exact/bnb.h"
 #include "exact/bounds.h"
 #include "gen/hierarchical.h"
@@ -112,7 +112,7 @@ TEST_P(SoundnessSweep, MultiOffloadBoundDominatesExecutions) {
       }
     }
     const int m = static_cast<int>(rng.uniform_int(1, 8));
-    const Frac bound = analysis::rta_multi_offload(dag, m);
+    const Frac bound = testing::rta_multi_offload(dag, m);
     for (const auto policy : kAllPolicies) {
       sim::SimConfig config;
       config.cores = m;

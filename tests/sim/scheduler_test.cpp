@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "analysis/transform.h"
 #include "common/fixtures.h"
 #include "graph/critical_path.h"
+#include "taskset/sim.h"
 #include "util/error.h"
 
 namespace hedra::sim {
@@ -110,6 +114,39 @@ TEST(SchedulerTest, DepthFirstPrefersNewestReady) {
   // FIFO runs a (ready first by id) before b; LIFO the opposite.
   EXPECT_LT(fifo.start_of(a), fifo.start_of(b));
   EXPECT_LT(lifo.start_of(b), lifo.start_of(a));
+}
+
+TEST(SchedulerTest, SameInstantSuccessorsEnterInReadinessOrder) {
+  // Nodes 0 (host) and 1 (device) finish together at t = 2.  Retiring them
+  // in id order makes 3 ready before 2: readiness order, not id order.  On
+  // the one core, breadth-first then runs 3 first, so its offloaded
+  // successor 4 overlaps with 2.  Id order would run 2 first and end at 13.
+  graph::Dag dag;
+  const auto n0 = dag.add_node(2);
+  const auto n1 = dag.add_node_on(2, 1);
+  const auto n2 = dag.add_node(5);
+  const auto n3 = dag.add_node(1);
+  const auto n4 = dag.add_node_on(5, 1);
+  dag.add_edge(n0, n3);
+  dag.add_edge(n3, n4);
+  dag.add_edge(n1, n2);
+  const ScheduleTrace trace = simulate(dag, cfg(1));
+  EXPECT_EQ(trace.start_of(n0), 0);
+  EXPECT_EQ(trace.start_of(n1), 0);
+  EXPECT_EQ(trace.start_of(n3), 2);
+  EXPECT_EQ(trace.start_of(n2), 3);
+  EXPECT_EQ(trace.start_of(n4), 3);
+  EXPECT_EQ(trace.makespan(), 8);
+
+  // The task-set simulator is the same engine: one task, one job.
+  taskset::TaskSet set(model::Platform::parse("1:gpu"));
+  set.add(taskset::DagTask(dag, 100, 100, "tau1"));
+  taskset::TasksetSimConfig config;
+  config.jobs_per_task = 1;
+  const auto result =
+      taskset::simulate_taskset(set, std::vector<int>{1}, config);
+  EXPECT_EQ(result.tasks[0].worst_response, 8);
+  EXPECT_EQ(result.makespan, 8);
 }
 
 TEST(SchedulerTest, RandomPolicyIsSeedDeterministic) {
@@ -320,6 +357,26 @@ TEST(SchedulerTest, RejectsNonPositiveUnitCounts) {
   EXPECT_THROW((void)simulate(ex.dag, config), Error);
   config.device_units = {-3};
   EXPECT_THROW((void)simulate(ex.dag, config), Error);
+}
+
+TEST(SchedulerTest, RejectsNonPositiveUnitCountsWithoutValidation) {
+  // The makespan-only path records no trace, so the unit check must not
+  // live only in ScheduleTrace: a 0- or −1-unit device would otherwise
+  // stall the run instead of being rejected.
+  const auto ex = testing::multi_device_example();
+  SimConfig config = cfg(2);
+  config.validate = false;
+  for (const std::vector<int>& units :
+       {std::vector<int>{0, 1}, std::vector<int>{1, -1}}) {
+    config.device_units = units;
+    try {
+      (void)simulated_makespan(ex.dag, config);
+      ADD_FAILURE() << "a device without units was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(">= 1 unit"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SchedulerTest, MultiUnitTracesValidateUnderEveryPolicyAndEarlyTimes) {

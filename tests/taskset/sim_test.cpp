@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "taskset/contention_rta.h"
 #include "taskset/gen.h"
 #include "util/error.h"
@@ -128,6 +132,72 @@ TEST(TasksetSimTest, InvalidPartitionsThrow) {
   EXPECT_THROW(simulate_taskset(set, std::vector<int>{3}, config), Error);
   config.jobs_per_task = 0;
   EXPECT_THROW(simulate_taskset(set, std::vector<int>{1}, config), Error);
+}
+
+/// FNV-1a over every job's (release, finish, finished) of a pinned corpus of
+/// generated sets — K ∈ {0..3} accelerator classes, n_d ∈ {1, 2} units,
+/// 1/3/5 tasks on 2 dedicated cores each, 3 jobs per task — simulated under
+/// `policy`.  Small WCETs make same-instant events common, so the hash pins
+/// the simulator's ordering rules, not just its arithmetic.
+std::uint64_t golden_corpus_hash(sim::Policy policy) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](std::uint64_t x) { h = (h ^ x) * 1099511628211ULL; };
+  for (const int devices : {0, 1, 2, 3}) {
+    for (const int units : {1, 2}) {
+      if (devices == 0 && units == 2) continue;  // no class to provision
+      for (const int num_tasks : {1, 3, 5}) {
+        TaskSetGenConfig gen_config;
+        gen_config.num_tasks = num_tasks;
+        gen_config.total_utilization = 0.9 * num_tasks;
+        gen_config.dag_params.max_depth = 3;
+        gen_config.dag_params.n_par = 4;
+        gen_config.dag_params.min_nodes = 8;
+        gen_config.dag_params.max_nodes = 30;
+        gen_config.dag_params.wcet_max = 12;
+        gen_config.dag_params.num_devices = devices;
+        gen_config.coff_ratio = 0.3;
+        gen_config.cores = 2 * num_tasks;
+        gen_config.device_units.assign(static_cast<std::size_t>(devices),
+                                       units);
+        const auto seed = static_cast<std::uint64_t>(
+            1000 * devices + 100 * units + num_tasks);
+        const std::vector<int> cores(static_cast<std::size_t>(num_tasks), 2);
+        for (const TaskSet& set :
+             generate_taskset_batch(gen_config, /*count=*/4, seed)) {
+          TasksetSimConfig config;
+          config.policy = policy;
+          config.jobs_per_task = 3;
+          config.seed = seed;
+          const TasksetSimResult result = simulate_taskset(set, cores, config);
+          for (const TaskObservation& task : result.tasks) {
+            for (const JobRecord& job : task.jobs) {
+              mix(static_cast<std::uint64_t>(job.release));
+              mix(static_cast<std::uint64_t>(job.finish));
+              mix(job.finished ? 1 : 0);
+            }
+          }
+        }
+      }
+    }
+  }
+  return h;
+}
+
+TEST(TasksetSimGolden, JobRecordsMatchPinnedHashes) {
+  // Taken from the task-set simulator as it stood before it shared the
+  // single-DAG event loop; every policy must reproduce them exactly.
+  const std::vector<std::pair<sim::Policy, std::uint64_t>> pinned{
+      {sim::Policy::kBreadthFirst, 0x017c9342260acc4eULL},
+      {sim::Policy::kDepthFirst, 0xcca7179aea424d94ULL},
+      {sim::Policy::kCriticalPathFirst, 0x27c7cb22868da47fULL},
+      {sim::Policy::kIndexOrder, 0xa08834c7a1a1b4bdULL},
+      {sim::Policy::kRandom, 0x8f6afcf3a48bc315ULL},
+  };
+  for (const auto& [policy, expected] : pinned) {
+    EXPECT_EQ(golden_corpus_hash(policy), expected)
+        << sim::to_string(policy) << " 0x" << std::hex
+        << golden_corpus_hash(policy);
+  }
 }
 
 class TasksetDominance : public ::testing::TestWithParam<std::uint64_t> {};
