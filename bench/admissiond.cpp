@@ -276,6 +276,12 @@ void write_file_or_throw(const std::string& path, const std::string& text) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // The line protocol runs over iostreams only, so they need no stdio
+  // sync.  std::cin is untied as well: a tied std::cin flushes std::cout
+  // before each read on the reader thread, outside the lock that orders
+  // the worker's replies.  Every reply is flushed explicitly anyway.
+  std::ios::sync_with_stdio(false);
+  std::cin.tie(nullptr);
   hedra::ArgParser parser("admissiond",
                           "admission-control daemon over stdin/stdout");
   const auto* platform =

@@ -1,5 +1,7 @@
 #include "graph/dag_io.h"
 
+#include <algorithm>
+#include <array>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -29,6 +31,11 @@ std::string write_dag_text(const Dag& dag) {
 
 namespace {
 
+/// "line N: " — built only on the throw path, never per accepted line.
+std::string at_line(int line_no) {
+  return "line " + std::to_string(line_no) + ": ";
+}
+
 /// Kind token grammar: "host", "sync", "offload" (device 1), or
 /// "offload:<d>" for an explicit accelerator device d >= 1.
 struct ParsedKind {
@@ -36,8 +43,7 @@ struct ParsedKind {
   DeviceId device = kHostDevice;
 };
 
-ParsedKind parse_kind(const std::string& text, int line_no) {
-  const std::string where = "line " + std::to_string(line_no) + ": ";
+ParsedKind parse_kind(std::string_view text, int line_no) {
   if (text == "host") return {NodeKind::kHost, kHostDevice};
   if (text == "sync") return {NodeKind::kSync, kHostDevice};
   if (text == "offload") return {NodeKind::kOffload, DeviceId{1}};
@@ -45,64 +51,92 @@ ParsedKind parse_kind(const std::string& text, int line_no) {
     const Time device = parse_int(text.substr(8));
     HEDRA_REQUIRE(device >= 1 &&
                       device <= std::numeric_limits<DeviceId>::max(),
-                  where + "offload device id out of range in '" + text + "'");
+                  at_line(line_no) + "offload device id out of range in '" +
+                      std::string(text) + "'");
     return {NodeKind::kOffload, static_cast<DeviceId>(device)};
   }
-  throw Error(where + "unknown node kind '" + text + "'");
+  throw Error(at_line(line_no) + "unknown node kind '" + std::string(text) +
+              "'");
 }
 
-std::vector<std::string> tokens_of(std::string_view line) {
-  std::vector<std::string> tokens;
-  for (auto& tok : split(line, ' ')) {
-    if (!tok.empty()) tokens.push_back(std::move(tok));
+/// The non-empty ' '-separated fields of a line.  A directive has at most
+/// four, so only the first kMaxTokens are kept; `count` is the true field
+/// count, which the arity checks read.
+struct Tokens {
+  static constexpr std::size_t kMaxTokens = 5;
+  std::array<std::string_view, kMaxTokens> field;
+  std::size_t count = 0;
+};
+
+Tokens tokens_of(std::string_view line) {
+  Tokens tokens;
+  while (!line.empty()) {
+    const std::size_t end = std::min(line.find(' '), line.size());
+    if (end > 0) {
+      if (tokens.count < Tokens::kMaxTokens) {
+        tokens.field[tokens.count] = line.substr(0, end);
+      }
+      ++tokens.count;
+    }
+    line.remove_prefix(std::min(end + 1, line.size()));
   }
   return tokens;
 }
 
 }  // namespace
 
-Dag read_dag_text(const std::string& text) {
+Dag read_dag_text(std::string_view text) {
   Dag dag;
-  std::map<std::string, NodeId> by_label;
-  std::istringstream is(text);
-  std::string raw;
+  std::map<std::string, NodeId, std::less<>> by_label;
   int line_no = 0;
-  while (std::getline(is, raw)) {
+  while (!text.empty()) {
+    // Lines end at '\n'; a last line without one still counts.
+    const std::size_t end = std::min(text.find('\n'), text.size());
+    const std::string_view line = trim(text.substr(0, end));
+    text.remove_prefix(std::min(end + 1, text.size()));
     ++line_no;
-    const std::string_view line = trim(raw);
     if (line.empty() || line.front() == '#') continue;
-    const auto tokens = tokens_of(line);
-    const std::string where = "line " + std::to_string(line_no) + ": ";
-    if (tokens[0] == "node") {
-      HEDRA_REQUIRE(tokens.size() == 3 || tokens.size() == 4,
-                    where + "expected 'node <label> <wcet> [kind]'");
+    const Tokens tokens = tokens_of(line);
+    const std::string_view directive = tokens.field[0];
+    if (directive == "node") {
+      HEDRA_REQUIRE(tokens.count == 3 || tokens.count == 4,
+                    at_line(line_no) + "expected 'node <label> <wcet> [kind]'");
       HEDRA_REQUIRE(dag.num_nodes() < kMaxParsedNodes,
-                    where + "node count exceeds the parser cap of " +
+                    at_line(line_no) +
+                        "node count exceeds the parser cap of " +
                         std::to_string(kMaxParsedNodes));
-      const std::string& label = tokens[1];
+      const std::string_view label = tokens.field[1];
       HEDRA_REQUIRE(!by_label.contains(label),
-                    where + "duplicate node label '" + label + "'");
-      const Time wcet = parse_int(tokens[2]);
-      const ParsedKind kind =
-          tokens.size() == 4 ? parse_kind(tokens[3], line_no) : ParsedKind{};
-      by_label[label] = kind.kind == NodeKind::kSync
-                            ? dag.add_node(wcet, NodeKind::kSync, label)
-                            : dag.add_node_on(wcet, kind.device, label);
-    } else if (tokens[0] == "edge") {
-      HEDRA_REQUIRE(tokens.size() == 3,
-                    where + "expected 'edge <from> <to>'");
+                    at_line(line_no) + "duplicate node label '" +
+                        std::string(label) + "'");
+      const Time wcet = parse_int(tokens.field[2]);
+      const ParsedKind kind = tokens.count == 4
+                                  ? parse_kind(tokens.field[3], line_no)
+                                  : ParsedKind{};
+      const NodeId id =
+          kind.kind == NodeKind::kSync
+              ? dag.add_node(wcet, NodeKind::kSync, std::string(label))
+              : dag.add_node_on(wcet, kind.device, std::string(label));
+      by_label.emplace(label, id);
+    } else if (directive == "edge") {
+      HEDRA_REQUIRE(tokens.count == 3,
+                    at_line(line_no) + "expected 'edge <from> <to>'");
       HEDRA_REQUIRE(dag.num_edges() < kMaxParsedEdges,
-                    where + "edge count exceeds the parser cap of " +
+                    at_line(line_no) +
+                        "edge count exceeds the parser cap of " +
                         std::to_string(kMaxParsedEdges));
-      const auto from = by_label.find(tokens[1]);
-      const auto to = by_label.find(tokens[2]);
+      const auto from = by_label.find(tokens.field[1]);
+      const auto to = by_label.find(tokens.field[2]);
       HEDRA_REQUIRE(from != by_label.end(),
-                    where + "unknown node '" + tokens[1] + "'");
+                    at_line(line_no) + "unknown node '" +
+                        std::string(tokens.field[1]) + "'");
       HEDRA_REQUIRE(to != by_label.end(),
-                    where + "unknown node '" + tokens[2] + "'");
+                    at_line(line_no) + "unknown node '" +
+                        std::string(tokens.field[2]) + "'");
       dag.add_edge(from->second, to->second);
     } else {
-      throw Error(where + "unknown directive '" + tokens[0] + "'");
+      throw Error(at_line(line_no) + "unknown directive '" +
+                  std::string(directive) + "'");
     }
   }
   return dag;

@@ -17,6 +17,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "graph/dag.h"
 
@@ -36,7 +37,7 @@ inline constexpr std::size_t kMaxParsedEdges = 1u << 20;  // ~1M
 /// malformed input (unknown directive, duplicate label, unknown endpoint,
 /// node/edge counts beyond kMaxParsedNodes/kMaxParsedEdges...).  Never
 /// exhibits UB on arbitrary bytes: every failure is a typed Error.
-[[nodiscard]] Dag read_dag_text(const std::string& text);
+[[nodiscard]] Dag read_dag_text(std::string_view text);
 
 /// File convenience wrappers.
 void save_dag_file(const Dag& dag, const std::string& path);

@@ -117,8 +117,16 @@ ServerStats run_server(std::istream& in, std::ostream& out,
   // reader, so failures become kInvalid requests answered in order.
   std::thread reader([&] {
     for (;;) {
-      const std::int64_t parse_start =
-          config.tracer != nullptr ? util::monotonic_now_ns() : 0;
+      // The wait for the client's next request belongs to the client, not
+      // to the request: the spans start once its first byte is readable,
+      // and the idle time is a server metric outside the request tree.
+      std::int64_t parse_start = 0;
+      if (config.tracer != nullptr) {
+        const std::int64_t idle_start = util::monotonic_now_ns();
+        (void)in.peek();  // blocks until a byte (or EOF) arrives
+        parse_start = util::monotonic_now_ns();
+        HEDRA_METRIC_OBSERVE("serve.reader.idle_ns", parse_start - idle_start);
+      }
       std::optional<Request> request;
       try {
         request = read_request(in);

@@ -194,6 +194,7 @@ Frac interference_at(const TaskSet& set, const SetQuantities& q,
 }
 
 struct FixpointResult {
+  Frac seed;  ///< the isolated bound the iteration started from
   Frac response;
   bool converged = false;
   /// True when the iteration was cut short — by the kMaxIterations guard or
@@ -367,6 +368,7 @@ FixpointResult fixpoint(const TaskSet& set, const SetQuantities& q,
   if (!result) {
     result = fixpoint_frac(set, q, index, sharers, seed, deadline, budget);
   }
+  result->seed = seed;
   if (telemetry != nullptr) {
     ++telemetry->fixpoint_solves;
     if (int_path) {
@@ -413,13 +415,17 @@ class SeedBound {
 /// contention_rta's per-task step: task `index` takes the smallest
 /// feasible core count in [first_m, remaining].  Scanning from first_m > 1
 /// is exact only when every smaller core count is known infeasible (see
-/// reanalyse); the from-scratch analysis passes 1.
+/// reanalyse); the from-scratch analysis passes 1.  `previous` (nullable)
+/// is this task's verdict in a complete, schedulable analysis of a set on
+/// the same platform: its seed is reused at its core count, and the chain
+/// walk runs only for the other core counts.
 TaskAdmission solve_task(const TaskSet& set, const SetQuantities& q,
                          std::size_t index, int remaining, int first_m,
-                         util::Budget* budget, FixpointTelemetry& telemetry) {
+                         const TaskAdmission* previous, util::Budget* budget,
+                         FixpointTelemetry& telemetry) {
   TaskAdmission admission;
   admission.name = set[index].name();
-  SeedBound seed_bound(set[index], q);
+  std::optional<SeedBound> seed_bound;  // built on the first memo miss
   thread_local std::vector<std::size_t> sharers;
   sharers_of(q, index, sharers);
   const graph::Time deadline = set[index].deadline();
@@ -431,16 +437,23 @@ TaskAdmission solve_task(const TaskSet& set, const SetQuantities& q,
   // quantities (the chain walk is the only per-m work).
   for (int m = std::max(1, std::min(first_m, remaining)); m <= remaining;
        ++m) {
-    // One unit per seed-bound evaluation (the chain walk), on top of the
-    // per-iteration units the fixpoint itself consumes.  On exhaustion
-    // the remaining trials are skipped and the task is reported
-    // truncated-unschedulable — under-admission, never over-admission.
+    // One unit per core-count trial, memoised seed or not, on top of the
+    // per-iteration units the fixpoint itself consumes, so truncation
+    // points do not depend on the memo.  On exhaustion the remaining
+    // trials are skipped and the task is reported truncated-unschedulable
+    // — under-admission, never over-admission.
     if (budget != nullptr && !budget->consume()) {
       best.truncated = true;
       break;
     }
-    const Frac seed = seed_bound(m);
-    ++telemetry.seed_evals;
+    Frac seed;
+    if (previous != nullptr && m == previous->cores) {
+      seed = previous->seed;
+    } else {
+      if (!seed_bound) seed_bound.emplace(set[index], q);
+      seed = (*seed_bound)(m);
+      ++telemetry.seed_evals;
+    }
     FixpointResult result =
         fixpoint(set, q, index, sharers, seed, deadline, budget, &telemetry);
     if (result.converged && result.response <= Frac(deadline)) {
@@ -456,6 +469,7 @@ TaskAdmission solve_task(const TaskSet& set, const SetQuantities& q,
 
   admission.cores = assigned > 0 ? assigned : remaining;
   admission.schedulable = assigned > 0;
+  admission.seed = best.seed;
   admission.response = best.response;
   admission.iterations = best.iterations;
   admission.outcome = best.truncated ? util::Outcome::kBudgetExhausted
@@ -541,8 +555,8 @@ ContentionAnalysis reanalyse(const TaskSet& next,
   int remaining = next.platform().cores;
   for (std::size_t i = 0; i < next.size(); ++i) {
     if (!reuse || (!erased && i == changed)) {
-      out.tasks.push_back(
-          solve_task(next, q, i, remaining, 1, budget, out.telemetry));
+      out.tasks.push_back(solve_task(next, q, i, remaining, 1, nullptr, budget,
+                                     out.telemetry));
       account_last(out, remaining);
       continue;
     }
@@ -569,10 +583,11 @@ ContentionAnalysis reanalyse(const TaskSet& next,
     // newcomer only raised this task's right-hand side, or when its
     // fixpoint is unchanged, so the scan restarts there (solve_task caps
     // it at the cores left).  A leaver lowers its sharers' interference,
-    // so they rescan from one core.
+    // so they rescan from one core.  Either scan takes the seed at the old
+    // allocation from `before` (same graph, same platform, same m).
     const int first_m = (erased && shares) ? 1 : before.cores;
-    out.tasks.push_back(
-        solve_task(next, q, i, remaining, first_m, budget, out.telemetry));
+    out.tasks.push_back(solve_task(next, q, i, remaining, first_m, &before,
+                                   budget, out.telemetry));
     account_last(out, remaining);
   }
   flush_metrics(out.telemetry);
@@ -607,7 +622,7 @@ ContentionAnalysis contention_rta(const TaskSet& set, util::Budget* budget) {
   int remaining = set.platform().cores;
   for (std::size_t i = 0; i < set.size(); ++i) {
     out.tasks.push_back(
-        solve_task(set, q, i, remaining, 1, budget, out.telemetry));
+        solve_task(set, q, i, remaining, 1, nullptr, budget, out.telemetry));
     account_last(out, remaining);
   }
   flush_metrics(out.telemetry);

@@ -69,6 +69,11 @@ struct TaskAdmission {
   std::string name;
   int cores = 0;        ///< dedicated host cores m_i (0: none left to try)
   bool schedulable = false;
+  /// The isolated platform bound R_i(cores) the reported fixpoint started
+  /// from (zero when no fixpoint ran: cores == 0, or a budget cut before
+  /// the first trial).  The incremental entry points reuse it instead of
+  /// re-walking the chain at the same core count.
+  Frac seed;
   /// Inflated response bound at `cores` (the fixpoint when schedulable;
   /// the first value crossing the deadline otherwise; zero when cores==0).
   Frac response;
@@ -113,7 +118,7 @@ struct ContentionAnalysis {
 /// Runs the admission test.  Requires a validated, non-empty set.
 ///
 /// `budget` (nullable = unlimited) is consumed cooperatively — one unit per
-/// fixpoint iteration and per seed-bound evaluation.  On exhaustion the
+/// fixpoint iteration and one per core-count trial.  On exhaustion the
 /// remaining work is SKIPPED and every affected task reports
 /// Outcome::kBudgetExhausted with schedulable == false: a budget-cut
 /// analysis can under-admit, never over-admit.
@@ -138,9 +143,20 @@ struct ContentionAnalysis {
 /// core count.  When `previous` is not complete and schedulable, every
 /// task is solved from scratch.
 ///
+/// A re-solved task's scan reuses its previous `seed` at its previous core
+/// count, and walks the chain only at other counts (a sharer pushed to
+/// m_i+1, a leaver's sharers rescanning below m_i, the newcomer).  The
+/// memo is exact: a seed depends only on the task's graph (immutable and
+/// shared between the two sets), the platform's units and speedups (the
+/// same platform) and m, and it is read only from a complete, schedulable
+/// `previous`, for the same task at the same m.
+///
 /// `next` must be non-empty and valid; only the newcomer is new, so a
 /// caller validates just that task (TaskSet::validate_task plus a name
-/// check).  `budget` is consumed as by contention_rta, for the solves run.
+/// check).  `budget` is consumed as by contention_rta, for the solves run:
+/// still one unit per core-count trial when the trial's seed is memoised,
+/// so a work cap truncates at the same points with or without the memo.
+/// `telemetry.seed_evals` counts only the chain walks actually run.
 [[nodiscard]] ContentionAnalysis contention_rta_appended(
     const TaskSet& next, const ContentionAnalysis& previous,
     util::Budget* budget = nullptr);

@@ -27,6 +27,7 @@ inline void expect_same_analysis(const taskset::ContentionAnalysis& actual,
     EXPECT_EQ(a.name, e.name);
     EXPECT_EQ(a.cores, e.cores);
     EXPECT_EQ(a.schedulable, e.schedulable);
+    EXPECT_EQ(a.seed, e.seed);
     EXPECT_EQ(a.response, e.response);
     EXPECT_EQ(a.iterations, e.iterations);
     EXPECT_EQ(a.outcome, e.outcome);

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/dag_io.h"
@@ -216,6 +219,67 @@ TEST(ServerTest, TracedSessionRecordsTheSpanTree) {
   EXPECT_NE(json.find("\"tid\":" + std::to_string(traces[2]->id())),
             std::string::npos);
   EXPECT_NE(json.find("\"name\":\"rta-fixpoint\""), std::string::npos);
+}
+
+/// An input stream whose first byte arrives only after `delay`, as a
+/// client that connects and then thinks before sending its request.
+class DelayedBuf : public std::streambuf {
+ public:
+  DelayedBuf(std::string text, std::chrono::milliseconds delay)
+      : text_(std::move(text)), delay_(delay) {}
+
+ protected:
+  int_type underflow() override {
+    if (!started_) {
+      std::this_thread::sleep_for(delay_);
+      started_ = true;
+      setg(text_.data(), text_.data(), text_.data() + text_.size());
+    }
+    return gptr() < egptr() ? traits_type::to_int_type(*gptr())
+                            : traits_type::eof();
+  }
+
+ private:
+  std::string text_;
+  std::chrono::milliseconds delay_;
+  bool started_ = false;
+};
+
+TEST(ServerTest, SpansStartWhenTheRequestArrives) {
+  // The idle wait before the client's first byte is recorded as the
+  // reader's idle metric, not as parse or request time.
+  constexpr std::chrono::milliseconds kDelay{50};
+  const std::int64_t delay_ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(kDelay).count();
+  obs::set_enabled(true);
+  obs::reset_values();
+  obs::Tracer tracer;
+  ServerConfig config;
+  config.tracer = &tracer;
+  DelayedBuf buf("ADMIT tau1 period 1000 deadline 1000\n" +
+                     std::string(kEasyBody) + "QUIT\n",
+                 kDelay);
+  std::istream in(&buf);
+  std::ostringstream out;
+  AdmissionService service(test_config());
+  (void)run_server(in, out, service, config);
+  obs::set_enabled(false);
+
+  const auto traces = tracer.snapshot();
+  ASSERT_EQ(traces.size(), 2u);  // ADMIT, QUIT
+  const obs::RequestTrace& admit = *traces[0];
+  ASSERT_GE(admit.spans().size(), 2u);
+  const obs::Span& request = admit.spans()[0];
+  const obs::Span& parse = admit.spans()[1];
+  ASSERT_EQ(request.name, "request");
+  ASSERT_EQ(parse.name, "parse");
+  EXPECT_LT(parse.end_ns - parse.start_ns, delay_ns);
+  EXPECT_LT(request.end_ns - request.start_ns, delay_ns);
+
+  const obs::Histogram& idle = obs::histogram("serve.reader.idle_ns");
+  EXPECT_GE(idle.count(), 2u);  // before the ADMIT and before the QUIT
+  EXPECT_GE(idle.sum_ns(), static_cast<std::uint64_t>(delay_ns));
+  obs::reset_values();
 }
 
 /// Span names of `trace`, in opening order.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/analysis_cache.h"
 #include "common/contention_equal.h"
 #include "taskset/gen.h"
@@ -308,6 +310,150 @@ TEST(ContentionRtaDeltaTest, BudgetCutNeverReportsSchedulable) {
       EXPECT_FALSE(cut.schedulable) << "work " << work;
     }
   }
+}
+
+/// The indices of the tasks of `set` that share an accelerator class with
+/// task `index`.
+std::vector<std::size_t> sharers(const TaskSet& set, std::size_t index) {
+  std::vector<std::size_t> out;
+  const auto own = set[index].dag().device_ids();
+  for (std::size_t j = 0; j < set.size(); ++j) {
+    if (j == index) continue;
+    for (graph::DeviceId d : set[j].dag().device_ids()) {
+      if (d != graph::kHostDevice &&
+          std::find(own.begin(), own.end(), d) != own.end()) {
+        out.push_back(j);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(ContentionRtaDeltaTest, KeptAllocationsReuseTheirSeeds) {
+  // An append that leaves every old task on its core count re-solves the
+  // newcomer's sharers from their memoised seeds: the only chain walks are
+  // the newcomer's scan, from one core up to the count it reports.
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    const TaskSet set = delta_set(seed);
+    for (std::size_t n = 2; n <= set.size(); ++n) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", n " + std::to_string(n));
+      const ContentionAnalysis previous = contention_rta(prefix(set, n - 1));
+      if (!previous.schedulable) continue;
+      const TaskSet next = prefix(set, n);
+      const ContentionAnalysis expected = contention_rta(next);
+      bool kept = true;
+      for (std::size_t i = 0; i + 1 < n; ++i) {
+        kept = kept && expected.tasks[i].cores == previous.tasks[i].cores;
+      }
+      if (!kept || sharers(next, n - 1).empty()) continue;
+      const ContentionAnalysis appended = contention_rta_appended(next, previous);
+      testing::expect_same_analysis(appended, expected);
+      EXPECT_EQ(appended.telemetry.seed_evals,
+                static_cast<std::uint64_t>(expected.tasks.back().cores));
+      // The sharers were solved again, just without a chain walk.
+      EXPECT_GT(appended.telemetry.fixpoint_solves,
+                appended.telemetry.seed_evals);
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 10);
+}
+
+TEST(ContentionRtaDeltaTest, SharerPushedToMoreCoresMissesTheMemo) {
+  // A newcomer that pushes a sharer past its old allocation needs the
+  // sharer's seed at m_i + 1, which no previous verdict holds.
+  int pushed = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    const TaskSet set = delta_set(seed);
+    for (std::size_t n = 2; n <= set.size(); ++n) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", n " + std::to_string(n));
+      const ContentionAnalysis previous = contention_rta(prefix(set, n - 1));
+      if (!previous.schedulable) continue;
+      const TaskSet next = prefix(set, n);
+      const ContentionAnalysis expected = contention_rta(next);
+      bool grew = false;
+      for (std::size_t i = 0; i + 1 < n; ++i) {
+        grew = grew || (expected.tasks[i].schedulable &&
+                        expected.tasks[i].cores > previous.tasks[i].cores);
+      }
+      if (!grew) continue;
+      const ContentionAnalysis appended = contention_rta_appended(next, previous);
+      testing::expect_same_analysis(appended, expected);
+      EXPECT_GT(appended.telemetry.seed_evals,
+                static_cast<std::uint64_t>(expected.tasks.back().cores));
+      ++pushed;
+    }
+  }
+  EXPECT_GT(pushed, 3);
+}
+
+TEST(ContentionRtaDeltaTest, LeaverSharersRescanBelowTheirAllocation) {
+  // A leaver's sharers rescan from one core; those holding more than one
+  // take fresh seeds below their old allocation and the memo at it.
+  int rescanned = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    const TaskSet full = delta_set(seed);
+    std::size_t n = full.size();
+    while (n > 2 && !contention_rta(prefix(full, n)).schedulable) --n;
+    const TaskSet set = prefix(full, n);
+    const ContentionAnalysis previous = contention_rta(set);
+    if (!previous.schedulable) continue;
+    for (std::size_t i = 0; i < set.size(); ++i) {
+      bool wide_sharer = false;
+      for (std::size_t j : sharers(set, i)) {
+        wide_sharer = wide_sharer || previous.tasks[j].cores > 1;
+      }
+      if (!wide_sharer) continue;
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", erase " +
+                   std::to_string(i));
+      const TaskSet next = set.without(i);
+      const ContentionAnalysis erased = contention_rta_erased(next, previous, i);
+      testing::expect_same_analysis(erased, contention_rta(next));
+      EXPECT_GT(erased.telemetry.seed_evals, 0u);
+      ++rescanned;
+    }
+  }
+  EXPECT_GT(rescanned, 5);
+}
+
+TEST(ContentionRtaDeltaTest, BudgetTruncatesAtTheSameTrialWithTheMemo) {
+  // Every task shares the newcomer's class and holds one core, so the
+  // append re-solves every old task from one core, as contention_rta
+  // does, but from memoised seeds.  Each trial still costs one unit, so
+  // under every work cap both runs stop at the same point.
+  TaskSet set(Platform::parse("8:acc"));
+  for (int i = 0; i < 4; ++i) {
+    set.add(DagTask(chain_dag(2 + i, 3, 1), 60 + 10 * i, 60 + 10 * i,
+                    "t" + std::to_string(i)));
+  }
+  const TaskSet before = prefix(set, set.size() - 1);
+  const ContentionAnalysis previous = contention_rta(before);
+  ASSERT_TRUE(previous.schedulable);
+  for (const TaskAdmission& task : previous.tasks) ASSERT_EQ(task.cores, 1);
+
+  util::Budget unlimited;
+  const ContentionAnalysis full =
+      contention_rta_appended(set, previous, &unlimited);
+  ASSERT_TRUE(full.schedulable);
+  EXPECT_EQ(full.telemetry.seed_evals, 1u);  // the newcomer's one core
+  EXPECT_EQ(unlimited.used(),
+            full.telemetry.fixpoint_solves + full.telemetry.iterations);
+
+  int truncated = 0;
+  for (std::uint64_t work = 0; work <= unlimited.used(); ++work) {
+    SCOPED_TRACE("work " + std::to_string(work));
+    util::Budget scratch_budget(util::Deadline::never(), work);
+    util::Budget appended_budget(util::Deadline::never(), work);
+    const ContentionAnalysis expected = contention_rta(set, &scratch_budget);
+    const ContentionAnalysis cut =
+        contention_rta_appended(set, previous, &appended_budget);
+    testing::expect_same_analysis(cut, expected);
+    EXPECT_EQ(appended_budget.used(), scratch_budget.used());
+    truncated += cut.outcome == util::Outcome::kBudgetExhausted ? 1 : 0;
+  }
+  EXPECT_EQ(truncated, static_cast<int>(unlimited.used()));
 }
 
 TEST(ContentionRtaDeltaTest, ChangedIndexOutOfRangeThrows) {
