@@ -208,23 +208,6 @@ void BM_BatchGenerateArena(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchGenerateArena)->Arg(8)->Arg(32);
 
-void BM_BatchDeviceVolumes(benchmark::State& state) {
-  const auto batch = hedra::exp::generate_flat_batch(
-      arena_batch_config(static_cast<int>(state.range(0))));
-  std::vector<hedra::graph::Time> volumes;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const hedra::graph::FlatView view = batch.view(i);
-      volumes.assign(view.max_device() + 1, 0);
-      hedra::analysis::accumulate_device_volumes(view.wcets(), view.devices(),
-                                                 volumes);
-      benchmark::DoNotOptimize(volumes.data());
-    }
-  }
-  state.SetLabel(hedra::analysis::batch_kernel_backend());
-}
-BENCHMARK(BM_BatchDeviceVolumes)->Arg(32);
-
 void BM_BatchPlatformRta(benchmark::State& state) {
   const auto batch = hedra::exp::generate_flat_batch(
       arena_batch_config(static_cast<int>(state.range(0))));

@@ -311,8 +311,7 @@ int main(int argc, char** argv) {
     }
 
     // -- SoA arena pipeline: arena batch generation, then the whole-batch
-    //    vectorized K-device analysis over the arena (the
-    //    analyze_platform_batch entry the sweeps consume).
+    //    K-device analysis over the arena (analyze_platform_batch).
     {
       hedra::exp::BatchConfig config;
       config.params = hedra::gen::HierarchicalParams::large_tasks_100_250();
@@ -331,11 +330,7 @@ int main(int argc, char** argv) {
         (void)hedra::analysis::analyze_platform_batch(arena, cores);
       });
       record("platform_rta_batch", "us_per_dag",
-             1000.0 * rta_ms / static_cast<double>(arena.size()),
-             {{"backend_avx2",
-               std::string(hedra::analysis::batch_kernel_backend()) == "avx2"
-                   ? 1.0
-                   : 0.0}});
+             1000.0 * rta_ms / static_cast<double>(arena.size()));
     }
 
     // -- Admission service (PR 8): decision latency against a WARM

@@ -1,10 +1,7 @@
 #include "analysis/analysis_cache.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "analysis/batch_kernels.h"
-#include "analysis/platform_rta.h"
 #include "graph/algorithms.h"
 
 namespace hedra::analysis {
@@ -79,22 +76,7 @@ const TheoremQuantities& AnalysisCache::quantities() {
 
 const PlatformQuantities& AnalysisCache::platform_quantities() {
   if (!platform_quantities_) {
-    const graph::FlatView f = flat_view();
-    PlatformQuantities q;
-    // Volumes via the dispatched batch kernel (SIMD masked accumulation on
-    // AVX2 hosts), counts in one scalar sweep over the same device array.
-    std::vector<graph::Time> volume(f.max_device() + 1, 0);
-    std::vector<std::size_t> count(f.max_device() + 1, 0);
-    accumulate_device_volumes(f.wcets(), f.devices(), volume);
-    for (const graph::DeviceId d : f.devices()) ++count[d];
-    q.vol_host = volume[graph::kHostDevice];
-    q.max_host_path = analysis::max_host_path(f);
-    for (graph::DeviceId d = 1; d <= f.max_device(); ++d) {
-      if (count[d] == 0) continue;
-      q.device_volumes.emplace_back(d, volume[d]);
-      q.device_volume_sum += volume[d];
-    }
-    platform_quantities_ = std::move(q);
+    platform_quantities_ = measure_platform(flat_view());
   }
   return *platform_quantities_;
 }
@@ -143,50 +125,10 @@ Frac AnalysisCache::r_het(int m) {
   return evaluate(q, classify(q, m), m);
 }
 
-Frac AnalysisCache::r_platform(int m) {
-  const PlatformQuantities& q = platform_quantities();
-  return evaluate_platform_bound(q.vol_host, q.device_volume_sum,
-                                 q.max_host_path, m);
-}
-
-Frac AnalysisCache::r_platform(int m, std::span<const int> device_units) {
-  const bool single_unit =
-      std::all_of(device_units.begin(), device_units.end(),
-                  [](int units) { return units == 1; });
-  if (single_unit) return r_platform(m);
-
-  const PlatformQuantities& q = platform_quantities();
-  const ChainWeighting weighting{m, device_units, {}};
-  Frac device_term;
-  for (const auto& [device, volume] : q.device_volumes) {
-    const int units = weighting.units_of(device);
-    HEDRA_REQUIRE(units >= 1, "every device class needs >= 1 execution unit");
-    device_term += Frac(volume, units);
-  }
-  return Frac(q.vol_host, m) + device_term +
-         analysis::max_host_path(flat_view(), weighting);
-}
-
 Frac AnalysisCache::r_platform(int m, std::span<const int> device_units,
                                std::span<const Frac> device_speedup) {
-  const bool unit_speed =
-      std::all_of(device_speedup.begin(), device_speedup.end(),
-                  [](const Frac& s) { return s == Frac(1); });
-  if (unit_speed) return r_platform(m, device_units);
-
-  const PlatformQuantities& q = platform_quantities();
-  const ChainWeighting weighting{m, device_units, device_speedup};
-  Frac device_term;
-  for (const auto& [device, volume] : q.device_volumes) {
-    const int units = weighting.units_of(device);
-    HEDRA_REQUIRE(units >= 1, "every device class needs >= 1 execution unit");
-    const Frac speedup = weighting.speedup_of(device);
-    HEDRA_REQUIRE(speedup > Frac(0),
-                  "every device speedup must be strictly positive");
-    device_term += Frac(volume, units) / speedup;
-  }
-  return Frac(q.vol_host, m) + device_term +
-         analysis::max_host_path(flat_view(), weighting);
+  return platform_bound(platform_quantities(), flat_view(), m, device_units,
+                        device_speedup);
 }
 
 Frac AnalysisCache::r_platform(const model::Platform& platform) {
@@ -196,14 +138,8 @@ Frac AnalysisCache::r_platform(const model::Platform& platform) {
     HEDRA_REQUIRE(issues.empty(),
                   "platform does not support the DAG: " + issues.front());
   }
-  std::vector<int> units(static_cast<std::size_t>(platform.num_devices()));
-  std::vector<Frac> speedups(units.size(), Frac(1));
-  for (std::size_t i = 0; i < units.size(); ++i) {
-    const auto device = static_cast<graph::DeviceId>(i + 1);
-    units[i] = platform.units_of(device);
-    speedups[i] = platform.speedup_of(device);
-  }
-  return r_platform(platform.cores, units, speedups);
+  return r_platform(platform.cores, platform.device_units,
+                    platform.device_speedup);
 }
 
 HetAnalysis AnalysisCache::assemble(int m) {

@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/platform_rta.h"
 #include "analysis/rta_heterogeneous.h"
 #include "analysis/transform.h"
 #include "graph/critical_path.h"
@@ -32,18 +33,6 @@
 #include "util/fraction.h"
 
 namespace hedra::analysis {
-
-/// The m-independent quantities of the K-device platform bound
-/// (analysis/platform_rta.h), measured once on the ORIGINAL graph: host
-/// volume, per-device volumes and the maximum host-weighted path.
-struct PlatformQuantities {
-  graph::Time vol_host = 0;
-  graph::Time max_host_path = 0;
-  graph::Time device_volume_sum = 0;  ///< Σ_d vol_d
-  /// (device id, vol_d) ascending by device id; one entry per accelerator
-  /// device present in the graph.
-  std::vector<std::pair<graph::DeviceId, graph::Time>> device_volumes;
-};
 
 class AnalysisCache {
  public:
@@ -108,9 +97,9 @@ class AnalysisCache {
   }
 
   /// Host/per-device volumes and the max host-weighted path of the ORIGINAL
-  /// graph, measured once.  These feed r_platform and never force the
-  /// (single-offload-only) transform, so the cache works on multi-device
-  /// DAGs too.
+  /// graph, measured once (measure_platform over flat_view()).  These feed
+  /// r_platform and never force the (single-offload-only) transform, so the
+  /// cache works on multi-device DAGs too.
   [[nodiscard]] const PlatformQuantities& platform_quantities();
 
   /// Per-m results, pure arithmetic over the cached quantities.
@@ -118,24 +107,14 @@ class AnalysisCache {
   [[nodiscard]] Frac r_hom_gpar(int m);  ///< the scenario discriminator
   [[nodiscard]] Scenario scenario(int m);
   [[nodiscard]] Frac r_het(int m);       ///< Theorem 1 on τ'
-  [[nodiscard]] Frac r_platform(int m);  ///< K-device chain bound on τ
 
-  /// The multiplicity generalisation: n_d execution units per accelerator
-  /// class (`device_units[d−1]`; devices beyond the span have one unit).
-  /// All-ones spans delegate to the cached single-unit arithmetic above;
-  /// otherwise the per-device volumes come from the cached
-  /// PlatformQuantities and only the weighted chain walk (which depends on
-  /// m and the unit vector) runs per call, over the CSR snapshot.
-  [[nodiscard]] Frac r_platform(int m, std::span<const int> device_units);
-
-  /// Heterogeneous WCET scaling on top of the multiplicity bound: device d
-  /// runs nominal WCETs at speedup s_d (`device_speedup[d−1]`; devices
-  /// beyond the span run at unit speed), so its device term is
-  /// vol_d/(n_d·s_d) and its chain weights scale by 1/s_d.  An all-ones
-  /// speedup span delegates to the unscaled overloads above (exact rational
-  /// equality).
-  [[nodiscard]] Frac r_platform(int m, std::span<const int> device_units,
-                                std::span<const Frac> device_speedup);
+  /// K-device chain bound on τ: platform_bound over the cached
+  /// PlatformQuantities, with n_d = `device_units[d−1]` execution units and
+  /// WCET speedup s_d = `device_speedup[d−1]` per accelerator class
+  /// (devices beyond either span: one unit at unit speed).  Empty or
+  /// all-ones spans give the single-unit bound.
+  [[nodiscard]] Frac r_platform(int m, std::span<const int> device_units = {},
+                                std::span<const Frac> device_speedup = {});
 
   /// Same bound from a full Platform (must support the DAG's device ids;
   /// honours device_units and device_speedup).

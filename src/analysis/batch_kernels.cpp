@@ -1,261 +1,23 @@
 #include "analysis/batch_kernels.h"
 
-#include <algorithm>
-#include <cstdint>
-#include <cstring>
-
-#include "analysis/platform_rta.h"
-#include "util/error.h"
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define HEDRA_BATCH_KERNELS_X86 1
-#include <immintrin.h>
-#endif
-
 namespace hedra::analysis {
 
-namespace {
-
-using graph::DeviceId;
-using graph::NodeId;
-using graph::Time;
-
-void volumes_scalar(const Time* wcet, const DeviceId* device, std::size_t n,
-                    Time* out, std::size_t num_devices) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t d = device[i];
-    if (d < num_devices) out[d] += wcet[i];
-  }
-}
-
-#if HEDRA_BATCH_KERNELS_X86
-/// One masked-accumulation sweep per device class: widen 4 u16 device ids to
-/// 4 i64 lanes, compare against the broadcast class id and AND the compare
-/// mask (all-ones per matching lane) into the 4 wcet lanes before adding.
-/// A DAG's wcets fit int64 sums by construction (vol(G) does), so the lane
-/// adds cannot wrap.
-__attribute__((target("avx2"))) void volumes_avx2(const Time* wcet,
-                                                  const DeviceId* device,
-                                                  std::size_t n, Time* out,
-                                                  std::size_t num_devices) {
-  for (std::size_t d = 0; d < num_devices; ++d) {
-    const __m256i target = _mm256_set1_epi64x(static_cast<long long>(d));
-    __m256i acc = _mm256_setzero_si256();
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      std::uint64_t packed = 0;  // 4 contiguous u16 device ids
-      std::memcpy(&packed, device + i, sizeof(packed));
-      const __m256i dev64 =
-          _mm256_cvtepu16_epi64(_mm_cvtsi64_si128(static_cast<long long>(packed)));
-      const __m256i mask = _mm256_cmpeq_epi64(dev64, target);
-      const __m256i w =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(wcet + i));
-      acc = _mm256_add_epi64(acc, _mm256_and_si256(w, mask));
-    }
-    alignas(32) Time lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-    Time sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-    for (; i < n; ++i) {
-      if (device[i] == d) sum += wcet[i];
-    }
-    out[d] += sum;
-  }
-}
-#endif
-
-using VolumesFn = void (*)(const Time*, const DeviceId*, std::size_t, Time*,
-                           std::size_t);
-
-struct Backend {
-  VolumesFn fn;
-  const char* name;
-};
-
-Backend resolve_backend() noexcept {
-#if HEDRA_BATCH_KERNELS_X86
-  if (__builtin_cpu_supports("avx2")) return {&volumes_avx2, "avx2"};
-#endif
-  return {&volumes_scalar, "scalar"};
-}
-
-const Backend kBackend = resolve_backend();
-
-/// The host-weighted longest path over one arena view, relaxing into caller
-/// -owned scratch (`up` is resized, not reallocated, across a batch).
-Time max_host_path_into(const graph::FlatView& view, std::vector<Time>& up) {
-  const std::size_t n = view.num_nodes();
-  up.assign(n, 0);
-  Time best_path = 0;
-  for (const NodeId v : view.topological_order()) {
-    Time best = 0;
-    for (const NodeId p : view.predecessors(v)) best = std::max(best, up[p]);
-    // Branch-light: a device node contributes 0, not a skipped iteration.
-    const Time weight =
-        view.device(v) == graph::kHostDevice ? view.wcet(v) : 0;
-    up[v] = best + weight;
-    best_path = std::max(best_path, up[v]);
-  }
-  return best_path;
-}
-
-/// PlatformQuantities for one view, volumes/counts/up being batch-shared
-/// scratch.  Mirrors AnalysisCache::platform_quantities exactly (same
-/// device ordering, same count>0 filter).
-PlatformQuantities quantities_for(const graph::FlatView& view,
-                                  std::vector<Time>& volumes,
-                                  std::vector<std::size_t>& counts,
-                                  std::vector<Time>& up) {
-  const std::size_t num_devices =
-      static_cast<std::size_t>(view.max_device()) + 1;
-  volumes.assign(num_devices, 0);
-  counts.assign(num_devices, 0);
-  const std::span<const Time> wcets = view.wcets();
-  const std::span<const DeviceId> devices = view.devices();
-  kBackend.fn(wcets.data(), devices.data(), wcets.size(), volumes.data(),
-              num_devices);
-  for (const DeviceId d : devices) ++counts[d];
-
-  PlatformQuantities q;
-  q.vol_host = volumes[graph::kHostDevice];
-  q.max_host_path = max_host_path_into(view, up);
-  for (DeviceId d = 1; d < num_devices; ++d) {
-    if (counts[d] == 0) continue;
-    q.device_volumes.emplace_back(d, volumes[d]);
-    q.device_volume_sum += volumes[d];
-  }
-  return q;
-}
-
-}  // namespace
-
-const char* batch_kernel_backend() noexcept { return kBackend.name; }
-
-void accumulate_device_volumes(std::span<const Time> wcets,
-                               std::span<const DeviceId> devices,
-                               std::span<Time> out) {
-  HEDRA_REQUIRE(wcets.size() == devices.size(),
-                "wcet/device spans must have equal length");
-  kBackend.fn(wcets.data(), devices.data(), wcets.size(), out.data(),
-              out.size());
-}
-
-void accumulate_device_volumes_scalar(std::span<const Time> wcets,
-                                      std::span<const DeviceId> devices,
-                                      std::span<Time> out) {
-  HEDRA_REQUIRE(wcets.size() == devices.size(),
-                "wcet/device spans must have equal length");
-  volumes_scalar(wcets.data(), devices.data(), wcets.size(), out.data(),
-                 out.size());
-}
-
-PlatformQuantities platform_quantities_view(const graph::FlatView& view) {
-  // Per-thread scratch: this runs once per task per admission call on the
-  // taskset hot path, where per-call allocation is measurable.
-  thread_local std::vector<Time> volumes;
-  thread_local std::vector<std::size_t> counts;
-  thread_local std::vector<Time> up;
-  return quantities_for(view, volumes, counts, up);
-}
-
-Frac platform_bound(const PlatformQuantities& quantities,
-                    const graph::FlatView& view, int m,
-                    std::span<const int> device_units,
-                    std::span<const Frac> device_speedup) {
-  // Mirror AnalysisCache::r_platform's branch structure exactly so the
-  // returned rationals are bit-identical to the cache path.
-  const bool single_unit =
-      std::all_of(device_units.begin(), device_units.end(),
-                  [](int units) { return units == 1; });
-  const bool unit_speed =
-      std::all_of(device_speedup.begin(), device_speedup.end(),
-                  [](const Frac& s) { return s == Frac(1); });
-  if (single_unit && unit_speed) {
-    return evaluate_platform_bound(quantities.vol_host,
-                                   quantities.device_volume_sum,
-                                   quantities.max_host_path, m);
-  }
-  const ChainWeighting weighting{m, device_units,
-                                 unit_speed ? std::span<const Frac>{}
-                                            : device_speedup};
-  Frac device_term;
-  for (const auto& [device, volume] : quantities.device_volumes) {
-    const int units = weighting.units_of(device);
-    HEDRA_REQUIRE(units >= 1, "every device class needs >= 1 execution unit");
-    if (unit_speed) {
-      device_term += Frac(volume, units);
-    } else {
-      const Frac speedup = weighting.speedup_of(device);
-      HEDRA_REQUIRE(speedup > Frac(0),
-                    "every device speedup must be strictly positive");
-      device_term += Frac(volume, units) / speedup;
-    }
-  }
-  return Frac(quantities.vol_host, m) + device_term +
-         analysis::max_host_path(view, weighting);
-}
-
-std::vector<PlatformQuantities> platform_quantities_batch(
-    const graph::FlatDagBatch& batch) {
-  std::vector<PlatformQuantities> out;
-  out.reserve(batch.size());
-  std::vector<Time> volumes;
-  std::vector<std::size_t> counts;
-  std::vector<Time> up;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    out.push_back(quantities_for(batch.view(i), volumes, counts, up));
-  }
-  return out;
-}
-
-PlatformBatchAnalysis analyze_platform_batch(const graph::FlatDagBatch& batch,
-                                             std::span<const int> cores) {
-  PlatformBatchAnalysis out;
-  out.num_cores = cores.size();
-  out.quantities = platform_quantities_batch(batch);
-  out.bounds.reserve(batch.size() * cores.size());
-  for (const PlatformQuantities& q : out.quantities) {
-    for (const int m : cores) {
-      out.bounds.push_back(evaluate_platform_bound(
-          q.vol_host, q.device_volume_sum, q.max_host_path, m));
-    }
-  }
-  return out;
-}
+const char* batch_kernel_backend() noexcept { return "scalar"; }
 
 PlatformBatchAnalysis analyze_platform_batch(
     const graph::FlatDagBatch& batch, std::span<const int> cores,
     std::span<const int> device_units, std::span<const Frac> device_speedup) {
-  const bool single_unit =
-      std::all_of(device_units.begin(), device_units.end(),
-                  [](int units) { return units == 1; });
-  const bool unit_speed =
-      std::all_of(device_speedup.begin(), device_speedup.end(),
-                  [](const Frac& s) { return s == Frac(1); });
-  if (single_unit && unit_speed) return analyze_platform_batch(batch, cores);
-
   PlatformBatchAnalysis out;
   out.num_cores = cores.size();
-  out.quantities = platform_quantities_batch(batch);
+  out.quantities.reserve(batch.size());
   out.bounds.reserve(batch.size() * cores.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const PlatformQuantities& q = out.quantities[i];
-    // The device term is m-independent; only the weighted walk reruns per m.
-    Frac device_term;
-    for (const auto& [device, volume] : q.device_volumes) {
-      const ChainWeighting probe{1, device_units, device_speedup};
-      const int units = probe.units_of(device);
-      HEDRA_REQUIRE(units >= 1,
-                    "every device class needs >= 1 execution unit");
-      const Frac speedup = probe.speedup_of(device);
-      HEDRA_REQUIRE(speedup > Frac(0),
-                    "every device speedup must be strictly positive");
-      device_term += Frac(volume, units) / speedup;
-    }
     const graph::FlatView view = batch.view(i);
+    const PlatformQuantities& q =
+        out.quantities.emplace_back(measure_platform(view));
     for (const int m : cores) {
-      const ChainWeighting weighting{m, device_units, device_speedup};
-      out.bounds.push_back(Frac(q.vol_host, m) + device_term +
-                           analysis::max_host_path(view, weighting));
+      out.bounds.push_back(
+          platform_bound(q, view, m, device_units, device_speedup));
     }
   }
   return out;

@@ -1,72 +1,26 @@
 #pragma once
 
 /// \file batch_kernels.h
-/// Vectorized analysis kernels over arena batches.
+/// The K-device platform bound over a whole arena batch.
 ///
-/// The K-device platform bound is, per DAG, two data-parallel reductions
-/// over flat arrays — per-device volume sums over `wcet`/`device`, and a
-/// longest-path relaxation over the CSR in topological order — followed by
-/// per-m rational arithmetic.  Over a `FlatDagBatch` arena these run as
-/// branch-light loops on contiguous memory with scratch shared across the
-/// whole batch, and `analyze_platform_batch` packages the result for the
-/// sweep drivers (fig10/fig11/fig12, taskset admission, B&B seeding).
-///
-/// The volume reduction additionally has an explicit AVX2 path (masked
-/// 4×int64 accumulation per device class) selected once at runtime via
-/// CPU-feature dispatch; `batch_kernel_backend()` names the active backend
-/// and the scalar reference implementation stays callable so tests can pin
-/// SIMD == scalar on every input.  Every result is EXACTLY equal — same
-/// normalised rationals — to the per-DAG `AnalysisCache::r_platform` path
-/// (regression-pinned in tests/analysis/batch_kernels_test.cpp).
+/// Each DAG of a `FlatDagBatch` is measured once (measure_platform) and
+/// its bound evaluated for every core count (platform_bound), straight over
+/// the arena's flat arrays; the results are exactly the per-DAG
+/// `AnalysisCache::r_platform` rationals, since both run the same two
+/// steps of analysis/platform_rta.h.
 
 #include <span>
 #include <vector>
 
-#include "analysis/analysis_cache.h"
+#include "analysis/platform_rta.h"
 #include "graph/flat_batch.h"
 #include "util/fraction.h"
 
 namespace hedra::analysis {
 
-/// The volume-kernel backend selected at process start: "avx2" or "scalar".
+/// Names the implementation of the batch kernels for benchmark
+/// fingerprints: always "scalar".
 [[nodiscard]] const char* batch_kernel_backend() noexcept;
-
-/// Adds Σ wcet[i] over nodes placed on device d into out[d], for every
-/// d <= out.size()-1.  `wcets` and `devices` are one DAG's (or any
-/// contiguous) attribute slice; entries of `out` are accumulated into, not
-/// overwritten.  Dispatches to the AVX2 path when available.
-void accumulate_device_volumes(std::span<const graph::Time> wcets,
-                               std::span<const graph::DeviceId> devices,
-                               std::span<graph::Time> out);
-
-/// Scalar reference implementation of the same kernel (the dispatch target
-/// on non-AVX2 hosts; exposed so tests can compare backends).
-void accumulate_device_volumes_scalar(std::span<const graph::Time> wcets,
-                                      std::span<const graph::DeviceId> devices,
-                                      std::span<graph::Time> out);
-
-/// Per-DAG m-independent platform quantities for a whole batch: per-device
-/// volumes via the vectorized kernel, max host path via the batched
-/// relaxation (scratch shared across DAGs).  Element i exactly equals
-/// AnalysisCache(batch, i).platform_quantities().
-[[nodiscard]] std::vector<PlatformQuantities> platform_quantities_batch(
-    const graph::FlatDagBatch& batch);
-
-/// The same quantities for ONE view (exactly equal to a view-backed
-/// AnalysisCache's platform_quantities()).  For callers that hold flat
-/// graphs outside a batch — e.g. arena-backed taskset tasks.
-[[nodiscard]] PlatformQuantities platform_quantities_view(
-    const graph::FlatView& view);
-
-/// The K-device chain bound R(m) for one view given its precomputed
-/// quantities — exactly AnalysisCache::r_platform(m, units, speedups),
-/// including its single-unit / unit-speed fast paths.  Empty spans default
-/// to one unit / unit speed per class.  The quantities MUST belong to
-/// `view`.
-[[nodiscard]] Frac platform_bound(const PlatformQuantities& quantities,
-                                  const graph::FlatView& view, int m,
-                                  std::span<const int> device_units,
-                                  std::span<const Frac> device_speedup);
 
 /// The K-device chain bound for every (DAG, core-count) pair of a batch.
 struct PlatformBatchAnalysis {
@@ -79,18 +33,14 @@ struct PlatformBatchAnalysis {
   }
 };
 
-/// Single-unit platforms (one execution unit per accelerator class — the
-/// paper's model): bounds[i][mi] == AnalysisCache(batch, i).r_platform(
-/// cores[mi]) exactly.
-[[nodiscard]] PlatformBatchAnalysis analyze_platform_batch(
-    const graph::FlatDagBatch& batch, std::span<const int> cores);
-
-/// Multiplicity + heterogeneous-speed generalisation: `device_units` /
-/// `device_speedup` indexed d−1 as in AnalysisCache::r_platform, empty
-/// spans defaulting to one unit / unit speed.  Exactly equal to the
-/// per-DAG cache results for every (DAG, m).
+/// `device_units` / `device_speedup` indexed d−1 as in platform_bound,
+/// empty spans (the default: one unit per accelerator class at unit speed,
+/// the paper's model) defaulting to one unit / unit speed.
+/// bounds[i][mi] == AnalysisCache(batch, i).r_platform(cores[mi],
+/// device_units, device_speedup) exactly.
 [[nodiscard]] PlatformBatchAnalysis analyze_platform_batch(
     const graph::FlatDagBatch& batch, std::span<const int> cores,
-    std::span<const int> device_units, std::span<const Frac> device_speedup);
+    std::span<const int> device_units = {},
+    std::span<const Frac> device_speedup = {});
 
 }  // namespace hedra::analysis

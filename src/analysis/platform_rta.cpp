@@ -4,61 +4,15 @@
 #include <numeric>
 #include <sstream>
 
-#include "graph/algorithms.h"
+#include "graph/flat_dag.h"
 
 namespace hedra::analysis {
 
-Frac evaluate_platform_bound(graph::Time vol_host,
-                             graph::Time device_volume_sum,
-                             graph::Time max_host_path, int m) {
-  HEDRA_REQUIRE(m >= 1, "core count m must be >= 1");
-  return Frac(vol_host, m) + Frac(device_volume_sum) +
-         Frac(max_host_path * (m - 1), m);
-}
-
-/// Accelerator nodes contribute weight 0 but still extend paths.
-graph::Time max_host_path(const graph::Dag& dag,
-                          std::span<const graph::NodeId> order) {
-  std::vector<graph::Time> best(dag.num_nodes(), 0);
-  graph::Time max_weighted = 0;
-  for (const auto v : order) {
-    graph::Time incoming = 0;
-    for (const auto p : dag.predecessors(v)) {
-      incoming = std::max(incoming, best[p]);
-    }
-    const graph::Time weight =
-        dag.device(v) == graph::kHostDevice ? dag.wcet(v) : 0;
-    best[v] = incoming + weight;
-    max_weighted = std::max(max_weighted, best[v]);
-  }
-  return max_weighted;
-}
-
-graph::Time max_host_path(const graph::Dag& dag) {
-  return max_host_path(dag, graph::topological_order(dag));
-}
-
-graph::Time max_host_path(const graph::FlatView& view) {
-  std::vector<graph::Time> best(view.num_nodes(), 0);
-  graph::Time max_weighted = 0;
-  for (const auto v : view.topological_order()) {
-    graph::Time incoming = 0;
-    for (const auto p : view.predecessors(v)) {
-      incoming = std::max(incoming, best[p]);
-    }
-    const graph::Time weight =
-        view.device(v) == graph::kHostDevice ? view.wcet(v) : 0;
-    best[v] = incoming + weight;
-    max_weighted = std::max(max_weighted, best[v]);
-  }
-  return max_weighted;
-}
-
-graph::Time max_host_path(const graph::FlatDag& flat) {
-  return max_host_path(flat.view());
-}
-
 namespace {
+
+using graph::DeviceId;
+using graph::NodeId;
+using graph::Time;
 
 /// Per-resource weight C_v·(r−1)/r (optionally /s_d) expressed over one
 /// common denominator so the DP runs on int64 instead of Frac: node v
@@ -71,13 +25,13 @@ struct ScaledWeights {
   bool usable = false;
 };
 
-ScaledWeights scale_weights(graph::DeviceId max_device,
+ScaledWeights scale_weights(DeviceId max_device,
                             const ChainWeighting& weighting) {
   ScaledWeights out;
   // Common denominator: host nodes weigh (m−1)/m, device-d nodes weigh
   // (n_d−1)·den(s_d) / (n_d·num(s_d)).
   std::int64_t denom = weighting.m;
-  for (graph::DeviceId d = 1; d <= max_device; ++d) {
+  for (DeviceId d = 1; d <= max_device; ++d) {
     const int units = weighting.units_of(d);
     if (units <= 1) continue;  // weight 0 regardless of speedup
     const Frac speedup = weighting.speedup_of(d);
@@ -90,7 +44,7 @@ ScaledWeights scale_weights(graph::DeviceId max_device,
   out.denom = denom;
   out.factor.assign(static_cast<std::size_t>(max_device) + 1, 0);
   out.factor[graph::kHostDevice] = denom / weighting.m * (weighting.m - 1);
-  for (graph::DeviceId d = 1; d <= max_device; ++d) {
+  for (DeviceId d = 1; d <= max_device; ++d) {
     const int units = weighting.units_of(d);
     if (units <= 1) continue;
     const Frac speedup = weighting.speedup_of(d);
@@ -104,93 +58,134 @@ ScaledWeights scale_weights(graph::DeviceId max_device,
   return out;
 }
 
-/// Exact Frac DP of the generalised walk; `Graph` is Dag, FlatDag or
-/// FlatView (identical accessor vocabulary).  The fallback for weightings
-/// whose common denominator would risk int64 overflow.
-template <typename Graph>
-Frac weighted_chain_walk_frac(const Graph& graph,
-                              std::span<const graph::NodeId> order,
+/// The exact Frac DP of the walk, for weightings whose common denominator
+/// would risk int64 overflow.
+Frac weighted_chain_walk_frac(const graph::FlatView& view,
                               const ChainWeighting& weighting) {
-  const bool scaled = !weighting.speedup.empty();
-  std::vector<Frac> best(graph.num_nodes());
+  std::vector<Frac> best(view.num_nodes());
   Frac max_weighted;
-  for (const auto v : order) {
+  for (const NodeId v : view.topological_order()) {
     Frac incoming;
-    for (const auto p : graph.predecessors(v)) {
+    for (const NodeId p : view.predecessors(v)) {
       incoming = frac_max(incoming, best[p]);
     }
-    const graph::DeviceId device = graph.device(v);
+    const DeviceId device = view.device(v);
     const int units =
         device == graph::kHostDevice ? weighting.m : weighting.units_of(device);
-    Frac weight(graph.wcet(v) * (units - 1), units);
-    if (scaled && device != graph::kHostDevice) {
-      // Effective execution time on a sped-up class is C_v/s_d.
-      weight /= weighting.speedup_of(device);
-    }
+    Frac weight(view.wcet(v) * (units - 1), units);
+    // Effective execution time on a sped-up class is C_v/s_d.
+    if (device != graph::kHostDevice) weight /= weighting.speedup_of(device);
     best[v] = incoming + weight;
     max_weighted = frac_max(max_weighted, best[v]);
   }
   return max_weighted;
 }
 
-/// Integer-scaled DP over a common denominator; falls back to the Frac DP
-/// when the scaling is unrepresentable.  Exact rational equality with the
-/// Frac DP in all cases (regression-pinned in platform_rta_test).
-template <typename Graph>
-Frac weighted_chain_walk(const Graph& graph,
-                         std::span<const graph::NodeId> order,
-                         const ChainWeighting& weighting) {
-  HEDRA_REQUIRE(weighting.m >= 1, "core count m must be >= 1");
-  for (graph::DeviceId d = 1; d <= graph.max_device(); ++d) {
-    HEDRA_REQUIRE(weighting.units_of(d) >= 1,
-                  "every device class needs >= 1 execution unit");
-    HEDRA_REQUIRE(weighting.speedup_of(d) > Frac(0),
-                  "every device speedup must be strictly positive");
-  }
-  const ScaledWeights scale = scale_weights(graph.max_device(), weighting);
-  if (!scale.usable) {
-    return weighted_chain_walk_frac(graph, order, weighting);
-  }
-  // Overflow guard: every path value is bounded by Σ_v C_v·factor_v.
-  __int128 total = 0;
-  std::int64_t max_factor = 0;
-  for (const std::int64_t f : scale.factor) {
-    max_factor = std::max(max_factor, f);
-  }
-  for (graph::NodeId v = 0; v < graph.num_nodes(); ++v) {
-    total += static_cast<__int128>(graph.wcet(v)) * max_factor;
-  }
-  if (total > (static_cast<__int128>(1) << 62)) {
-    return weighted_chain_walk_frac(graph, order, weighting);
-  }
-  std::vector<std::int64_t> best(graph.num_nodes(), 0);
-  std::int64_t max_weighted = 0;
-  for (const auto v : order) {
-    std::int64_t incoming = 0;
-    for (const auto p : graph.predecessors(v)) {
+/// vol_d/(n_d·s_d): device d's term of the bound.
+Frac device_share(Time volume, int units, const Frac& speedup) {
+  HEDRA_REQUIRE(units >= 1, "every device class needs >= 1 execution unit");
+  HEDRA_REQUIRE(speedup > Frac(0),
+                "every device speedup must be strictly positive");
+  return Frac(volume, units) / speedup;
+}
+
+}  // namespace
+
+Time max_host_path(const graph::FlatView& view) {
+  // Per-thread scratch: measure_platform runs once per task per admission
+  // call on the taskset hot path, where per-call allocation is measurable.
+  thread_local std::vector<Time> best;
+  best.assign(view.num_nodes(), 0);
+  Time max_weighted = 0;
+  for (const NodeId v : view.topological_order()) {
+    Time incoming = 0;
+    for (const NodeId p : view.predecessors(v)) {
       incoming = std::max(incoming, best[p]);
     }
-    best[v] = incoming + graph.wcet(v) * scale.factor[graph.device(v)];
+    // Accelerator nodes contribute weight 0 but still extend paths.
+    const Time weight =
+        view.device(v) == graph::kHostDevice ? view.wcet(v) : 0;
+    best[v] = incoming + weight;
+    max_weighted = std::max(max_weighted, best[v]);
+  }
+  return max_weighted;
+}
+
+PlatformQuantities measure_platform(const graph::FlatView& view) {
+  thread_local std::vector<Time> volumes;
+  thread_local std::vector<std::size_t> counts;
+  volumes.assign(static_cast<std::size_t>(view.max_device()) + 1, 0);
+  counts.assign(volumes.size(), 0);
+  const std::span<const Time> wcets = view.wcets();
+  const std::span<const DeviceId> devices = view.devices();
+  for (std::size_t i = 0; i < wcets.size(); ++i) {
+    volumes[devices[i]] += wcets[i];
+    ++counts[devices[i]];
+  }
+
+  PlatformQuantities q;
+  q.vol_host = volumes[graph::kHostDevice];
+  q.max_host_path = max_host_path(view);
+  for (DeviceId d = 1; d < volumes.size(); ++d) {
+    if (counts[d] == 0) continue;
+    q.device_volumes.push_back({d, volumes[d], counts[d]});
+    q.device_volume_sum += volumes[d];
+  }
+  return q;
+}
+
+Frac weighted_chain_walk(const graph::FlatView& view,
+                         const ChainWeighting& weighting) {
+  const ScaledWeights scale = scale_weights(view.max_device(), weighting);
+  if (!scale.usable) return weighted_chain_walk_frac(view, weighting);
+  // Overflow guard: every path value is bounded by Σ_v C_v·factor_v.
+  const std::int64_t max_factor =
+      *std::max_element(scale.factor.begin(), scale.factor.end());
+  __int128 total = 0;
+  for (const Time c : view.wcets()) {
+    total += static_cast<__int128>(c) * max_factor;
+  }
+  if (total > (static_cast<__int128>(1) << 62)) {
+    return weighted_chain_walk_frac(view, weighting);
+  }
+  thread_local std::vector<std::int64_t> best;
+  best.assign(view.num_nodes(), 0);
+  std::int64_t max_weighted = 0;
+  for (const NodeId v : view.topological_order()) {
+    std::int64_t incoming = 0;
+    for (const NodeId p : view.predecessors(v)) {
+      incoming = std::max(incoming, best[p]);
+    }
+    best[v] = incoming + view.wcet(v) * scale.factor[view.device(v)];
     max_weighted = std::max(max_weighted, best[v]);
   }
   return Frac(max_weighted, scale.denom);
 }
 
-}  // namespace
-
-Frac max_host_path(const graph::Dag& dag, const ChainWeighting& weighting) {
-  const auto order = graph::topological_order(dag);
-  return weighted_chain_walk(dag, order, weighting);
-}
-
-Frac max_host_path(const graph::FlatDag& flat,
-                   const ChainWeighting& weighting) {
-  return weighted_chain_walk(flat, flat.topological_order(), weighting);
-}
-
-Frac max_host_path(const graph::FlatView& view,
-                   const ChainWeighting& weighting) {
-  return weighted_chain_walk(view, view.topological_order(), weighting);
+Frac platform_bound(const PlatformQuantities& quantities,
+                    const graph::FlatView& view, int m,
+                    std::span<const int> device_units,
+                    std::span<const Frac> device_speedup) {
+  HEDRA_REQUIRE(m >= 1, "core count m must be >= 1");
+  const bool single_unit =
+      std::all_of(device_units.begin(), device_units.end(),
+                  [](int units) { return units == 1; });
+  const bool unit_speed =
+      std::all_of(device_speedup.begin(), device_speedup.end(),
+                  [](const Frac& s) { return s == Frac(1); });
+  if (single_unit && unit_speed) {
+    // Single-unit device weights vanish, leaving the host path's (m−1)/m.
+    return Frac(quantities.vol_host, m) + Frac(quantities.device_volume_sum) +
+           Frac(quantities.max_host_path * (m - 1), m);
+  }
+  const ChainWeighting weighting{m, device_units, device_speedup};
+  Frac device_term;
+  for (const DeviceVolume& load : quantities.device_volumes) {
+    device_term += device_share(load.volume, weighting.units_of(load.device),
+                                weighting.speedup_of(load.device));
+  }
+  return Frac(quantities.vol_host, m) + device_term +
+         weighted_chain_walk(view, weighting);
 }
 
 PlatformAnalysis analyze_platform(const graph::Dag& dag,
@@ -202,50 +197,35 @@ PlatformAnalysis analyze_platform(const graph::Dag& dag,
     HEDRA_REQUIRE(issues.empty(),
                   "platform does not support the DAG: " + issues.front());
   }
+  const graph::FlatDag flat(dag);
+  const PlatformQuantities q = measure_platform(flat.view());
 
   PlatformAnalysis out;
   out.platform = platform;
   out.m = platform.cores;
-  out.vol_host = dag.volume_on(graph::kHostDevice);
-  out.max_host_path = max_host_path(dag);
-  std::vector<int> units(platform.num_devices(), 1);
-  std::vector<Frac> speedups(platform.num_devices(), Frac(1));
+  out.vol_host = q.vol_host;
+  out.max_host_path = q.max_host_path;
+  auto present = q.device_volumes.begin();
   for (int d = 1; d <= platform.num_devices(); ++d) {
-    const auto device = static_cast<graph::DeviceId>(d);
+    const auto device = static_cast<DeviceId>(d);
     DeviceTerm term;
     term.device = device;
     term.name = platform.device_name(device);
-    term.volume = dag.volume_on(device);
-    term.node_count = dag.nodes_on(device).size();
+    if (present != q.device_volumes.end() && present->device == device) {
+      term.volume = present->volume;
+      term.node_count = present->node_count;
+      ++present;
+    }
     term.units = platform.units_of(device);
     term.speedup = platform.speedup_of(device);
-    term.term = Frac(term.volume, term.units) / term.speedup;
-    units[d - 1] = term.units;
-    speedups[d - 1] = term.speedup;
+    term.term = device_share(term.volume, term.units, term.speedup);
+    out.device_term += term.term;
     out.devices.push_back(std::move(term));
   }
-
-  const int m = out.m;
-  out.host_term = Frac(out.vol_host, m);
-  if (platform.has_multi_units() || platform.has_speedups()) {
-    Frac device_term;
-    for (const auto& term : out.devices) device_term += term.term;
-    out.device_term = device_term;
-    ChainWeighting weighting{m, units, {}};
-    if (platform.has_speedups()) weighting.speedup = speedups;
-    out.path_term = max_host_path(dag, weighting);
-    out.bound = out.host_term + out.device_term + out.path_term;
-  } else {
-    // The pre-multiplicity formula, kept on its own integer-walk path so
-    // single-unit platforms produce bit-identical analyses (and explain()
-    // output) to the historical implementation.
-    graph::Time device_volume_sum = 0;
-    for (const auto& term : out.devices) device_volume_sum += term.volume;
-    out.device_term = Frac(device_volume_sum);
-    out.path_term = Frac(out.max_host_path * (m - 1), m);
-    out.bound = evaluate_platform_bound(out.vol_host, device_volume_sum,
-                                        out.max_host_path, m);
-  }
+  out.host_term = Frac(out.vol_host, out.m);
+  out.bound = platform_bound(q, flat.view(), out.m, platform.device_units,
+                             platform.device_speedup);
+  out.path_term = out.bound - out.host_term - out.device_term;
   return out;
 }
 

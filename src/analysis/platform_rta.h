@@ -46,17 +46,44 @@
 /// becomes vol_d/(n_d·s_d) and the chain weight (C_v/s_d)·(n_d−1)/n_d —
 /// while host terms are untouched.  All speedups at 1 reduce to the
 /// unscaled bound with exact rational equality.
+///
+/// The bound is computed in three steps, each written once over
+/// graph::FlatView: measure_platform (volumes, node counts, host path),
+/// platform_bound (the per-m evaluation) and weighted_chain_walk (the
+/// multi-unit chain term).  analyze_platform, AnalysisCache::r_platform,
+/// analyze_platform_batch and the task-set seed bound all go through them.
 
 #include <span>
 #include <string>
 #include <vector>
 
 #include "graph/dag.h"
-#include "graph/flat_dag.h"
+#include "graph/flat_view.h"
 #include "model/platform.h"
 #include "util/fraction.h"
 
 namespace hedra::analysis {
+
+/// One accelerator device's share of a DAG, as measure_platform finds it.
+struct DeviceVolume {
+  graph::DeviceId device = 0;  ///< device id (>= 1)
+  graph::Time volume = 0;      ///< vol_d, total nominal WCET on the device
+  std::size_t node_count = 0;  ///< number of nodes placed on the device
+
+  friend bool operator==(const DeviceVolume&, const DeviceVolume&) = default;
+};
+
+/// The m-independent quantities of the bound, measured once per graph:
+/// host volume, per-device volumes and node counts, and the maximum
+/// host-weighted path.
+struct PlatformQuantities {
+  graph::Time vol_host = 0;
+  graph::Time max_host_path = 0;
+  graph::Time device_volume_sum = 0;  ///< Σ_d vol_d
+  /// Ascending by device id; one entry per accelerator device present in
+  /// the graph.
+  std::vector<DeviceVolume> device_volumes;
+};
 
 /// One accelerator device's contribution to the bound.
 struct DeviceTerm {
@@ -107,6 +134,38 @@ struct ChainWeighting {
   }
 };
 
+/// Measure: one pass over the node attributes for the per-device volumes
+/// and node counts, plus the host-weighted longest path.  Scratch is
+/// per-thread, so repeated calls allocate only the result.
+[[nodiscard]] PlatformQuantities measure_platform(const graph::FlatView& view);
+
+/// max over source-to-sink paths P of Σ_{v∈P, host} C_v — the bound's
+/// self-interference chain (m-independent; measure_platform stores it).
+[[nodiscard]] graph::Time max_host_path(const graph::FlatView& view);
+
+/// Walk: the generalised weighted chain of the multiplicity bound,
+/// max_P Σ_{v∈P} C_v·(r_v−1)/r_v with r_v the unit count of v's resource
+/// (m for host nodes, n_d for device-d nodes, device weights divided by
+/// s_d).  Runs on int64 over a common denominator and falls back to exact
+/// Frac arithmetic when that could overflow; both give the same rational.
+/// With all n_d = 1 this equals max_host_path·(m−1)/m exactly.  The
+/// weighting is taken as valid (platform_bound checks it).
+[[nodiscard]] Frac weighted_chain_walk(const graph::FlatView& view,
+                                       const ChainWeighting& weighting);
+
+/// Evaluate: the K-device chain bound R(m) of `view` from its measured
+/// `quantities` (which MUST belong to `view`), with `device_units[d−1]`
+/// units and `device_speedup[d−1]` speedup per class; devices beyond
+/// either span have one unit at unit speed.  All-ones spans take the
+/// integer fast path vol_host/m + Σ_d vol_d + max_host_path·(m−1)/m;
+/// otherwise the device term is Σ_d vol_d/(n_d·s_d) and the chain term is
+/// the weighted walk.  Requires m >= 1 and, for every device present,
+/// n_d >= 1 and s_d > 0.
+[[nodiscard]] Frac platform_bound(const PlatformQuantities& quantities,
+                                  const graph::FlatView& view, int m,
+                                  std::span<const int> device_units = {},
+                                  std::span<const Frac> device_speedup = {});
+
 /// Computes the K-device chain bound with its full derivation.  Requires a
 /// non-empty acyclic DAG every node of which is placed on the host or on one
 /// of the platform's devices (model::check_supports).
@@ -121,41 +180,6 @@ struct ChainWeighting {
 /// class per device id present in the DAG) and evaluates the bound on m
 /// host cores.
 [[nodiscard]] Frac rta_platform(const graph::Dag& dag, int m);
-
-/// Evaluates the single-unit chain bound from pre-measured quantities — the
-/// single place the n_d = 1 formula lives; analyze_platform and
-/// AnalysisCache::r_platform both delegate here.  `device_volume_sum` is
-/// Σ_d vol_d.
-[[nodiscard]] Frac evaluate_platform_bound(graph::Time vol_host,
-                                           graph::Time device_volume_sum,
-                                           graph::Time max_host_path, int m);
-
-/// max over source-to-sink paths P of Σ_{v∈P, host} C_v — the bound's
-/// self-interference chain, exposed so per-DAG caches can share the walk
-/// across core counts (the quantity is m-independent).
-[[nodiscard]] graph::Time max_host_path(const graph::Dag& dag);
-
-/// Overload reusing an already-computed topological order of `dag`.
-[[nodiscard]] graph::Time max_host_path(const graph::Dag& dag,
-                                        std::span<const graph::NodeId> order);
-
-/// Overload over a CSR snapshot, using its cached topological order — the
-/// AnalysisCache hot path (one contiguous pass, no adjacency indirection).
-[[nodiscard]] graph::Time max_host_path(const graph::FlatDag& flat);
-
-/// Overload over a non-owning CSR view (arena batches).
-[[nodiscard]] graph::Time max_host_path(const graph::FlatView& view);
-
-/// The generalised weighted chain walk of the multiplicity bound:
-/// max_P Σ_{v∈P} C_v·(r_v−1)/r_v with r_v the unit count of v's resource
-/// (m for host nodes, n_d for device-d nodes).  Exact rationals throughout;
-/// with all n_d = 1 this equals max_host_path·(m−1)/m exactly.
-[[nodiscard]] Frac max_host_path(const graph::Dag& dag,
-                                 const ChainWeighting& weighting);
-[[nodiscard]] Frac max_host_path(const graph::FlatDag& flat,
-                                 const ChainWeighting& weighting);
-[[nodiscard]] Frac max_host_path(const graph::FlatView& view,
-                                 const ChainWeighting& weighting);
 
 /// Human-readable, term-by-term derivation of the bound (the multi-device
 /// counterpart of rta_heterogeneous's explain).  Meant for tooling output

@@ -47,9 +47,10 @@ Fig10Result run_fig10(const Fig10Config& config) {
     result.policy_names.emplace_back(sim::to_string(policy));
   }
 
-  result.rows = runner.sweep_platform(
+  result.rows = runner.sweep(
       points,
-      [](analysis::AnalysisCache& cache, int m, const Frac& bound) {
+      [](analysis::AnalysisCache& cache, int m) {
+        const Frac bound = cache.r_platform(m);
         Fig10Sample sample;
         sample.bound = bound.to_double();
         sample.makespans.reserve(sim::all_policies().size());

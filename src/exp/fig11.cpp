@@ -76,12 +76,11 @@ Fig11Result run_fig11(const Fig11Config& config) {
     result.policy_names.emplace_back(sim::to_string(policy));
   }
 
-  const auto cells = runner.sweep_platform(
+  const auto cells = runner.sweep(
       points,
-      [&config, &swept](analysis::AnalysisCache& cache, int m,
-                        const Frac& bound_single) {
+      [&config, &swept](analysis::AnalysisCache& cache, int m) {
         Fig11Sample sample;
-        sample.bound_single = bound_single.to_double();
+        sample.bound_single = cache.r_platform(m).to_double();
         sample.per_units.reserve(swept.size());
         for (const std::vector<int>& device_units : swept) {
           const Frac bound = cache.r_platform(m, device_units);

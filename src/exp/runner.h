@@ -28,8 +28,10 @@
 /// `--jobs 1` or use a pure node budget when exact replication matters.
 ///
 /// The per-DAG callback receives an AnalysisCache so the transform,
-/// topological order and critical paths are computed once per DAG and
-/// shared across all m values of the point.
+/// topological order, critical paths and the K-device bound's measured
+/// quantities are computed once per DAG and shared across all m values of
+/// the point; the bound-vs-simulation figures (fig10/fig11) take their
+/// bound from cache.r_platform(m) inside the callback.
 
 #include <cmath>
 #include <cstdint>
@@ -38,7 +40,6 @@
 #include <vector>
 
 #include "analysis/analysis_cache.h"
-#include "analysis/batch_kernels.h"
 #include "exp/experiment.h"
 #include "util/deadline.h"
 #include "util/fault.h"
@@ -155,43 +156,6 @@ class Runner {
         analysis::AnalysisCache cache(batch, di);
         for (std::size_t mi = 0; mi < point.cores.size(); ++mi) {
           samples[mi][di] = per_dag(cache, point.cores[mi]);
-        }
-      });
-      for (std::size_t mi = 0; mi < point.cores.size(); ++mi) {
-        rows.push_back(reduce(point, point.cores[mi], samples[mi]));
-      }
-    }
-    return rows;
-  }
-
-  /// sweep() for the bound-vs-simulation figures (fig10/fig11): the
-  /// single-unit K-device bounds of a whole batch come from ONE vectorized
-  /// analyze_platform_batch pass over the arena (SIMD-dispatched volume
-  /// kernel, batch-shared scratch) instead of per-worker cache arithmetic,
-  /// and `per_dag(cache, m, bound)` receives its (DAG, m) bound precomputed
-  /// — exactly equal to cache.r_platform(m), which stays available for the
-  /// generalised overloads.  Same determinism contract as sweep().
-  template <typename PerDag, typename Reduce>
-  auto sweep_platform(const std::vector<SweepPoint>& points, PerDag&& per_dag,
-                      Reduce&& reduce) {
-    using Sample = std::invoke_result_t<PerDag&, analysis::AnalysisCache&, int,
-                                        const Frac&>;
-    using Row = std::invoke_result_t<Reduce&, const SweepPoint&, int,
-                                     const std::vector<Sample>&>;
-    std::vector<Row> rows;
-    last_outcome_ = util::Outcome::kComplete;
-    for (const SweepPoint& point : points) {
-      if (point_cut()) break;
-      const graph::FlatDagBatch batch = generate_flat_batch(point.batch);
-      const analysis::PlatformBatchAnalysis platform =
-          analysis::analyze_platform_batch(batch, point.cores);
-      std::vector<std::vector<Sample>> samples(
-          point.cores.size(), std::vector<Sample>(batch.size()));
-      pool_.parallel_for_each(batch.size(), [&](std::size_t di) {
-        analysis::AnalysisCache cache(batch, di);
-        for (std::size_t mi = 0; mi < point.cores.size(); ++mi) {
-          samples[mi][di] =
-              per_dag(cache, point.cores[mi], platform.bound(di, mi));
         }
       });
       for (std::size_t mi = 0; mi < point.cores.size(); ++mi) {

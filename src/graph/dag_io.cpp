@@ -83,19 +83,110 @@ Tokens tokens_of(std::string_view line) {
   return tokens;
 }
 
+/// The trimmed lines of a document that are neither blank nor comments,
+/// with their 1-based line numbers.  Lines end at '\n'; a last line
+/// without one still counts.
+class Lines {
+ public:
+  explicit Lines(std::string_view text) : rest_(text) {}
+
+  bool next(std::string_view& line) {
+    while (!rest_.empty()) {
+      const std::size_t end = std::min(rest_.find('\n'), rest_.size());
+      line = trim(rest_.substr(0, end));
+      rest_.remove_prefix(std::min(end + 1, rest_.size()));
+      ++number_;
+      if (!line.empty() && line.front() != '#') return true;
+    }
+    return false;
+  }
+
+  [[nodiscard]] int number() const noexcept { return number_; }
+
+ private:
+  std::string_view rest_;
+  int number_ = 0;
+};
+
+/// The edges (u, v) of one cycle of `dag`; empty when it is acyclic.  Kahn's
+/// algorithm leaves exactly the nodes it could not order, each of which has
+/// a predecessor also left, so walking such predecessors back from any of
+/// them must revisit a node — the walk from there on is a cycle.
+std::vector<std::pair<NodeId, NodeId>> cycle_edges(const Dag& dag) {
+  const std::size_t n = dag.num_nodes();
+  std::vector<std::size_t> in_deg(n);
+  std::vector<NodeId> ready;
+  for (NodeId v = 0; v < n; ++v) {
+    in_deg[v] = dag.in_degree(v);
+    if (in_deg[v] == 0) ready.push_back(v);
+  }
+  std::size_t ordered = 0;
+  while (!ready.empty()) {
+    const NodeId v = ready.back();
+    ready.pop_back();
+    ++ordered;
+    for (const NodeId w : dag.successors(v)) {
+      if (--in_deg[w] == 0) ready.push_back(w);
+    }
+  }
+  if (ordered == n) return {};
+
+  constexpr std::size_t kUnseen = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> position(n, kUnseen);
+  std::vector<NodeId> walk;
+  NodeId v = 0;
+  while (in_deg[v] == 0) ++v;
+  while (position[v] == kUnseen) {
+    position[v] = walk.size();
+    walk.push_back(v);
+    const auto& preds = dag.predecessors(v);
+    v = *std::find_if(preds.begin(), preds.end(),
+                      [&in_deg](NodeId p) { return in_deg[p] > 0; });
+  }
+  walk.push_back(v);
+  std::vector<std::pair<NodeId, NodeId>> cycle;
+  for (std::size_t i = position[v]; i + 1 < walk.size(); ++i) {
+    cycle.emplace_back(walk[i + 1], walk[i]);
+  }
+  return cycle;
+}
+
+/// Names the last line, in file order, of an edge on `cycle`: reading the
+/// file top to bottom, that edge closes the cycle.  Rescans the accepted
+/// text, so only a rejected input pays for it.
+[[noreturn]] void throw_cycle(
+    std::string_view text,
+    const std::map<std::string, NodeId, std::less<>>& by_label,
+    const std::vector<std::pair<NodeId, NodeId>>& cycle) {
+  Lines lines(text);
+  std::string_view line;
+  int closing_line = 0;
+  Tokens closing;
+  while (lines.next(line)) {
+    const Tokens tokens = tokens_of(line);
+    if (tokens.field[0] != "edge") continue;
+    const std::pair<NodeId, NodeId> edge{
+        by_label.find(tokens.field[1])->second,
+        by_label.find(tokens.field[2])->second};
+    if (std::find(cycle.begin(), cycle.end(), edge) != cycle.end()) {
+      closing_line = lines.number();
+      closing = tokens;
+    }
+  }
+  throw Error(at_line(closing_line) + "edge '" +
+              std::string(closing.field[1]) + "' -> '" +
+              std::string(closing.field[2]) + "' closes a cycle");
+}
+
 }  // namespace
 
 Dag read_dag_text(std::string_view text) {
   Dag dag;
   std::map<std::string, NodeId, std::less<>> by_label;
-  int line_no = 0;
-  while (!text.empty()) {
-    // Lines end at '\n'; a last line without one still counts.
-    const std::size_t end = std::min(text.find('\n'), text.size());
-    const std::string_view line = trim(text.substr(0, end));
-    text.remove_prefix(std::min(end + 1, text.size()));
-    ++line_no;
-    if (line.empty() || line.front() == '#') continue;
+  Lines lines(text);
+  std::string_view line;
+  while (lines.next(line)) {
+    const int line_no = lines.number();
     const Tokens tokens = tokens_of(line);
     const std::string_view directive = tokens.field[0];
     if (directive == "node") {
@@ -139,6 +230,8 @@ Dag read_dag_text(std::string_view text) {
                   std::string(directive) + "'");
     }
   }
+  const auto cycle = cycle_edges(dag);
+  if (!cycle.empty()) throw_cycle(text, by_label, cycle);
   return dag;
 }
 

@@ -35,7 +35,8 @@ inline constexpr std::size_t kMaxParsedEdges = 1u << 20;  // ~1M
 
 /// Parses the textual format.  Throws hedra::Error with a line number on
 /// malformed input (unknown directive, duplicate label, unknown endpoint,
-/// node/edge counts beyond kMaxParsedNodes/kMaxParsedEdges...).  Never
+/// node/edge counts beyond kMaxParsedNodes/kMaxParsedEdges, an edge list
+/// with a cycle — named by the line of the edge that closes it...).  Never
 /// exhibits UB on arbitrary bytes: every failure is a typed Error.
 [[nodiscard]] Dag read_dag_text(std::string_view text);
 

@@ -149,7 +149,7 @@ Platform Platform::parse(const std::string& text) {
   try {
     platform.validate();
   } catch (const Error& e) {
-    parse_fail(text, e.what());
+    parse_fail(text, e.message());
   }
   return platform;
 }

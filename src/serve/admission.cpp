@@ -4,7 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "analysis/analysis_cache.h"
 #include "graph/dag_io.h"
 #include "obs/metrics.h"
 #include "util/fault.h"
@@ -146,7 +145,7 @@ AdmissionReply AdmissionService::admit(const model::DagTask& task,
   } catch (const Error& e) {
     if (trace != nullptr) trace->end(build_span);
     reply.decision = Decision::kError;
-    reply.detail = e.what();
+    reply.detail = e.message();
     tally_errors_.fetch_add(1, std::memory_order_relaxed);
     return reply;
   }
@@ -200,8 +199,10 @@ AdmissionReply AdmissionService::admit(const model::DagTask& task,
     // host core, which lower-bounds the contended fixpoint at any
     // allocation.  seed > D is therefore still a proof of infeasibility;
     // anything else stays unproven and is NOT admitted.
-    analysis::AnalysisCache cache(task.dag());
-    const Frac seed = cache.r_platform(config_.platform);
+    const model::Platform& platform = config_.platform;
+    const Frac seed = taskset::SeedBound(task, platform.device_units,
+                                         platform.device_speedup)(
+        platform.cores);
     if (seed > Frac(task.deadline())) {
       reply.decision = Decision::kRejected;
       reply.outcome = util::Outcome::kComplete;

@@ -74,7 +74,7 @@ AdmissionReply execute(AdmissionService& service, const Request& request,
   } catch (const Error& e) {
     reply.decision = Decision::kError;
     reply.task = request.name;
-    reply.detail = e.what();
+    reply.detail = e.message();
     return reply;
   } catch (const std::exception& e) {
     reply.decision = Decision::kError;
@@ -133,7 +133,8 @@ ServerStats run_server(std::istream& in, std::ostream& out,
       } catch (const std::exception& e) {
         Request invalid;
         invalid.kind = Request::Kind::kInvalid;
-        invalid.error = e.what();
+        const auto* error = dynamic_cast<const Error*>(&e);
+        invalid.error = error != nullptr ? error->message() : e.what();
         request = std::move(invalid);
       }
       if (!request.has_value()) break;  // EOF

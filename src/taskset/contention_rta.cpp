@@ -5,12 +5,22 @@
 #include <optional>
 #include <sstream>
 
-#include "analysis/analysis_cache.h"
-#include "analysis/batch_kernels.h"
 #include "obs/metrics.h"
 #include "util/fault.h"
 
 namespace hedra::taskset {
+
+SeedBound::SeedBound(const DagTask& task, std::span<const int> units,
+                     std::span<const Frac> speedups)
+    : units_(units), speedups_(speedups) {
+  view_ = task.has_flat_view() ? task.flat_view()
+                               : flat_.emplace(task.dag()).view();
+  quantities_ = analysis::measure_platform(view_);
+}
+
+Frac SeedBound::operator()(int m) const {
+  return analysis::platform_bound(quantities_, view_, m, units_, speedups_);
+}
 
 namespace {
 
@@ -382,36 +392,6 @@ FixpointResult fixpoint(const TaskSet& set, const SetQuantities& q,
   return *result;
 }
 
-/// Per-task isolated platform bound R(m), served from the arena view when
-/// the task is arena-backed (no Dag, no FlatDag snapshot) and from a
-/// per-DAG AnalysisCache otherwise.  Both paths return bit-identical
-/// rationals (the view path is AnalysisCache::r_platform's exact formula).
-class SeedBound {
- public:
-  SeedBound(const DagTask& task, const SetQuantities& q) : q_(q) {
-    if (task.has_flat_view()) {
-      view_.emplace(task.flat_view());
-      quantities_ = analysis::platform_quantities_view(*view_);
-    } else {
-      cache_.emplace(task.dag());
-    }
-  }
-
-  [[nodiscard]] Frac operator()(int m) {
-    if (view_) {
-      return analysis::platform_bound(quantities_, *view_, m, q_.units,
-                                      q_.speedups);
-    }
-    return cache_->r_platform(m, q_.units, q_.speedups);
-  }
-
- private:
-  const SetQuantities& q_;
-  std::optional<graph::FlatView> view_;
-  analysis::PlatformQuantities quantities_;
-  std::optional<analysis::AnalysisCache> cache_;
-};
-
 /// contention_rta's per-task step: task `index` takes the smallest
 /// feasible core count in [first_m, remaining].  Scanning from first_m > 1
 /// is exact only when every smaller core count is known infeasible (see
@@ -450,7 +430,7 @@ TaskAdmission solve_task(const TaskSet& set, const SetQuantities& q,
     if (previous != nullptr && m == previous->cores) {
       seed = previous->seed;
     } else {
-      if (!seed_bound) seed_bound.emplace(set[index], q);
+      if (!seed_bound) seed_bound.emplace(set[index], q.units, q.speedups);
       seed = (*seed_bound)(m);
       ++telemetry.seed_evals;
     }
@@ -601,7 +581,7 @@ Frac contention_response(const TaskSet& set, std::size_t index, int cores,
   HEDRA_REQUIRE(index < set.size(), "task index out of range");
   HEDRA_REQUIRE(cores >= 1, "need at least one dedicated host core");
   const SetQuantities& q = measure(set);
-  SeedBound seed_bound(set[index], q);
+  const SeedBound seed_bound(set[index], q.units, q.speedups);
   const Frac seed = seed_bound(cores);
   std::vector<std::size_t> sharers;
   sharers_of(q, index, sharers);

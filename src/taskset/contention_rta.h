@@ -43,9 +43,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "analysis/platform_rta.h"
+#include "graph/flat_dag.h"
 #include "taskset/taskset.h"
 #include "util/deadline.h"
 #include "util/fraction.h"
@@ -113,6 +117,28 @@ struct ContentionAnalysis {
   util::Outcome outcome = util::Outcome::kComplete;
   std::vector<TaskAdmission> tasks;
   FixpointTelemetry telemetry;  ///< where the analysis work went
+};
+
+/// A task's isolated platform bound R(m), the seed every fixpoint starts
+/// from: measured once over the task's arena view, or over a CSR snapshot
+/// of a Dag-backed task, then evaluated per core count with n_d =
+/// `units[d−1]` and s_d = `speedups[d−1]` (analysis::platform_bound).  Both
+/// spans must outlive the object.
+class SeedBound {
+ public:
+  SeedBound(const DagTask& task, std::span<const int> units,
+            std::span<const Frac> speedups);
+  SeedBound(const SeedBound&) = delete;  // view_ may point into flat_
+  SeedBound& operator=(const SeedBound&) = delete;
+
+  [[nodiscard]] Frac operator()(int m) const;
+
+ private:
+  std::span<const int> units_;
+  std::span<const Frac> speedups_;
+  std::optional<graph::FlatDag> flat_;
+  graph::FlatView view_;
+  analysis::PlatformQuantities quantities_;
 };
 
 /// Runs the admission test.  Requires a validated, non-empty set.

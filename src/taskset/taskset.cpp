@@ -196,7 +196,7 @@ TaskSet TaskSet::from_text(const std::string& text) {
         set.add(DagTask(graph::read_dag_text(dag_text), period, deadline,
                         name));
       } catch (const Error& e) {
-        fail(header_line, "task '" + name + "': " + e.what());
+        fail(header_line, "task '" + name + "': " + e.message());
       }
       continue;
     }

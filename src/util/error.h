@@ -8,15 +8,38 @@
 /// which also throws (so property tests can observe violations) but is
 /// worded as a library bug.
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
 namespace hedra {
 
 /// Exception thrown on precondition violations and invalid inputs.
+/// HEDRA_REQUIRE failures also name the failed check and its source
+/// location: what() is "<message> [<expr> at <file>:<line>]", for logs and
+/// tests, while message() alone is fit to show a client.
 class Error : public std::runtime_error {
  public:
-  explicit Error(const std::string& what) : std::runtime_error(what) {}
+  explicit Error(const std::string& message)
+      : std::runtime_error(message), message_size_(message.size()) {}
+
+  /// `where` is "<expr> at <file>:<line>".
+  Error(const std::string& message, const std::string& where);
+
+  /// what() without the failed check and its source location.
+  [[nodiscard]] std::string message() const {
+    return std::string(what(), message_size_);
+  }
+
+  /// The failed check and its source location; empty when none was given.
+  [[nodiscard]] std::string where() const {
+    const std::string full = what();
+    if (full.size() == message_size_) return {};
+    return full.substr(message_size_ + 2, full.size() - message_size_ - 3);
+  }
+
+ private:
+  std::size_t message_size_;
 };
 
 /// Exception thrown when an internal invariant does not hold (a hedra bug).

@@ -173,8 +173,7 @@ TEST(PlatformRtaTest, HandCheckedMultiUnitExample) {
 
 /// TENTPOLE REGRESSION PIN: on any all-single-unit platform the
 /// generalised walk and bound reduce to the pre-multiplicity arithmetic
-/// EXACTLY (rational equality on generated batches), and the Dag / FlatDag
-/// weighting overloads agree with each other.
+/// EXACTLY (rational equality on generated batches).
 TEST(PlatformRtaTest, SingleUnitWeightingReproducesTheLegacyBoundExactly) {
   Rng master(1234);
   gen::HierarchicalParams params;
@@ -190,10 +189,9 @@ TEST(PlatformRtaTest, SingleUnitWeightingReproducesTheLegacyBoundExactly) {
     analysis::AnalysisCache cache(dag);
     for (const int m : {1, 2, 4, 8, 16}) {
       const analysis::ChainWeighting weighting{m, ones, {}};
-      const Frac walk = analysis::max_host_path(dag, weighting);
-      EXPECT_EQ(walk, Frac(analysis::max_host_path(dag) * (m - 1), m))
+      const Frac walk = analysis::weighted_chain_walk(flat.view(), weighting);
+      EXPECT_EQ(walk, Frac(analysis::max_host_path(flat.view()) * (m - 1), m))
           << "i=" << i << " m=" << m;
-      EXPECT_EQ(walk, analysis::max_host_path(flat, weighting));
       EXPECT_EQ(cache.r_platform(m, ones), cache.r_platform(m));
       EXPECT_EQ(cache.r_platform(m, ones),
                 analysis::rta_platform(dag, Platform::symmetric(m, 3, 1)));

@@ -82,6 +82,29 @@ TEST(ServerTest, BadRequestsAnswerErrorAndTheLoopSurvives) {
   EXPECT_EQ(service.snapshot()->set.size(), 1u);
 }
 
+TEST(ServerTest, ErrorRepliesNameTheLineNotTheSourceFile) {
+  std::istringstream in(
+      "ADMIT twice period 1000 deadline 1000\n"
+      "node a 1\nnode a 2\nendtask\n"
+      "ADMIT loop period 1000 deadline 1000\n"
+      "node a 1\nnode b 1\nedge a b\nedge b a\nendtask\n"
+      "QUIT\n");
+  std::ostringstream out;
+  AdmissionService service(test_config());
+  (void)run_server(in, out, service);
+
+  const auto lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0],
+            "ERROR twice precondition violated: line 2: duplicate node label "
+            "'a'");
+  EXPECT_EQ(lines[1], "ERROR loop line 4: edge 'b' -> 'a' closes a cycle");
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(lines[i].find('/'), std::string::npos) << lines[i];
+    EXPECT_EQ(lines[i].find(".cpp:"), std::string::npos) << lines[i];
+  }
+}
+
 TEST(ServerTest, RejectionsDoNotMutateState) {
   std::istringstream in(
       "ADMIT impossible period 100 deadline 100\n"

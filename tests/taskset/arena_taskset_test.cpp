@@ -9,8 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/analysis_cache.h"
-#include "analysis/batch_kernels.h"
 #include "gen/flat_gen.h"
 #include "taskset/contention_rta.h"
 #include "taskset/gen.h"
@@ -192,29 +190,6 @@ TEST(ArenaTasksetTest, TextRoundTripMatchesTheEagerPath) {
   EXPECT_EQ(text, eager.to_text());
   const TaskSet parsed = TaskSet::from_text(text);
   EXPECT_EQ(parsed.to_text(), text);
-}
-
-TEST(ArenaTasksetTest, PlatformBoundViewMatchesTheAnalysisCache) {
-  Rng rng(61);
-  const TaskSet set = generate_task_set(base_config(), rng);
-  const std::vector<int> units{2, 3};
-  const std::vector<Frac> speedups{Frac(3, 2), Frac(1)};
-  const std::vector<int> unit_ones{1, 1};
-  const std::vector<Frac> unit_speeds{Frac(1), Frac(1)};
-  for (const model::DagTask& task : set) {
-    const graph::FlatView view = task.flat_view();
-    const analysis::PlatformQuantities q =
-        analysis::platform_quantities_view(view);
-    analysis::AnalysisCache cache(task.dag());
-    for (int m = 1; m <= 4; ++m) {
-      EXPECT_EQ(analysis::platform_bound(q, view, m, unit_ones, unit_speeds),
-                cache.r_platform(m, unit_ones, unit_speeds));
-      EXPECT_EQ(analysis::platform_bound(q, view, m, units, unit_speeds),
-                cache.r_platform(m, units, unit_speeds));
-      EXPECT_EQ(analysis::platform_bound(q, view, m, units, speedups),
-                cache.r_platform(m, units, speedups));
-    }
-  }
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "analysis/analysis_cache.h"
 #include "common/contention_equal.h"
+#include "common/platform_oracle.h"
 #include "taskset/gen.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -464,6 +466,34 @@ TEST(ContentionRtaDeltaTest, ChangedIndexOutOfRangeThrows) {
                Error);
   EXPECT_THROW((void)contention_rta_appended(TaskSet(set.platform()), previous),
                Error);
+}
+
+/// The seed every fixpoint starts from, on both task representations,
+/// against the path-enumerating oracle (tests/common/platform_oracle.h).
+TEST(SeedBoundTest, ArenaAndDagTasksMatchThePathOracle) {
+  for (const int k : {0, 1, 2, 3}) {
+    Rng rng(9300 + static_cast<std::uint64_t>(k));
+    const auto batch = std::make_shared<const graph::FlatDagBatch>(
+        testing::random_oracle_batch(rng, 12, static_cast<graph::DeviceId>(k)));
+    for (std::size_t i = 0; i < batch->size(); ++i) {
+      const DagTask arena_task(batch, i, 1000, 1000);
+      const DagTask dag_task(batch->materialize(i), 1000, 1000);
+      ASSERT_TRUE(arena_task.has_flat_view());
+      ASSERT_FALSE(dag_task.has_flat_view());
+      for (const testing::OracleClasses& c : testing::oracle_class_grid(k)) {
+        const SeedBound arena_seed(arena_task, c.units, c.speedups);
+        const SeedBound dag_seed(dag_task, c.units, c.speedups);
+        for (const int m : {1, 2, 3, 4, 8}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "K=" << k << " dag=" << i << " m=" << m);
+          const Frac want = testing::oracle_platform_bound(
+              dag_task.dag(), m, c.units, c.speedups);
+          EXPECT_EQ(arena_seed(m), want);
+          EXPECT_EQ(dag_seed(m), want);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
