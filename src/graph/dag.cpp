@@ -44,12 +44,13 @@ NodeId Dag::add_node(const Node& node) {
   if (stored.label.empty()) {
     switch (stored.kind()) {
       case NodeKind::kHost:
-        stored.label = "v" + std::to_string(id + 1);
+        stored.label = std::string("v").append(std::to_string(id + 1));
         break;
       case NodeKind::kOffload:
         stored.label = stored.device == 1
                            ? "vOff"
-                           : "vOff" + std::to_string(stored.device);
+                           : std::string("vOff").append(
+                                 std::to_string(stored.device));
         break;
       case NodeKind::kSync:
         stored.label = "vSync";

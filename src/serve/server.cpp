@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <atomic>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -36,13 +37,39 @@ const char* verb_name(Request::Kind kind) {
   return "INVALID";
 }
 
+/// A request as the worker receives it.  The reader parses an ADMIT body
+/// before the hand-off, so the worker gets the task, or the text of the
+/// error that parsing it raised.
+struct Item {
+  Request request;
+  std::optional<model::DagTask> task;  ///< kAdmit whose body parsed
+  std::string parse_error;             ///< kAdmit whose body did not
+};
+
+/// Builds the task of an ADMIT request from its body.  Parse and
+/// validation failures are kept as the ERROR detail the worker answers
+/// with; the body text is released either way.
+void parse_body(Item& item) {
+  Request& request = item.request;
+  try {
+    item.task.emplace(graph::read_dag_text(request.dag_text), request.period,
+                      request.deadline, request.name);
+  } catch (const Error& e) {
+    item.parse_error = e.message();
+  } catch (const std::exception& e) {
+    item.parse_error = std::string("internal error: ") + e.what();
+  }
+  std::string().swap(request.dag_text);
+}
+
 /// Executes one parsed request against the service.  Never throws: every
 /// failure — parse residue, analysis faults, journal errors — becomes an
 /// ERROR reply, because a service survives bad requests and bad luck; only
 /// the transport ending stops it.
-AdmissionReply execute(AdmissionService& service, const Request& request,
+AdmissionReply execute(AdmissionService& service, const Item& item,
                        const ServerConfig& config,
                        obs::RequestTrace* trace) {
+  const Request& request = item.request;
   AdmissionReply reply;
   try {
     switch (request.kind) {
@@ -58,13 +85,17 @@ AdmissionReply execute(AdmissionService& service, const Request& request,
       case Request::Kind::kLeave:
         return service.leave(request.name, trace);
       case Request::Kind::kAdmit: {
-        model::DagTask task(graph::read_dag_text(request.dag_text),
-                            request.period, request.deadline, request.name);
+        if (!item.task.has_value()) {
+          reply.decision = Decision::kError;
+          reply.task = request.name;
+          reply.detail = item.parse_error;
+          return reply;
+        }
         const util::Deadline deadline =
             config.request_deadline_sec > 0.0
                 ? util::Deadline::after_seconds(config.request_deadline_sec)
                 : util::Deadline::never();
-        return service.admit(task, deadline, trace);
+        return service.admit(*item.task, deadline, trace);
       }
       case Request::Kind::kQuit:
         reply.decision = Decision::kOk;
@@ -107,14 +138,16 @@ struct SharedOut {
 ServerStats run_server(std::istream& in, std::ostream& out,
                        AdmissionService& service, const ServerConfig& config) {
   ServerStats stats;
-  BoundedQueue<Request> queue(config.queue_capacity);
+  BoundedQueue<Item> queue(config.queue_capacity);
   SharedOut shared_out(out);
   std::atomic<std::uint64_t> shed_queue_full{0};
   std::atomic<std::uint64_t> shed_fault{0};
 
   // Reader: parse + enqueue; shed when the worker is saturated.  Parsing
   // (including an injected serve.request.parse fault) must not kill the
-  // reader, so failures become kInvalid requests answered in order.
+  // reader, so failures become kInvalid requests answered in order.  An
+  // ADMIT body is parsed here too, overlapping the worker's analysis of
+  // earlier requests.
   std::thread reader([&] {
     for (;;) {
       // The wait for the client's next request belongs to the client, not
@@ -138,27 +171,30 @@ ServerStats run_server(std::istream& in, std::ostream& out,
         request = std::move(invalid);
       }
       if (!request.has_value()) break;  // EOF
+      Item item{std::move(*request), std::nullopt, {}};
+      if (item.request.kind == Request::Kind::kAdmit) parse_body(item);
       if (config.tracer != nullptr) {
         // Tracing is best-effort: an injected allocation fault here drops
         // the trace, never the request.
         try {
           HEDRA_FAULT("serve.trace.alloc");
-          request->trace = std::make_unique<obs::RequestTrace>(
+          auto trace = std::make_unique<obs::RequestTrace>(
               g_request_seq.fetch_add(1, std::memory_order_relaxed) + 1);
-          request->trace->begin_at("request", parse_start);
-          request->trace->end(request->trace->begin_at("parse", parse_start));
-          request->trace->note("verb", verb_name(request->kind));
-          request->queue_wait_span = request->trace->begin("queue-wait");
+          trace->begin_at("request", parse_start);
+          trace->end(trace->begin_at("parse", parse_start));
+          trace->note("verb", verb_name(item.request.kind));
+          item.request.queue_wait_span = trace->begin("queue-wait");
+          item.request.trace = std::move(trace);
         } catch (const std::exception&) {
-          request->trace.reset();
+          // The partly built trace dies with its local owner.
         }
       }
-      const bool quit = request->kind == Request::Kind::kQuit;
-      const std::string name = request->name;
+      const bool quit = item.request.kind == Request::Kind::kQuit;
+      const std::string name = item.request.name;
       bool pushed = false;
       bool push_faulted = false;
       try {
-        pushed = queue.try_push(std::move(*request));
+        pushed = queue.try_push(std::move(item));
       } catch (const std::exception&) {
         // A fault at the queue boundary (serve.queue.push) loses the
         // hand-off; the request was never executed, so SHED is the honest
@@ -186,17 +222,18 @@ ServerStats run_server(std::istream& in, std::ostream& out,
 
   // Worker: drain, execute, respond.
   for (;;) {
-    std::optional<Request> request = queue.pop();
-    if (!request.has_value()) break;  // closed and drained
-    std::unique_ptr<obs::RequestTrace> trace = std::move(request->trace);
-    if (trace != nullptr && request->queue_wait_span >= 0) {
-      trace->end(request->queue_wait_span);
+    std::optional<Item> item = queue.pop();
+    if (!item.has_value()) break;  // closed and drained
+    Request& request = item->request;
+    std::unique_ptr<obs::RequestTrace> trace = std::move(request.trace);
+    if (trace != nullptr && request.queue_wait_span >= 0) {
+      trace->end(request.queue_wait_span);
     }
     HEDRA_METRIC("serve.requests");
     HEDRA_METRIC_SET("serve.queue.depth",
                      static_cast<std::int64_t>(queue.size()));
 
-    if (request->kind == Request::Kind::kMetrics) {
+    if (request.kind == Request::Kind::kMetrics) {
       // The scrape verb: the whole registry in Prometheus text format,
       // terminated by a literal `# EOF` line (see protocol.h).
       ++stats.requests;
@@ -209,8 +246,8 @@ ServerStats run_server(std::istream& in, std::ostream& out,
       continue;
     }
 
-    AdmissionReply reply = execute(service, *request, config, trace.get());
-    if (request->kind == Request::Kind::kStatus &&
+    AdmissionReply reply = execute(service, *item, config, trace.get());
+    if (request.kind == Request::Kind::kStatus &&
         reply.decision == Decision::kOk) {
       // Server-side half of the enriched STATUS: the queue and shed
       // tallies live in this loop, not in the service.
@@ -244,7 +281,7 @@ ServerStats run_server(std::istream& in, std::ostream& out,
     }
     if (trace != nullptr) {
       trace->note("decision", to_string(reply.decision));
-      if (!request->name.empty()) trace->note("task", request->name);
+      if (!request.name.empty()) trace->note("task", request.name);
       trace->end_all();
       if (!trace->spans().empty()) {
         const obs::Span& root = trace->spans().front();
@@ -253,7 +290,7 @@ ServerStats run_server(std::istream& in, std::ostream& out,
       }
       config.tracer->submit(std::move(trace));
     }
-    if (request->kind == Request::Kind::kQuit) break;
+    if (request.kind == Request::Kind::kQuit) break;
   }
   queue.close();  // in case QUIT ended the worker before the reader
   reader.join();

@@ -4,7 +4,9 @@
 /// The daemon loop: a reader thread parsing requests off an input stream
 /// into a BoundedQueue, and a worker (the calling thread) draining the
 /// queue through the AdmissionService and writing one response line per
-/// request.
+/// request.  The reader also parses each ADMIT body into its task (or the
+/// ERROR text of the failure), inside the request's `parse` span, so that
+/// work overlaps the worker's analysis of the requests queued before it.
 ///
 /// Overload behaviour: when the queue is full the READER answers
 /// `SHED <name>` immediately instead of blocking — bounded memory, and the

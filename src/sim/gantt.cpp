@@ -40,7 +40,7 @@ std::string render_gantt(const ScheduleTrace& trace, const Dag& dag,
   };
 
   for (int core = 0; core < trace.cores(); ++core) {
-    render_unit(core, "C" + std::to_string(core));
+    render_unit(core, std::string("C").append(std::to_string(core)));
   }
   // One row per accelerator unit — the trace knows each device's unit
   // count, so the chart can never drop a multi-unit interval.  A

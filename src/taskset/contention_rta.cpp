@@ -40,7 +40,9 @@ struct SetQuantities {
   // plus __int128 magnitude bounds so each fixpoint call can clear the
   // overflow guard with a handful of multiplies instead of re-scanning.
   graph::Time base_scale = 0;  ///< B; 0 = unusable, take the Frac path
-  std::vector<std::vector<graph::Time>> scaled_uv;  ///< uv·B, same shape
+  std::vector<graph::Time> scaled_uv;  ///< uv·B, flat [task·K + device d−1]
+  std::vector<graph::Time> deadlines;  ///< D_j, indexed by task
+  std::vector<graph::Time> periods;    ///< T_j, indexed by task
   __int128 step_weight = 0;  ///< Σ_{j,d} uv·B · n_jobs_max_j
   __int128 timing_max = 0;   ///< max_j max(D_j, T_j), and the set's D_max
 };
@@ -48,17 +50,31 @@ struct SetQuantities {
 constexpr graph::Time kMaxScale = graph::Time{1} << 20;
 // Headroom: one fixpoint step past the deadline must not overflow int64.
 constexpr __int128 kMaxMagnitude = __int128{1} << 56;
+// Threshold steps one integer fixpoint may walk, over all its competitors.
+constexpr __int128 kMaxCarryInJobs = __int128{1} << 20;
 
-/// vol_d(G) from the arena view when the task is arena-backed — the fig12
-/// pipeline never materialises a Dag for this.
-graph::Time task_volume_on(const DagTask& task, graph::DeviceId device) {
-  if (!task.has_flat_view()) return task.dag().volume_on(device);
-  const graph::FlatView view = task.flat_view();
-  graph::Time volume = 0;
-  for (graph::NodeId v = 0; v < view.num_nodes(); ++v) {
-    if (view.device(v) == device) volume += view.wcet(v);
+/// vol_d(G) of every class d into `volume` (indexed d−1) in one pass over
+/// the nodes, from the arena view when the task is arena-backed — the
+/// fig12 pipeline never materialises a Dag for this.
+void task_volumes(const DagTask& task, std::vector<graph::Time>& volume) {
+  if (volume.empty()) return;  // host-only platform: nothing to sum
+  std::fill(volume.begin(), volume.end(), 0);
+  const auto add = [&volume](graph::DeviceId device, graph::Time wcet) {
+    if (device != graph::kHostDevice && device <= volume.size()) {
+      volume[device - 1] += wcet;
+    }
+  };
+  if (task.has_flat_view()) {
+    const graph::FlatView view = task.flat_view();
+    for (graph::NodeId v = 0; v < view.num_nodes(); ++v) {
+      add(view.device(v), view.wcet(v));
+    }
+  } else {
+    const graph::Dag& dag = task.dag();
+    for (graph::NodeId v = 0; v < dag.num_nodes(); ++v) {
+      add(dag.device(v), dag.wcet(v));
+    }
   }
-  return volume;
 }
 
 /// Returns per-thread scratch rebuilt for `set` — valid until the next
@@ -81,11 +97,10 @@ const SetQuantities& measure(const TaskSet& set) {
   q.volume.resize(set.size());
   q.unit_volume.resize(set.size());
   for (std::size_t i = 0; i < set.size(); ++i) {
-    q.volume[i].resize(num_devices, 0);
+    q.volume[i].resize(num_devices);
     q.unit_volume[i].resize(num_devices);
+    task_volumes(set[i], q.volume[i]);
     for (std::size_t d = 0; d < num_devices; ++d) {
-      q.volume[i][d] =
-          task_volume_on(set[i], static_cast<graph::DeviceId>(d + 1));
       // Dividing by a unit speedup is the identity on normalised rationals;
       // skipping it keeps the value (and every downstream comparison)
       // bit-identical while sparing the gcd work.
@@ -99,6 +114,16 @@ const SetQuantities& measure(const TaskSet& set) {
   // are evaluated at windows that never exceed the analysed task's
   // deadline, so (D_max + D_j)/T_j + 1 bounds n_jobs_j for every task in
   // the set.
+  graph::Time d_max = 0;
+  q.deadlines.resize(set.size());
+  q.periods.resize(set.size());
+  for (std::size_t j = 0; j < set.size(); ++j) {
+    q.deadlines[j] = set[j].deadline();
+    q.periods[j] = set[j].period();
+    d_max = std::max(d_max, q.deadlines[j]);
+    q.timing_max = std::max(q.timing_max, __int128{q.deadlines[j]});
+    q.timing_max = std::max(q.timing_max, __int128{q.periods[j]});
+  }
   graph::Time base = 1;
   for (const auto& task_uv : q.unit_volume) {
     for (const Frac& uv : task_uv) {
@@ -106,33 +131,34 @@ const SetQuantities& measure(const TaskSet& set) {
       if (base > kMaxScale) return q;  // base_scale stays 0: Frac path only
     }
   }
-  graph::Time d_max = 0;
-  for (const DagTask& task : set) {
-    d_max = std::max(d_max, task.deadline());
-    q.timing_max = std::max(q.timing_max, __int128{task.deadline()});
-    q.timing_max = std::max(q.timing_max, __int128{task.period()});
-  }
-  q.scaled_uv.resize(set.size());
+  q.scaled_uv.resize(set.size() * num_devices);
+  __int128 carry_in_jobs = 0;  // Σ_j n_jobs_max_j over tasks with device work
   for (std::size_t j = 0; j < set.size(); ++j) {
-    q.scaled_uv[j].resize(num_devices);
     __int128 weight = 0;  // Σ_d uv·B of task j
     for (std::size_t d = 0; d < num_devices; ++d) {
       const Frac& uv = q.unit_volume[j][d];
-      q.scaled_uv[j][d] = uv.num() * (base / uv.den());
-      weight += q.scaled_uv[j][d];
+      graph::Time& scaled = q.scaled_uv[j * num_devices + d];
+      scaled = uv.num() * (base / uv.den());
+      weight += scaled;
     }
     if (weight == 0) continue;  // no device work: nothing to weigh
     const __int128 n_jobs_max =
-        (__int128{d_max} + set[j].deadline()) / set[j].period() + 1;
+        (__int128{d_max} + q.deadlines[j]) / q.periods[j] + 1;
     q.step_weight += weight * n_jobs_max;
+    carry_in_jobs += n_jobs_max;
   }
+  // fixpoint_int walks one threshold per carry-in job, so a set whose
+  // deadline windows hold very many jobs (periods far below the largest
+  // deadline) takes the Frac path, whose iterations cost the same however
+  // many jobs they count.
+  if (carry_in_jobs > kMaxCarryInJobs) return q;
   q.base_scale = base;
   return q;
 }
 
 /// The competitors of task `index` that place work on at least one
 /// accelerator class the task uses, in index order: the only tasks whose
-/// carry-in job counts the fixpoint ever reads.  Empty for a host-only
+/// carry-in job counts fixpoint_frac ever reads.  Empty for a host-only
 /// task, whose fixpoint is therefore its seed bound after one iteration.
 void sharers_of(const SetQuantities& q, std::size_t index,
                 std::vector<std::size_t>& sharers) {
@@ -215,6 +241,18 @@ struct FixpointResult {
   int iterations = 0;
   std::vector<Frac> per_device;          ///< interference per class, d−1
   std::vector<std::size_t> dominant;     ///< dominant competitor per class
+
+  /// A run of task `index` that has evaluated no window yet; the vectors
+  /// keep their capacity, so a reused result allocates nothing.
+  void reset(std::size_t num_devices, std::size_t index) {
+    seed = Frac();
+    response = Frac();
+    converged = false;
+    truncated = false;
+    iterations = 0;
+    per_device.assign(num_devices, Frac());
+    dominant.assign(num_devices, index);
+  }
 };
 
 constexpr int kMaxIterations = 1000;
@@ -222,14 +260,10 @@ constexpr int kMaxIterations = 1000;
 /// Iterates R ← seed + I(R) from R = seed until stable or past `deadline`.
 /// The right-hand side is non-decreasing in R, so the sequence is monotone;
 /// a generous iteration cap guards against pathological slow convergence.
-FixpointResult fixpoint_frac(const TaskSet& set, const SetQuantities& q,
-                             std::size_t index,
-                             const std::vector<std::size_t>& sharers,
-                             const Frac& seed, graph::Time deadline,
-                             util::Budget* budget) {
-  FixpointResult out;
-  out.per_device.assign(q.units.size(), Frac());
-  out.dominant.assign(q.units.size(), index);
+void fixpoint_frac(const TaskSet& set, const SetQuantities& q,
+                   std::size_t index, const std::vector<std::size_t>& sharers,
+                   const Frac& seed, graph::Time deadline,
+                   util::Budget* budget, FixpointResult& out) {
   std::vector<graph::Time> n_jobs;
   Frac response = seed;
   for (int k = 1; k <= kMaxIterations; ++k) {
@@ -237,7 +271,7 @@ FixpointResult fixpoint_frac(const TaskSet& set, const SetQuantities& q,
     if (budget != nullptr && !budget->consume()) {
       out.truncated = true;  // budget cut mid-fixpoint: sound partial only
       out.response = response;
-      return out;
+      return;
     }
     out.iterations = k;
     const Frac next =
@@ -246,18 +280,27 @@ FixpointResult fixpoint_frac(const TaskSet& set, const SetQuantities& q,
     if (next == response) {
       out.response = response;
       out.converged = true;
-      return out;
+      return;
     }
     response = next;
     if (response > Frac(deadline)) {
       out.response = response;
-      return out;  // crossed the deadline; diverging
+      return;  // crossed the deadline; diverging
     }
   }
   out.response = response;
   out.truncated = true;  // iteration cap: truncated, NOT proven infeasible
-  return out;
 }
+
+/// One competitor's carry-in term in fixpoint_int, on L-scaled integers.
+struct Sharer {
+  std::size_t task = 0;
+  graph::Time weight = 0;     ///< f·Σ_{own d} uv_{j,d}·B: one job's share
+  graph::Time step = 0;       ///< T_j·L
+  graph::Time jobs = 0;       ///< n_jobs_j at the last evaluated window
+  /// n_jobs_j·T_j·L − D_j·L: the smallest window with one more job.
+  graph::Time threshold = 0;
+};
 
 /// Every rational the fixpoint touches has a denominator dividing
 /// L = lcm(seed.den, all unit-volume denominators), so when L is small and
@@ -271,22 +314,56 @@ FixpointResult fixpoint_frac(const TaskSet& set, const SetQuantities& q,
 /// L = B·f with B the precomputed base scale and f = seed.den/gcd(B,
 /// seed.den): the stored base-scaled unit volumes reach scale L with one
 /// multiply by f per term, so nothing is allocated or re-derived per call.
-FixpointResult fixpoint_int(const TaskSet& set, const SetQuantities& q,
-                            graph::Time L, graph::Time f, std::size_t index,
-                            const std::vector<std::size_t>& sharers,
-                            const Frac& seed, graph::Time deadline,
-                            util::Budget* budget) {
+///
+/// One pass over the set gathers the competitors that use a class the task
+/// uses, each with its job count at the seed window (the only division)
+/// and the window at which that count next grows.  The iterate never
+/// shrinks, so an iteration only moves the counts whose thresholds it
+/// reached, adding one job's weight to the running total per crossing.
+/// The per-class breakdown is evaluated once, from the job counts of the
+/// last evaluated window, whichever way the iteration ends.
+///
+/// The caller's magnitude guard covers windows up to the set's largest
+/// deadline; a seed past it is the one window that can exceed it (the
+/// first iteration then crosses the deadline).  When the job counts there
+/// leave no int64 headroom, returns false before touching `out` or the
+/// budget, and the caller takes the Frac path.
+bool fixpoint_int(const SetQuantities& q, graph::Time L, graph::Time f,
+                  std::size_t index, const Frac& seed, graph::Time deadline,
+                  util::Budget* budget, FixpointResult& out) {
   using graph::Time;
   const Time seed_scaled = seed.num() * (L / seed.den());
   const Time deadline_scaled = deadline * L;
   const std::size_t num_devices = q.units.size();
 
-  FixpointResult out;
-  out.dominant.assign(num_devices, index);
-  thread_local std::vector<Time> per_device;
-  per_device.assign(num_devices, 0);
-  thread_local std::vector<Time> n_jobs;  // parallel to `sharers`
-  n_jobs.assign(sharers.size(), 0);
+  thread_local std::vector<std::size_t> own;  // classes the task uses
+  own.clear();
+  for (std::size_t d = 0; d < num_devices; ++d) {
+    if (q.volume[index][d] != 0) own.push_back(d);
+  }
+  thread_local std::vector<Sharer> sharers;
+  sharers.clear();
+  __int128 seed_total = 0;  // Σ_j n_jobs_j·weight_j at the seed window
+  if (!own.empty()) {
+    for (std::size_t j = 0; j < q.deadlines.size(); ++j) {
+      if (j == index) continue;
+      const Time* uv = &q.scaled_uv[j * num_devices];
+      Time weight = 0;
+      for (const std::size_t d : own) weight += uv[d];
+      if (weight == 0) continue;  // no work on any class the task uses
+      Sharer s;
+      s.task = j;
+      s.weight = weight * f;
+      s.step = q.periods[j] * L;
+      const Time offset = q.deadlines[j] * L;
+      s.jobs = (seed_scaled + offset) / s.step + 1;
+      s.threshold = s.jobs * s.step - offset;
+      seed_total += __int128{s.jobs} * s.weight;
+      sharers.push_back(s);
+    }
+  }
+  if (seed_scaled + seed_total > kMaxMagnitude) return false;
+  auto total = static_cast<Time>(seed_total);  // at the current window
 
   Time response = seed_scaled;
   bool crossed = false;
@@ -297,32 +374,14 @@ FixpointResult fixpoint_int(const TaskSet& set, const SetQuantities& q,
       break;
     }
     out.iterations = k;
-    // n_jobs_j = floor((R + D_j)/T_j) + 1 on L-scaled integers.
-    for (std::size_t k = 0; k < sharers.size(); ++k) {
-      const DagTask& competitor = set[sharers[k]];
-      n_jobs[k] = (response + competitor.deadline() * L) /
-                      (competitor.period() * L) +
-                  1;
-    }
-    Time total = 0;
-    for (std::size_t d = 0; d < num_devices; ++d) {
-      if (q.volume[index][d] == 0) continue;
-      Time device_total = 0;
-      Time best = 0;
-      std::size_t best_task = index;
-      for (std::size_t k = 0; k < sharers.size(); ++k) {
-        const std::size_t j = sharers[k];
-        if (q.volume[j][d] == 0) continue;
-        const Time contribution = n_jobs[k] * q.scaled_uv[j][d] * f;
-        device_total += contribution;
-        if (best_task == index || contribution > best) {
-          best = contribution;
-          best_task = j;
-        }
+    // n_jobs_j = floor((R + D_j)/T_j) + 1 on L-scaled integers, advanced
+    // from the previous window (the seed's counts need no advancing).
+    for (Sharer& s : sharers) {
+      while (response >= s.threshold) {
+        ++s.jobs;
+        s.threshold += s.step;
+        total += s.weight;
       }
-      total += device_total;
-      per_device[d] = device_total;
-      out.dominant[d] = best_task;
     }
     const Time next = seed_scaled + total;
     if (next == response) {
@@ -339,46 +398,60 @@ FixpointResult fixpoint_int(const TaskSet& set, const SetQuantities& q,
   // the verdict is "truncated", exactly as in the Frac path.
   if (!out.converged && !crossed) out.truncated = true;
   out.response = Frac(response, L);
-  out.per_device.resize(num_devices);
-  for (std::size_t d = 0; d < num_devices; ++d) {
-    out.per_device[d] = Frac(per_device[d], L);
+  if (out.iterations == 0) return true;  // no window evaluated
+  for (const std::size_t d : own) {
+    Time device_total = 0;
+    Time best = 0;
+    std::size_t best_task = index;
+    for (const Sharer& s : sharers) {
+      const Time uv = q.scaled_uv[s.task * num_devices + d];
+      if (uv == 0) continue;
+      const Time contribution = s.jobs * uv * f;
+      device_total += contribution;
+      if (best_task == index || contribution > best) {
+        best = contribution;
+        best_task = s.task;
+      }
+    }
+    out.per_device[d] = Frac(device_total, L);
+    out.dominant[d] = best_task;
   }
-  return out;
+  return true;
 }
 
-/// Dispatches to the integer fast path when safe, recording which engine
-/// ran and what it cost into `telemetry` (nullable: contention_response
-/// has no whole-set accumulator).  Counters only — the dispatch decision
-/// and the returned values are untouched.
-FixpointResult fixpoint(const TaskSet& set, const SetQuantities& q,
-                        std::size_t index,
-                        const std::vector<std::size_t>& sharers,
-                        const Frac& seed, graph::Time deadline,
-                        util::Budget* budget,
-                        FixpointTelemetry* telemetry = nullptr) {
+/// Runs task `index`'s fixpoint from `seed` into `out`, on the integer
+/// fast path when safe, recording which engine ran and what it cost into
+/// `telemetry` (nullable: contention_response has no whole-set
+/// accumulator).  Counters only — the dispatch decision and the results
+/// are untouched.
+void fixpoint(const TaskSet& set, const SetQuantities& q, std::size_t index,
+              const Frac& seed, graph::Time deadline, util::Budget* budget,
+              FixpointTelemetry* telemetry, FixpointResult& out) {
   bool int_path = false;
-  std::optional<FixpointResult> result;
+  graph::Time L = 0;
+  graph::Time f = 0;
   if (q.base_scale > 0) {
     // L = lcm(B, seed.den) = B·f; seed.den divides L by construction.
-    const graph::Time f =
-        seed.den() / std::gcd(q.base_scale, seed.den());
-    const graph::Time L = q.base_scale * f;
+    f = seed.den() / std::gcd(q.base_scale, seed.den());
+    L = q.base_scale * f;
     if (L <= kMaxScale) {
       const __int128 seed_scaled =
           __int128{seed.num()} * (L / seed.den());
-      if (seed_scaled >= 0 &&
-          seed_scaled + __int128{f} * q.step_weight <= kMaxMagnitude &&
-          q.timing_max * L <= kMaxMagnitude) {
-        int_path = true;
-        result = fixpoint_int(set, q, L, f, index, sharers, seed, deadline,
-                              budget);
-      }
+      int_path = seed_scaled >= 0 &&
+                 seed_scaled + __int128{f} * q.step_weight <= kMaxMagnitude &&
+                 q.timing_max * L <= kMaxMagnitude;
     }
   }
-  if (!result) {
-    result = fixpoint_frac(set, q, index, sharers, seed, deadline, budget);
+  out.reset(q.units.size(), index);
+  out.seed = seed;
+  if (int_path) {
+    int_path = fixpoint_int(q, L, f, index, seed, deadline, budget, out);
   }
-  result->seed = seed;
+  if (!int_path) {
+    thread_local std::vector<std::size_t> sharers;
+    sharers_of(q, index, sharers);
+    fixpoint_frac(set, q, index, sharers, seed, deadline, budget, out);
+  }
   if (telemetry != nullptr) {
     ++telemetry->fixpoint_solves;
     if (int_path) {
@@ -386,10 +459,9 @@ FixpointResult fixpoint(const TaskSet& set, const SetQuantities& q,
     } else {
       ++telemetry->frac_path;
     }
-    telemetry->iterations += static_cast<std::uint64_t>(result->iterations);
-    if (result->truncated) ++telemetry->truncated;
+    telemetry->iterations += static_cast<std::uint64_t>(out.iterations);
+    if (out.truncated) ++telemetry->truncated;
   }
-  return *result;
 }
 
 /// contention_rta's per-task step: task `index` takes the smallest
@@ -406,11 +478,14 @@ TaskAdmission solve_task(const TaskSet& set, const SetQuantities& q,
   TaskAdmission admission;
   admission.name = set[index].name();
   std::optional<SeedBound> seed_bound;  // built on the first memo miss
-  thread_local std::vector<std::size_t> sharers;
-  sharers_of(q, index, sharers);
   const graph::Time deadline = set[index].deadline();
 
-  FixpointResult best;
+  // The verdict reports the LAST trial's run (the feasible one, the one cut
+  // short, or the one at the last core count), or none when a trial was
+  // cut before its run — so one result, reused across calls, serves.
+  thread_local FixpointResult result;
+  bool reported = false;
+  bool truncated = false;
   int assigned = 0;
   // The seed bound is non-increasing in m_i, so the first feasible core
   // count is the smallest one; every evaluation reuses the per-task
@@ -423,7 +498,7 @@ TaskAdmission solve_task(const TaskSet& set, const SetQuantities& q,
     // trials are skipped and the task is reported truncated-unschedulable
     // — under-admission, never over-admission.
     if (budget != nullptr && !budget->consume()) {
-      best.truncated = true;
+      truncated = true;
       break;
     }
     Frac seed;
@@ -434,35 +509,36 @@ TaskAdmission solve_task(const TaskSet& set, const SetQuantities& q,
       seed = (*seed_bound)(m);
       ++telemetry.seed_evals;
     }
-    FixpointResult result =
-        fixpoint(set, q, index, sharers, seed, deadline, budget, &telemetry);
+    fixpoint(set, q, index, seed, deadline, budget, &telemetry, result);
     if (result.converged && result.response <= Frac(deadline)) {
-      best = std::move(result);
       assigned = m;
+      reported = true;
       break;
     }
     if (result.truncated || m == remaining) {
-      best = std::move(result);  // best effort to report
-      if (best.truncated) break;  // budget gone: stop trying core counts
+      reported = true;  // best effort to report
+      truncated = result.truncated;
+      break;  // budget gone, or no core count left to try
     }
   }
 
   admission.cores = assigned > 0 ? assigned : remaining;
   admission.schedulable = assigned > 0;
-  admission.seed = best.seed;
-  admission.response = best.response;
-  admission.iterations = best.iterations;
-  admission.outcome = best.truncated ? util::Outcome::kBudgetExhausted
-                                     : util::Outcome::kComplete;
-  // With zero cores left the fixpoint never ran, so there is no
-  // per-device breakdown to report.
-  for (std::size_t d = 0; d < best.per_device.size(); ++d) {
-    if (q.volume[index][d] == 0 && best.per_device[d] == Frac()) continue;
+  admission.outcome = truncated ? util::Outcome::kBudgetExhausted
+                                : util::Outcome::kComplete;
+  // With zero cores left, or a trial cut before its run, no fixpoint is
+  // reported: zero bounds and no per-device breakdown.
+  if (!reported) return admission;
+  admission.seed = result.seed;
+  admission.response = result.response;
+  admission.iterations = result.iterations;
+  for (std::size_t d = 0; d < result.per_device.size(); ++d) {
+    if (q.volume[index][d] == 0 && result.per_device[d] == Frac()) continue;
     DeviceContention contention;
     contention.device = static_cast<graph::DeviceId>(d + 1);
     contention.own_volume = q.volume[index][d];
-    contention.interference = best.per_device[d];
-    contention.dominant_competitor = best.dominant[d];
+    contention.interference = result.per_device[d];
+    contention.dominant_competitor = result.dominant[d];
     admission.devices.push_back(std::move(contention));
   }
   return admission;
@@ -583,10 +659,9 @@ Frac contention_response(const TaskSet& set, std::size_t index, int cores,
   const SetQuantities& q = measure(set);
   const SeedBound seed_bound(set[index], q.units, q.speedups);
   const Frac seed = seed_bound(cores);
-  std::vector<std::size_t> sharers;
-  sharers_of(q, index, sharers);
-  const FixpointResult result =
-      fixpoint(set, q, index, sharers, seed, set[index].deadline(), budget);
+  FixpointResult result;
+  fixpoint(set, q, index, seed, set[index].deadline(), budget, nullptr,
+           result);
   if (converged != nullptr) *converged = result.converged;
   return result.response;
 }

@@ -275,8 +275,9 @@ std::string frac_spec_string(const Frac& f) {
   std::string digits = std::to_string(scaled_abs % scale);
   digits.insert(digits.begin(),
                 static_cast<std::size_t>(places) - digits.size(), '0');
-  return (f.num() < 0 ? "-" : "") + std::to_string(scaled_abs / scale) + "." +
-         digits;
+  std::string text = f.num() < 0 ? "-" : "";
+  text.append(std::to_string(scaled_abs / scale)).append(".").append(digits);
+  return text;
 }
 
 }  // namespace hedra

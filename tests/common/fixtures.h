@@ -131,7 +131,8 @@ inline Dag wide_gpar_example(graph::Time c_off) {
   dag.add_edge(voff, v6);
   for (int i = 0; i < 4; ++i) {
     const NodeId p =
-        dag.add_node(2, NodeKind::kHost, "p" + std::to_string(i + 1));
+        dag.add_node(2, NodeKind::kHost,
+                     std::string("p").append(std::to_string(i + 1)));
     dag.add_edge(v1, p);
     dag.add_edge(p, v6);
   }

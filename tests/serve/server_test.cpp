@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <limits>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -12,6 +14,7 @@
 #include "graph/dag_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/deadline.h"
 #include "util/fault.h"
 #include "util/strings.h"
 
@@ -381,6 +384,151 @@ TEST(ServerTest, TraceAllocationFaultDropsTheTraceNotTheRequest) {
   EXPECT_EQ(stats.admitted, 1u);
   EXPECT_EQ(service.snapshot()->set.size(), 1u);
   EXPECT_EQ(tracer.submitted(), 1u);  // only the QUIT trace survived
+}
+
+/// Nineteen requests written before any reply is read: valid ADMITs, a
+/// malformed body, a cyclic body, a duplicate name, a dangling edge, a
+/// deadline past the period, a malformed header, LEAVEs and STATUS reads.
+constexpr const char* kPipelinedSession =
+    "ADMIT a1 period 1000 deadline 1000\nnode v1 5\nendtask\n"
+    "ADMIT a2 period 500 deadline 400\n"
+    "node v1 3\nnode v2 4 offload\nedge v1 v2\nendtask\n"
+    "STATUS\n"
+    "ADMIT bad1 period 1000 deadline 1000\nnode v1 x\nendtask\n"
+    "ADMIT a3 period 800 deadline 800\n"
+    "node v1 2\nnode v2 6 offload\nnode v3 2\nedge v1 v2\nedge v2 v3\n"
+    "endtask\n"
+    "ADMIT loop period 1000 deadline 1000\n"
+    "node a 1\nnode b 1\nedge a b\nedge b a\nendtask\n"
+    "ADMIT a1 period 1000 deadline 1000\nnode v1 5\nendtask\n"
+    "LEAVE a2\n"
+    "ADMIT a4 period 300 deadline 300\n"
+    "node v1 4\nnode v2 7 offload\nedge v1 v2\nendtask\n"
+    "ADMIT bad2 period 1000 deadline 1000\nfrob v1\nendtask\n"
+    "ADMIT impossible period 100 deadline 100\n"
+    "node a 50\nnode b 50\nnode c 50\nedge a b\nedge b c\nendtask\n"
+    "LEAVE ghost\n"
+    "ADMIT a5 period 600 deadline 500\n"
+    "node v1 1\nnode v2 9 offload\nnode v3 1\nedge v1 v2\nedge v1 v3\n"
+    "endtask\n"
+    "ADMIT bad3 period 10 deadline 20\nnode v1 1\nendtask\n"
+    "ADMIT bad4 period 1000\nnode v1 1\nendtask\n"
+    "ADMIT dangling period 1000 deadline 1000\n"
+    "node v1 1\nedge v1 v9\nendtask\n"
+    "STATUS\n"
+    "LEAVE a1\n"
+    "QUIT\n";
+
+/// The replies, in request order.  A STATUS line is pinned up to its
+/// queue depth, which depends on how far the reader got.
+const std::vector<std::string> kPipelinedReplies{
+    "ADMITTED a1 cores=1 response=5 proven by exact fixpoint",
+    "ADMITTED a2 cores=1 response=7 proven by exact fixpoint",
+    "OK tasks=2 cores_used=2 schedulable=1 version=2 platform=4:acc "
+    "journal_bytes=0 admitted=2 rejected_exact=0 rejected_seed=0 "
+    "provisional=0 admit_errors=0 queue=",
+    "ERROR bad1 precondition violated: malformed integer: 'x'",
+    "ADMITTED a3 cores=1 response=14 proven by exact fixpoint",
+    "ERROR loop line 4: edge 'b' -> 'a' closes a cycle",
+    "ERROR a1 task 'a1' is already admitted",
+    "OK a2 task 'a2' left",
+    "ADMITTED a4 cores=1 response=23 proven by exact fixpoint",
+    "ERROR bad2 line 1: unknown directive 'frob'",
+    "REJECTED impossible task 'impossible' misses its deadline (R = 150)",
+    "ERROR ghost no admitted task named 'ghost'",
+    "ADMITTED a5 cores=1 response=37 proven by exact fixpoint",
+    "ERROR bad3 precondition violated: constrained-deadline model requires "
+    "D <= T",
+    "ERROR expected 'ADMIT <name> period <T> deadline <D>', got 'ADMIT bad4 "
+    "period 1000'",
+    "ERROR dangling precondition violated: line 2: unknown node 'v9'",
+    "OK tasks=4 cores_used=4 schedulable=1 version=6 platform=4:acc "
+    "journal_bytes=0 admitted=5 rejected_exact=1 rejected_seed=0 "
+    "provisional=0 admit_errors=1 queue=",
+    "OK a1 task 'a1' left",
+    "OK bye"};
+
+void expect_pipelined_replies(const std::vector<std::string>& lines) {
+  ASSERT_EQ(lines.size(), kPipelinedReplies.size());
+  for (std::size_t i = 0; i < kPipelinedReplies.size(); ++i) {
+    const std::string& want = kPipelinedReplies[i];
+    const std::string& got = lines[i];
+    if (want.ends_with("queue=")) {
+      EXPECT_TRUE(starts_with(got, want)) << got;
+    } else {
+      EXPECT_EQ(got, want);
+    }
+  }
+}
+
+TEST(ServerTest, PipelinedRequestsAnswerInOrderWithTheSameErrors) {
+  std::istringstream in(kPipelinedSession);
+  std::ostringstream out;
+  AdmissionService service(test_config());
+  const ServerStats stats = run_server(in, out, service);
+  expect_pipelined_replies(lines_of(out.str()));
+  EXPECT_EQ(stats.requests, 19u);
+  EXPECT_EQ(stats.admitted, 5u);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.errors, 8u);
+  EXPECT_EQ(stats.shed, 0u);
+}
+
+TEST(ServerTest, PipelinedAdmitsAreParsedBeforeTheyQueue) {
+  // A 20,000-node chain ahead of the pipelined session: its body parse is
+  // long enough to time, and it is inside the parse span, which closes
+  // before the request starts waiting for the worker.
+  constexpr int kNodes = 20'000;
+  std::string body;
+  for (int v = 1; v <= kNodes; ++v) {
+    body.append("node v").append(std::to_string(v)).append(" 1\n");
+  }
+  for (int v = 1; v < kNodes; ++v) {
+    body.append("edge v").append(std::to_string(v)).append(" v");
+    body.append(std::to_string(v + 1)).append("\n");
+  }
+  std::int64_t parse_ns = std::numeric_limits<std::int64_t>::max();
+  for (int round = 0; round < 3; ++round) {
+    const std::int64_t start = util::monotonic_now_ns();
+    const graph::Dag dag = graph::read_dag_text(body);
+    parse_ns = std::min(parse_ns, util::monotonic_now_ns() - start);
+    ASSERT_EQ(dag.num_nodes(), static_cast<std::size_t>(kNodes));
+  }
+
+  obs::Tracer tracer;
+  ServerConfig config;
+  config.tracer = &tracer;
+  std::istringstream in("ADMIT big period 100000 deadline 100000\n" + body +
+                        "endtask\n" + kPipelinedSession);
+  std::ostringstream out;
+  AdmissionService service(test_config());
+  (void)run_server(in, out, service, config);
+
+  const auto lines = lines_of(out.str());
+  ASSERT_FALSE(lines.empty());
+  EXPECT_TRUE(starts_with(lines[0], "ADMITTED big")) << lines[0];
+  // The big task holds a core and raises the admitted counts by one.
+  EXPECT_EQ(lines.size(), kPipelinedReplies.size() + 1);
+
+  const auto traces = tracer.snapshot();
+  ASSERT_EQ(traces.size(), kPipelinedReplies.size() + 1);
+  int admits = 0;
+  for (const auto& trace : traces) {
+    if (trace->notes().at("verb") != "ADMIT") continue;
+    ++admits;
+    ASSERT_GE(trace->spans().size(), 3u);
+    const obs::Span& parse = trace->spans()[1];
+    const obs::Span& queue_wait = trace->spans()[2];
+    ASSERT_EQ(parse.name, "parse");
+    ASSERT_EQ(queue_wait.name, "queue-wait");
+    EXPECT_GE(queue_wait.start_ns, parse.end_ns);
+  }
+  EXPECT_EQ(admits, 13);
+  // The big ADMIT's parse span holds its body's parse: at least half of
+  // what parsing the same body directly takes.  Reading the lines alone
+  // takes a small fraction of that.
+  const obs::Span& big_parse = traces[0]->spans()[1];
+  EXPECT_GE(big_parse.end_ns - big_parse.start_ns, parse_ns / 2);
 }
 
 TEST(ServerTest, PerRequestDeadlineDegradesGracefully) {

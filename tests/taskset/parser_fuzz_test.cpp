@@ -192,7 +192,7 @@ TEST(ParserFuzzTest, DeviceCountCapRefused) {
   std::string spec = "4:";
   for (std::size_t i = 0; i <= model::Platform::kMaxParsedDevices; ++i) {
     if (i > 0) spec += ",";
-    spec += "d" + std::to_string(i);
+    spec.append("d").append(std::to_string(i));
   }
   EXPECT_THROW((void)model::Platform::parse(spec), Error);
 }
