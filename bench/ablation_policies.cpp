@@ -85,9 +85,9 @@ void run_policy_ablation(int dags, std::uint64_t seed, int jobs) {
           // across every policy and skip per-run trace validation.
           config.validate = false;
           s.t_orig[p] = static_cast<double>(
-              hedra::sim::simulated_makespan(cache.flat(), config));
+              hedra::sim::simulated_makespan(cache.flat_view(), config));
           s.t_trans[p] = static_cast<double>(hedra::sim::simulated_makespan(
-              cache.flat_transformed(), config));
+              cache.transform().view(), config));
         }
         return s;
       },

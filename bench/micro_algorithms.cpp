@@ -77,8 +77,10 @@ void BM_TransformAlgorithm1(benchmark::State& state) {
   const Dag dag =
       make_instance(static_cast<int>(state.range(0)),
                     static_cast<int>(state.range(0)) * 2, 4, 0.2);
+  const hedra::graph::FlatDag flat(dag);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hedra::analysis::transform_for_offload(dag));
+    benchmark::DoNotOptimize(
+        hedra::analysis::transform_for_offload(flat.view()));
   }
 }
 BENCHMARK(BM_TransformAlgorithm1)->Arg(50)->Arg(100)->Arg(200);
@@ -148,7 +150,8 @@ void BM_SimulatePolicySweepShape(benchmark::State& state) {
   config.policy = policy;
   config.validate = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hedra::sim::simulated_makespan(flat, config));
+    benchmark::DoNotOptimize(
+        hedra::sim::simulated_makespan(flat.view(), config));
   }
   state.SetLabel(hedra::sim::to_string(policy));
 }

@@ -224,7 +224,7 @@ int main(int argc, char** argv) {
             config.cores = 8;
             config.policy = policy;
             config.validate = false;
-            (void)hedra::sim::simulate_with_times(cache.flat(), config,
+            (void)hedra::sim::simulate_with_times(cache.flat().view(), config,
                                                   actuals[i]);
           }
         }

@@ -138,16 +138,16 @@ int main(int argc, char** argv) {
     std::cout << analysis::explain(analysis, m);
 
     if (!trans_out->empty()) {
-      graph::save_dag_file(analysis.transform.transformed, *trans_out);
+      graph::save_dag_file(analysis.transformed, *trans_out);
       std::cout << "transformed graph written to " << *trans_out << "\n";
     }
     if (!dot_out->empty()) {
       graph::DotOptions options;
-      for (const auto parent : analysis.transform.gpar.to_parent) {
-        options.highlight.push_back(parent);
+      for (const auto v : analysis.transform.gpar.to_indices()) {
+        options.highlight.push_back(static_cast<graph::NodeId>(v));
       }
       std::ofstream out(*dot_out);
-      out << graph::to_dot(analysis.transform.transformed, options);
+      out << graph::to_dot(analysis.transformed, options);
       std::cout << "DOT written to " << *dot_out << "\n";
     }
     return 0;

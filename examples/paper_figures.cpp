@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iostream>
 
+#include "analysis/analysis_cache.h"
 #include "analysis/naive.h"
 #include "analysis/rta_heterogeneous.h"
 #include "graph/critical_path.h"
@@ -136,36 +137,34 @@ int main(int argc, char** argv) {
     // Figure 2: the transformed DAG.
     const auto analysis = analysis::analyze_heterogeneous(ex.dag, m);
     graph::DotOptions highlight;
-    for (const auto parent : analysis.transform.gpar.to_parent) {
-      highlight.highlight.push_back(parent);
+    for (const auto v : analysis.transform.gpar.to_indices()) {
+      highlight.highlight.push_back(static_cast<graph::NodeId>(v));
     }
     highlight.highlight_label = "GPar";
     write_file(*out_dir + "/fig2a.dot",
-               graph::to_dot(analysis.transform.transformed, highlight));
+               graph::to_dot(analysis.transformed, highlight));
     std::cout << "Figure 2(a): len(G') = " << analysis.len_transformed
               << ", scenario " << to_string(analysis.scenario)
               << ", R_het = " << analysis.r_het << "\n\n";
-    const auto trace_trans =
-        sim::simulate(analysis.transform.transformed, worst);
+    const auto trace_trans = sim::simulate(analysis.transformed, worst);
     std::cout << "Figure 2(b) scheduling of the transformed DAG (response "
               << trace_trans.makespan() << "):\n"
-              << sim::render_gantt(trace_trans,
-                                   analysis.transform.transformed)
-              << "\n";
+              << sim::render_gantt(trace_trans, analysis.transformed) << "\n";
 
     // Figure 3: transformation walk-through on the 12-node example.
     const graph::Dag f3 = fig3_graph();
     write_file(*out_dir + "/fig3a.dot", graph::to_dot(f3));
-    const auto f3t = analysis::transform_for_offload(f3);
+    analysis::AnalysisCache f3_cache(f3);
+    const analysis::TransformResult& f3t = f3_cache.transform();
     graph::DotOptions f3_options;
-    for (const auto parent : f3t.gpar.to_parent) {
-      f3_options.highlight.push_back(parent);
+    for (const auto v : f3t.gpar.to_indices()) {
+      f3_options.highlight.push_back(static_cast<graph::NodeId>(v));
     }
     write_file(*out_dir + "/fig3b.dot",
-               graph::to_dot(f3t.transformed, f3_options));
+               graph::to_dot(f3_cache.transformed(), f3_options));
     std::cout << "Figure 3: " << f3t.edges_removed << " edges re-routed, "
-              << f3t.edges_added << " added; |GPar| = "
-              << f3t.gpar.dag.num_nodes() << "\n";
+              << f3t.edges_added << " added; |GPar| = " << f3t.gpar.count()
+              << "\n";
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

@@ -62,7 +62,7 @@ int main() {
   std::cout << "breadth-first schedule of tau (makespan "
             << trace_orig.makespan() << ", exceeds the naive bound):\n"
             << sim::render_gantt(trace_orig, dag) << "\n";
-  const auto& transformed = analysis.transform.transformed;
+  const auto& transformed = analysis.transformed;
   const auto trace_trans = sim::simulate(transformed, config);
   std::cout << "breadth-first schedule of tau' (makespan "
             << trace_trans.makespan() << " <= R_het = " << analysis.r_het

@@ -1,8 +1,10 @@
 #include "analysis/analysis_cache.h"
 
+#include <algorithm>
 #include <utility>
 
-#include "graph/algorithms.h"
+#include "graph/critical_path.h"
+#include "graph/validate.h"
 
 namespace hedra::analysis {
 
@@ -12,11 +14,6 @@ const Dag& AnalysisCache::original() {
     dag_ = &*materialized_;
   }
   return *dag_;
-}
-
-const TransformResult& AnalysisCache::transform() {
-  if (!transform_) transform_ = transform_for_offload(original());
-  return *transform_;
 }
 
 const graph::FlatDag& AnalysisCache::flat() {
@@ -29,46 +26,56 @@ graph::FlatView AnalysisCache::flat_view() {
   return flat().view();
 }
 
+const TransformResult& AnalysisCache::transform() {
+  if (!transform_) {
+    graph::FlatView view;
+    try {
+      view = flat_view();
+    } catch (const Error&) {
+      // Only a cyclic Dag has no snapshot: report it the way the Dag
+      // validator does, together with every other issue.
+      graph::throw_if_invalid(original(), graph::heterogeneous_rules());
+      throw;
+    }
+    transform_ = transform_for_offload(view);
+  }
+  return *transform_;
+}
+
+const Dag& AnalysisCache::transformed() {
+  if (!transformed_) transformed_ = transformed_dag(original(), transform());
+  return *transformed_;
+}
+
 const graph::FlatDag& AnalysisCache::flat_transformed() {
   if (!flat_transformed_) flat_transformed_.emplace(transformed());
   return *flat_transformed_;
 }
 
-const graph::CriticalPathInfo& AnalysisCache::critical_path() {
-  if (!cp_transformed_) {
-    // Reuse the CSR snapshot when a sim call site already paid for it; the
-    // analysis-only sweeps (fig6/8/9) walk τ' exactly once, so forcing a
-    // snapshot for them would cost more than it saves.
-    if (flat_transformed_) {
-      cp_transformed_.emplace(*flat_transformed_);
-    } else {
-      cp_transformed_.emplace(transformed());
-    }
-  }
-  return *cp_transformed_;
-}
-
-const std::vector<graph::NodeId>& AnalysisCache::topo_original() {
-  return flat().topological_order();
-}
-
-const std::vector<graph::NodeId>& AnalysisCache::topo_transformed() {
-  return flat_transformed().topological_order();
-}
-
 const TheoremQuantities& AnalysisCache::quantities() {
   if (!quantities_) {
-    // Inline `measure` against the cached CriticalPathInfo so the longest
-    // -path pass over G' is shared with any other critical_path() user.
     const TransformResult& t = transform();
-    const graph::CriticalPathInfo& info = critical_path();
+    const graph::FlatView g = flat_view();
+    const graph::FlatView gp = t.view();
+    const graph::CriticalPathInfo info(gp);
     TheoremQuantities q{};
     q.len_trans = info.length();
-    q.vol = t.transformed.volume();
-    q.c_off = t.transformed.wcet(t.voff);
-    q.len_gpar = graph::critical_path_length(t.gpar.dag);
-    q.vol_gpar = t.gpar.dag.volume();
-    q.voff_critical = info.on_critical_path(t.transformed, t.voff);
+    q.voff_critical = info.on_critical_path(gp, t.voff);
+    q.vol = volume();
+    q.c_off = g.wcet(t.voff);
+    // len and vol of G_par, the subgraph of G induced by the mask: longest
+    // paths over G's topological order through masked nodes only.
+    std::vector<graph::Time> up(g.num_nodes(), 0);
+    for (const NodeId v : g.topological_order()) {
+      if (!t.gpar.test(v)) continue;
+      graph::Time best = 0;
+      for (const NodeId p : g.predecessors(v)) {
+        if (t.gpar.test(p)) best = std::max(best, up[p]);
+      }
+      up[v] = best + g.wcet(v);
+      q.len_gpar = std::max(q.len_gpar, up[v]);
+      q.vol_gpar += g.wcet(v);
+    }
     quantities_ = q;
   }
   return *quantities_;
@@ -82,34 +89,22 @@ const PlatformQuantities& AnalysisCache::platform_quantities() {
 }
 
 graph::Time AnalysisCache::len_original() {
-  if (!len_original_) {
-    // Reuse the CSR data when already on hand — the arena view of a
-    // batch-backed cache, or a snapshot another quantity built; the
-    // pure-Theorem-1 path (fig6/8/9) never walks the original graph again,
-    // so it should not pay for materialising one.
-    if (batch_ != nullptr) {
-      len_original_ = graph::critical_path_length(view_);
-    } else {
-      len_original_ = flat_ ? graph::critical_path_length(*flat_)
-                            : graph::critical_path_length(*dag_);
-    }
-  }
+  if (!len_original_) len_original_ = graph::critical_path_length(flat_view());
   return *len_original_;
 }
 
-Frac AnalysisCache::r_hom(int m) {
-  // vol(G) = vol(G'), and using the original graph keeps r_hom usable
-  // without forcing the transform.
+graph::Time AnalysisCache::volume() {
+  // vol(G) = vol(G'), so this never forces the transform.
   if (!vol_original_) {
-    if (batch_ != nullptr) {
-      graph::Time vol = 0;
-      for (const graph::Time c : view_.wcets()) vol += c;
-      vol_original_ = vol;
-    } else {
-      vol_original_ = dag_->volume();
-    }
+    graph::Time vol = 0;
+    for (const graph::Time c : flat_view().wcets()) vol += c;
+    vol_original_ = vol;
   }
-  return rta_homogeneous(len_original(), *vol_original_, m);
+  return *vol_original_;
+}
+
+Frac AnalysisCache::r_hom(int m) {
+  return rta_homogeneous(len_original(), volume(), m);
 }
 
 Frac AnalysisCache::r_hom_gpar(int m) {
@@ -162,13 +157,17 @@ HetAnalysis AnalysisCache::assemble(int m) {
 HetAnalysis AnalysisCache::analyze(int m) & {
   HetAnalysis out = assemble(m);
   out.transform = transform();
+  out.transformed = transformed();
   return out;
 }
 
 HetAnalysis AnalysisCache::analyze(int m) && {
   HetAnalysis out = assemble(m);
+  (void)transformed();
   out.transform = *std::move(transform_);
+  out.transformed = *std::move(transformed_);
   transform_.reset();
+  transformed_.reset();
   return out;
 }
 

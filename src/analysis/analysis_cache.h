@@ -6,12 +6,24 @@
 /// Every figure of §5 evaluates the *same* DAG under several core counts
 /// m ∈ {2, 4, 8, 16}.  Almost everything Theorem 1 consumes is
 /// m-independent — the τ ⇒ τ' transformation (Algorithm 1), the critical
-/// paths of G, G' and G_par, the topological orders, vol and C_off — and
-/// only the final scenario classification and bound are per-m arithmetic on
-/// those quantities.  AnalysisCache computes each graph walk exactly once,
-/// lazily, and serves all m values from the cached quantities; a sweep over
-/// four core counts therefore pays for one transform and one set of
-/// longest-path passes instead of four.
+/// paths of G, G' and G_par, vol and C_off — and only the final scenario
+/// classification and bound are per-m arithmetic on those quantities.
+/// AnalysisCache computes each graph walk exactly once, lazily, and serves
+/// all m values from the cached quantities; a sweep over four core counts
+/// therefore pays for one transform and one set of longest-path passes
+/// instead of four.  quantities() is the one place Theorem 1's inputs are
+/// measured.
+///
+/// Every walk runs over CSR: flat_view() for G, the transform's own
+/// snapshot for G'.  A `Dag` comes into being only where labels are asked
+/// for, and nothing on the bound path asks:
+///  - original() — materialises an arena-backed DAG (dag_io, DOT, the B&B
+///    solver's input, trace validation through flat());
+///  - transformed() — G' with the original labels plus "vSync", for DOT,
+///    dag files, Gantt charts, analyze() and traced simulations through
+///    flat_transformed().
+/// So on an arena-backed cache r_het, r_hom, scenario and quantities never
+/// build a Dag.
 ///
 /// An instance references (does not copy) the DAG it analyses and is meant
 /// for single-threaded use; the experiment runner builds one cache per DAG
@@ -25,7 +37,6 @@
 #include "analysis/platform_rta.h"
 #include "analysis/rta_heterogeneous.h"
 #include "analysis/transform.h"
-#include "graph/critical_path.h"
 #include "graph/dag.h"
 #include "graph/flat_batch.h"
 #include "graph/flat_dag.h"
@@ -44,10 +55,9 @@ class AnalysisCache {
   explicit AnalysisCache(Dag&&) = delete;
 
   /// Binds to DAG `index` of an arena batch (which must outlive the cache).
-  /// The platform-bound paths (flat_view, platform_quantities, r_platform)
-  /// then run straight over the arena with no Dag in sight; anything that
-  /// genuinely needs a Dag — the §3.4 transform, labels, r_hom's
-  /// Dag::volume — materialises one lazily, exactly once, via original().
+  /// The bound paths then run straight over the arena view; original()
+  /// materialises a Dag lazily, exactly once, for the callers that need
+  /// labels.
   AnalysisCache(const graph::FlatDagBatch& batch, std::size_t index)
       : batch_(&batch), batch_index_(index), view_(batch.view(index)) {}
 
@@ -55,46 +65,33 @@ class AnalysisCache {
   /// materialises it from the batch (labels included).
   [[nodiscard]] const Dag& original();
 
-  /// CSR snapshot of the ORIGINAL graph, built once on first use.  Every
-  /// graph walk the cache performs on τ runs over this snapshot, and the
-  /// simulation call sites share it so a 5-policy × 4-m sweep snapshots the
-  /// DAG once instead of twenty times.  Arena-backed caches materialise the
-  /// Dag first; hot paths should prefer flat_view(), which never does.
+  /// Dag-backed CSR snapshot of G, built once on first use — what traced
+  /// simulations run on, so a sweep over policies and core counts
+  /// snapshots the DAG once.  Arena-backed caches materialise the Dag
+  /// first; the bound paths use flat_view(), which never does.
   [[nodiscard]] const graph::FlatDag& flat();
 
-  /// CSR view of the ORIGINAL graph: the arena slice for a batch-backed
-  /// cache (no materialisation, no copy), flat().view() otherwise.
+  /// CSR view of G: the arena slice for a batch-backed cache (no
+  /// materialisation, no copy), flat().view() otherwise.
   [[nodiscard]] graph::FlatView flat_view();
 
-  /// CSR snapshot of the transformed graph τ' (forces the transform).
-  [[nodiscard]] const graph::FlatDag& flat_transformed();
-
-  /// Algorithm 1 (validates the model preconditions on first call).
+  /// Algorithm 1 over flat_view() (validates the model preconditions on
+  /// first call).
   [[nodiscard]] const TransformResult& transform();
 
-  /// G' = transform().transformed.
-  [[nodiscard]] const Dag& transformed() { return transform().transformed; }
+  /// G' as a labelled Dag, materialised on first call.
+  [[nodiscard]] const Dag& transformed();
 
-  /// Longest-path data of G'.
-  [[nodiscard]] const graph::CriticalPathInfo& critical_path();
+  /// Dag-backed CSR snapshot of G' (forces transformed()).
+  [[nodiscard]] const graph::FlatDag& flat_transformed();
 
-  /// Deterministic topological orders (Kahn, id tie-breaks).  Served from
-  /// the CSR snapshots, so the first call FORCES the corresponding
-  /// snapshot; callers that only ever need an order should call
-  /// graph::topological_order directly.
-  [[nodiscard]] const std::vector<graph::NodeId>& topo_original();
-  [[nodiscard]] const std::vector<graph::NodeId>& topo_transformed();
-
-  /// The m-independent quantities of Theorem 1, measured once.
+  /// The m-independent quantities of Theorem 1, measured once: longest
+  /// paths of G' from the transform's snapshot, len/vol of G_par from one
+  /// pass over G's topological order masked to G_par.
   [[nodiscard]] const TheoremQuantities& quantities();
 
   [[nodiscard]] graph::Time len_original();
-  [[nodiscard]] graph::Time len_transformed() { return quantities().len_trans; }
-  [[nodiscard]] graph::Time volume() { return quantities().vol; }
-  [[nodiscard]] graph::Time c_off() { return quantities().c_off; }
-  [[nodiscard]] bool voff_on_critical_path() {
-    return quantities().voff_critical;
-  }
+  [[nodiscard]] graph::Time volume();
 
   /// Host/per-device volumes and the max host-weighted path of the ORIGINAL
   /// graph, measured once (measure_platform over flat_view()).  These feed
@@ -121,9 +118,10 @@ class AnalysisCache {
   [[nodiscard]] Frac r_platform(const model::Platform& platform);
 
   /// Assembles the full HetAnalysis record (identical field-for-field to
-  /// analyze_heterogeneous, which delegates here).  On an lvalue cache the
-  /// cached transform is copied into the result; a single-shot rvalue cache
-  /// moves it out instead, so `AnalysisCache(dag).analyze(m)` pays no copy.
+  /// analyze_heterogeneous, which delegates here), G' Dag included.  On an
+  /// lvalue cache the cached transform and G' are copied into the result; a
+  /// single-shot rvalue cache moves them out instead, so
+  /// `AnalysisCache(dag).analyze(m)` pays no copy.
   [[nodiscard]] HetAnalysis analyze(int m) &;
   [[nodiscard]] HetAnalysis analyze(int m) &&;
 
@@ -134,15 +132,15 @@ class AnalysisCache {
   graph::FlatView view_;              ///< arena slice (batch-backed only)
   std::optional<Dag> materialized_;   ///< lazy Dag of a batch-backed cache
   std::optional<TransformResult> transform_;
+  std::optional<Dag> transformed_;
   std::optional<graph::FlatDag> flat_;
   std::optional<graph::FlatDag> flat_transformed_;
-  std::optional<graph::CriticalPathInfo> cp_transformed_;
   std::optional<TheoremQuantities> quantities_;
   std::optional<PlatformQuantities> platform_quantities_;
   std::optional<graph::Time> len_original_;
   std::optional<graph::Time> vol_original_;
 
-  /// analyze() minus the transform field, shared by both overloads.
+  /// analyze() minus the transform fields, shared by both overloads.
   [[nodiscard]] HetAnalysis assemble(int m);
 };
 

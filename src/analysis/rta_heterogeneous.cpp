@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "analysis/analysis_cache.h"
-#include "graph/critical_path.h"
 #include "util/strings.h"
 
 namespace hedra::analysis {
@@ -18,19 +17,6 @@ const char* to_string(Scenario s) noexcept {
       return "S2.2";
   }
   return "?";
-}
-
-TheoremQuantities measure(const TransformResult& transform) {
-  const Dag& g = transform.transformed;
-  const graph::CriticalPathInfo info(g);
-  TheoremQuantities q{};
-  q.len_trans = info.length();
-  q.vol = g.volume();
-  q.c_off = g.wcet(transform.voff);
-  q.len_gpar = graph::critical_path_length(transform.gpar.dag);
-  q.vol_gpar = transform.gpar.dag.volume();
-  q.voff_critical = info.on_critical_path(g, transform.voff);
-  return q;
 }
 
 Frac r_hom_gpar(const TheoremQuantities& q, int m) {
@@ -69,15 +55,6 @@ Frac evaluate(const TheoremQuantities& q, Scenario scenario, int m) {
   throw InternalError("unreachable scenario");
 }
 
-Frac rta_heterogeneous(const TransformResult& transform, int m) {
-  const auto q = measure(transform);
-  return evaluate(q, classify(q, m), m);
-}
-
-Scenario classify_scenario(const TransformResult& transform, int m) {
-  return classify(measure(transform), m);
-}
-
 HetAnalysis analyze_heterogeneous(const Dag& dag, int m) {
   return AnalysisCache(dag).analyze(m);
 }
@@ -94,7 +71,7 @@ std::string explain(const HetAnalysis& analysis, int m) {
      << ", len(G') = " << analysis.len_transformed
      << ", vol = " << analysis.volume << ", C_off = " << analysis.c_off
      << "\n"
-     << "  G_par:     |V| = " << analysis.transform.gpar.dag.num_nodes()
+     << "  G_par:     |V| = " << analysis.transform.gpar.count()
      << ", len = " << analysis.len_gpar << ", vol = " << analysis.vol_gpar
      << ", R_hom(G_par) = " << analysis.r_hom_gpar << "\n"
      << "  scenario:  v_off "

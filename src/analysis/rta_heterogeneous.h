@@ -52,11 +52,13 @@ struct HetAnalysis {
   graph::Time c_off = 0;          ///< C_off
 
   TransformResult transform;      ///< the τ ⇒ τ' rewriting
+  graph::Dag transformed;         ///< G' as a labelled Dag
 };
 
-/// The m-independent measurements Theorem 1 consumes: one pass over G',
-/// G_par and v_off.  Classification and evaluation are pure arithmetic on
-/// these, so a multi-m sweep measures once (see analysis/analysis_cache.h).
+/// The m-independent measurements Theorem 1 consumes, taken once per DAG by
+/// AnalysisCache::quantities() (the one measurement path).  Classification
+/// and evaluation are pure arithmetic on these, so a multi-m sweep measures
+/// once.
 struct TheoremQuantities {
   graph::Time len_trans = 0;  ///< len(G')
   graph::Time vol = 0;        ///< vol(G) = vol(G')
@@ -65,9 +67,6 @@ struct TheoremQuantities {
   graph::Time vol_gpar = 0;   ///< vol(G_par)
   bool voff_critical = false; ///< v_off on a critical path of G'?
 };
-
-/// Measures the quantities (the only graph walks of the analysis).
-[[nodiscard]] TheoremQuantities measure(const TransformResult& transform);
 
 /// R_hom(G_par) from the measured quantities (Eq. 1 arithmetic).
 [[nodiscard]] Frac r_hom_gpar(const TheoremQuantities& q, int m);
@@ -78,13 +77,6 @@ struct TheoremQuantities {
 /// Theorem 1 under a given scenario from measured quantities.
 [[nodiscard]] Frac evaluate(const TheoremQuantities& q, Scenario scenario,
                             int m);
-
-/// Applies Theorem 1 to an already-transformed DAG.
-[[nodiscard]] Frac rta_heterogeneous(const TransformResult& transform, int m);
-
-/// Classifies the scenario for an already-transformed DAG.
-[[nodiscard]] Scenario classify_scenario(const TransformResult& transform,
-                                         int m);
 
 /// One-call pipeline: validate, transform (Algorithm 1), classify, and
 /// evaluate both R_het (Theorem 1) and the R_hom baseline.

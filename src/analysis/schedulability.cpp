@@ -1,5 +1,7 @@
 #include "analysis/schedulability.h"
 
+#include "analysis/analysis_cache.h"
+
 namespace hedra::analysis {
 
 const char* to_string(AnalysisKind kind) noexcept {
@@ -44,15 +46,15 @@ SchedulabilityReport check_schedulability(const model::DagTask& task, int m,
       report.bound = rta_homogeneous(task.dag(), m);
       break;
     case AnalysisKind::kHeterogeneous: {
-      const auto analysis = analyze_heterogeneous(task.dag(), m);
-      report.bound = analysis.r_het;
-      report.scenario = analysis.scenario;
+      AnalysisCache cache(task.dag());
+      report.bound = cache.r_het(m);
+      report.scenario = cache.scenario(m);
       break;
     }
     case AnalysisKind::kBest: {
-      const auto analysis = analyze_heterogeneous(task.dag(), m);
-      report.bound = frac_min(analysis.r_het, analysis.r_hom);
-      report.scenario = analysis.scenario;
+      AnalysisCache cache(task.dag());
+      report.bound = frac_min(cache.r_het(m), cache.r_hom(m));
+      report.scenario = cache.scenario(m);
       break;
     }
     case AnalysisKind::kPlatform: {

@@ -2,23 +2,14 @@
 
 #include "graph/algorithms.h"
 #include "graph/validate.h"
-#include "util/bitset.h"
 
 namespace hedra::analysis {
 
-std::vector<NodeId> parallel_nodes(const Dag& dag, NodeId voff) {
-  const auto pred = graph::ancestors(dag, voff);
-  const auto succ = graph::descendants(dag, voff);
-  std::vector<NodeId> out;
-  for (NodeId v = 0; v < dag.num_nodes(); ++v) {
-    if (v != voff && !pred.test(v) && !succ.test(v)) out.push_back(v);
-  }
-  return out;
-}
-
-TransformResult transform_for_offload(const Dag& dag) {
+TransformResult transform_for_offload(const graph::FlatView& dag) {
   graph::throw_if_invalid(dag, graph::heterogeneous_rules());
-  const NodeId voff = *dag.offload_node();
+  const std::size_t n = dag.num_nodes();
+  NodeId voff = 0;
+  while (dag.device(voff) == graph::kHostDevice) ++voff;
   HEDRA_REQUIRE(dag.in_degree(voff) > 0,
                 "v_off must not be the source of the DAG");
   HEDRA_REQUIRE(dag.out_degree(voff) > 0,
@@ -28,77 +19,95 @@ TransformResult transform_for_offload(const Dag& dag) {
   result.voff = voff;
 
   // Line 1: Pred(v_off) and Succ(v_off).
-  const DynamicBitset pred = graph::ancestors(dag, voff);
-  const DynamicBitset succ = graph::descendants(dag, voff);
-  for (const auto v : pred.to_indices()) {
-    result.pred_of_voff.push_back(static_cast<NodeId>(v));
-  }
-  for (const auto v : succ.to_indices()) {
-    result.succ_of_voff.push_back(static_cast<NodeId>(v));
+  result.pred = graph::ancestors(dag, voff);
+  result.succ = graph::descendants(dag, voff);
+  const DynamicBitset& pred = result.pred;
+
+  // Lines 14-17: G_par on the ORIGINAL graph.
+  result.gpar = DynamicBitset(n);
+  for (NodeId v = 0; v < n; ++v) {
+    if (v != voff && !pred.test(v) && !result.succ.test(v)) {
+      result.gpar.set(v);
+    }
   }
 
-  // Line 2: V' = V ∪ {v_sync}, E' = E.
-  Dag& g = result.transformed;
-  g = dag;
-  const NodeId vsync = g.add_node(0, graph::NodeKind::kSync);
+  // Line 2: V' = V ∪ {v_sync}.
+  thread_local graph::StagedDag staged;
+  staged.clear();
+  for (NodeId v = 0; v < n; ++v) {
+    if (dag.is_sync(v)) {
+      (void)staged.add_sync_node();
+    } else {
+      (void)staged.add_node(dag.wcet(v));
+    }
+    staged.device[v] = dag.device(v);
+  }
+  const NodeId vsync = staged.add_sync_node();
   result.vsync = vsync;
 
-  const auto move_edge_under_sync = [&](NodeId from, NodeId to) {
-    g.remove_edge(from, to);
-    ++result.edges_removed;
-    if (!g.has_edge(vsync, to)) {
-      g.add_edge(vsync, to);
-      ++result.edges_added;
-    }
-  };
-
-  // Lines 3-8: iterate over v_off's direct predecessors.
-  DynamicBitset direct_pred(dag.num_nodes());
-  const std::vector<NodeId> direct = dag.predecessors(voff);
-  for (const NodeId vi : direct) {
-    direct_pred.set(vi);
-    // Line 5: E' = E' ∪ {(v_i, v_sync)} \ {(v_i, v_off)}.
-    g.remove_edge(vi, voff);
-    ++result.edges_removed;
-    g.add_edge(vi, vsync);
-    ++result.edges_added;
-    // Lines 6-8: v_i's remaining successors become v_sync's successors.
-    const std::vector<NodeId> other_succ = g.successors(vi);
-    for (const NodeId vj : other_succ) {
-      if (vj == vsync) continue;
-      move_edge_under_sync(vi, vj);
-    }
-  }
-
-  // Line 9: E' = E' ∪ {(v_sync, v_off)}.
-  g.add_edge(vsync, voff);
-  ++result.edges_added;
-
-  // Lines 10-13: iterate over indirect predecessors of v_off.
-  for (const auto vi_idx : pred.to_indices()) {
-    const NodeId vi = static_cast<NodeId>(vi_idx);
-    if (direct_pred.test(vi)) continue;
-    const std::vector<NodeId> succ_snapshot = g.successors(vi);
-    for (const NodeId vj : succ_snapshot) {
-      // Line 12: v_j parallel to v_off iff v_j ∉ Pred(v_off).  Since the
-      // input has no transitive edges, v_j ∈ Succ(v_off) is impossible here
-      // (it would make (v_i, v_j) transitive via v_off).
-      if (!pred.test(vj)) {
-        HEDRA_ASSERT(!succ.test(vj));
-        move_edge_under_sync(vi, vj);
+  // Lines 3-8 and 10-13, seen from the source side: a node of Pred(v_off)
+  // keeps only its edges inside Pred(v_off) — its edge to v_off and every
+  // edge into the parallel portion move under v_sync (transitive freeness
+  // rules out an edge from Pred(v_off) into Succ(v_off)).  Line 5 then
+  // links each direct predecessor to v_sync.
+  const auto direct = dag.predecessors(voff);
+  DynamicBitset is_direct(n);
+  for (const NodeId vi : direct) is_direct.set(vi);
+  std::size_t moved = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    const bool in_pred = pred.test(u);
+    for (const NodeId w : dag.successors(u)) {
+      if (!in_pred || pred.test(w)) {
+        staged.add_edge(u, w);
+      } else if (w != voff) {
+        ++moved;
       }
     }
+    if (is_direct.test(u)) staged.add_edge(u, vsync);
   }
 
-  // Lines 14-17: G_par induced by V \ Pred(v_off) \ Succ(v_off) \ {v_off}
-  // on the ORIGINAL edge set E.
-  DynamicBitset members(dag.num_nodes());
-  for (NodeId v = 0; v < dag.num_nodes(); ++v) {
-    if (v != voff && !pred.test(v) && !succ.test(v)) members.set(v);
+  // v_sync's successors, each once: the moved targets of the direct
+  // predecessors (lines 6-8), v_off (line 9), then those of the indirect
+  // predecessors (lines 10-13).
+  DynamicBitset adopted(n);
+  const auto adopt = [&](NodeId w) {
+    if (adopted.test(w)) return;
+    adopted.set(w);
+    staged.add_edge(vsync, w);
+  };
+  for (const NodeId vi : direct) {
+    for (const NodeId w : dag.successors(vi)) {
+      if (w != voff) adopt(w);
+    }
   }
-  result.gpar = graph::induced_subgraph(dag, members);
+  staged.add_edge(vsync, voff);
+  for (NodeId vi = 0; vi < n; ++vi) {
+    if (!pred.test(vi) || is_direct.test(vi)) continue;
+    for (const NodeId w : dag.successors(vi)) {
+      if (!pred.test(w)) adopt(w);
+    }
+  }
 
+  result.edges_removed = direct.size() + moved;
+  result.edges_added = direct.size() + adopted.count() + 1;
+  result.transformed.append(
+      staged, graph::FlatDagBatch::EdgeOrder::kGroupedBySource, voff);
   return result;
+}
+
+Dag transformed_dag(const Dag& original, const TransformResult& t) {
+  const graph::FlatView gp = t.view();
+  HEDRA_REQUIRE(original.num_nodes() + 1 == gp.num_nodes(),
+                "transform result does not belong to this graph");
+  Dag out;
+  for (NodeId v = 0; v < original.num_nodes(); ++v) {
+    (void)out.add_node(original.node(v));
+  }
+  (void)out.add_node(0, graph::NodeKind::kSync);
+  for (NodeId u = 0; u < gp.num_nodes(); ++u) {
+    for (const NodeId w : gp.successors(u)) out.add_edge(u, w);
+  }
+  return out;
 }
 
 }  // namespace hedra::analysis

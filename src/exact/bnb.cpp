@@ -114,7 +114,7 @@ struct SearchContext {
       : flat(dag),
         m(m_in),
         config(config_in),
-        down(graph::down_lengths(flat)),
+        down(graph::down_lengths(flat.view())),
         by_tail(tail_order(flat, down)) {
     const std::size_t n = flat.num_nodes();
     by_down.resize(n);

@@ -50,7 +50,7 @@ Time tail_energy_bound(const Dag& dag, int m) {
   HEDRA_REQUIRE(m >= 1, "core count m must be >= 1");
   const graph::FlatDag flat(dag);
   const std::vector<TailEntry> order =
-      tail_order(flat, graph::down_lengths(flat));
+      tail_order(flat, graph::down_lengths(flat.view()));
   // At the root nothing has started: every node's share is its WCET.
   std::vector<Time> remaining(static_cast<std::size_t>(flat.max_device()) + 1);
   for (const TailEntry& e : order) remaining[e.device] += flat.wcet(e.node);

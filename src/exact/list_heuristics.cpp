@@ -12,7 +12,7 @@ HeuristicResult best_heuristic_makespan(const graph::FlatDag& flat, int m,
     config.policy = policy;
     config.seed = seed;
     config.validate = false;  // hot path; the simulator is golden-pinned
-    const graph::Time makespan = sim::simulated_makespan(flat, config);
+    const graph::Time makespan = sim::simulated_makespan(flat.view(), config);
     if (!have || makespan < best.makespan) {
       best.makespan = makespan;
       best.policy = policy;

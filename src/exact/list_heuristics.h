@@ -7,6 +7,7 @@
 /// usually within a few percent of optimal on these graphs, which makes the
 /// B&B gap small from the start.
 
+#include "graph/flat_dag.h"
 #include "sim/scheduler.h"
 
 namespace hedra::exact {

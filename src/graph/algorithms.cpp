@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <queue>
 
+#include "graph/flat_dag.h"
+
 namespace hedra::graph {
 
 std::vector<NodeId> topological_order(const Dag& dag) {
@@ -39,14 +41,16 @@ bool is_acyclic(const Dag& dag) {
 
 namespace {
 
-DynamicBitset bfs_reach(const Dag& dag, NodeId start, bool forward) {
-  DynamicBitset seen(dag.num_nodes());
+/// Over a Dag or a FlatView (the same adjacency accessors).
+template <class Graph>
+DynamicBitset bfs_reach(const Graph& g, NodeId start, bool forward) {
+  HEDRA_REQUIRE(start < g.num_nodes(), "node id out of range");
+  DynamicBitset seen(g.num_nodes());
   std::vector<NodeId> stack{start};
   while (!stack.empty()) {
     const NodeId v = stack.back();
     stack.pop_back();
-    const auto& next = forward ? dag.successors(v) : dag.predecessors(v);
-    for (const NodeId w : next) {
+    for (const NodeId w : forward ? g.successors(v) : g.predecessors(v)) {
       if (!seen.test(w)) {
         seen.set(w);
         stack.push_back(w);
@@ -64,8 +68,16 @@ DynamicBitset ancestors(const Dag& dag, NodeId v) {
   return bfs_reach(dag, v, /*forward=*/false);
 }
 
+DynamicBitset ancestors(const FlatView& view, NodeId v) {
+  return bfs_reach(view, v, /*forward=*/false);
+}
+
 DynamicBitset descendants(const Dag& dag, NodeId v) {
   return bfs_reach(dag, v, /*forward=*/true);
+}
+
+DynamicBitset descendants(const FlatView& view, NodeId v) {
+  return bfs_reach(view, v, /*forward=*/true);
 }
 
 bool reachable(const Dag& dag, NodeId from, NodeId to) {
@@ -73,14 +85,18 @@ bool reachable(const Dag& dag, NodeId from, NodeId to) {
 }
 
 std::vector<DynamicBitset> transitive_closure(const Dag& dag) {
-  const std::size_t n = dag.num_nodes();
-  const auto order = topological_order(dag);
+  return transitive_closure(FlatDag(dag).view());
+}
+
+std::vector<DynamicBitset> transitive_closure(const FlatView& view) {
+  const std::size_t n = view.num_nodes();
+  const auto order = view.topological_order();
   std::vector<DynamicBitset> reach(n, DynamicBitset(n));
   // Process in reverse topological order: reach[v] = union over successors w
   // of ({w} ∪ reach[w]).
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const NodeId v = *it;
-    for (const NodeId w : dag.successors(v)) {
+    for (const NodeId w : view.successors(v)) {
       reach[v].set(w);
       reach[v] |= reach[w];
     }
@@ -89,12 +105,16 @@ std::vector<DynamicBitset> transitive_closure(const Dag& dag) {
 }
 
 std::vector<std::pair<NodeId, NodeId>> transitive_edges(const Dag& dag) {
-  const auto reach = transitive_closure(dag);
+  return transitive_edges(FlatDag(dag).view());
+}
+
+std::vector<std::pair<NodeId, NodeId>> transitive_edges(const FlatView& view) {
+  const auto reach = transitive_closure(view);
   std::vector<std::pair<NodeId, NodeId>> out;
-  for (NodeId u = 0; u < dag.num_nodes(); ++u) {
-    for (const NodeId w : dag.successors(u)) {
+  for (NodeId u = 0; u < view.num_nodes(); ++u) {
+    for (const NodeId w : view.successors(u)) {
       // (u, w) is transitive iff some other successor x of u reaches w.
-      for (const NodeId x : dag.successors(u)) {
+      for (const NodeId x : view.successors(u)) {
         if (x != w && reach[x].test(w)) {
           out.emplace_back(u, w);
           break;

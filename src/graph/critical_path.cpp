@@ -2,28 +2,12 @@
 
 #include <algorithm>
 
-#include "graph/algorithms.h"
+#include "graph/flat_dag.h"
 
 namespace hedra::graph {
 
-CriticalPathInfo::CriticalPathInfo(const Dag& dag) {
-  const std::size_t n = dag.num_nodes();
-  up_.assign(n, 0);
-  down_.assign(n, 0);
-  const auto order = topological_order(dag);
-  for (const NodeId v : order) {
-    Time best = 0;
-    for (const NodeId p : dag.predecessors(v)) best = std::max(best, up_[p]);
-    up_[v] = best + dag.wcet(v);
-    length_ = std::max(length_, up_[v]);
-  }
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId v = *it;
-    Time best = 0;
-    for (const NodeId s : dag.successors(v)) best = std::max(best, down_[s]);
-    down_[v] = best + dag.wcet(v);
-  }
-}
+CriticalPathInfo::CriticalPathInfo(const Dag& dag)
+    : CriticalPathInfo(FlatDag(dag).view()) {}
 
 CriticalPathInfo::CriticalPathInfo(const FlatView& view) {
   const std::size_t n = view.num_nodes();
@@ -44,13 +28,6 @@ CriticalPathInfo::CriticalPathInfo(const FlatView& view) {
   }
 }
 
-CriticalPathInfo::CriticalPathInfo(const FlatDag& flat)
-    : CriticalPathInfo(flat.view()) {}
-
-bool CriticalPathInfo::on_critical_path(const Dag& dag, NodeId v) const {
-  return up(v) + down(v) - dag.wcet(v) == length_;
-}
-
 Time critical_path_length(const Dag& dag) {
   return CriticalPathInfo(dag).length();
 }
@@ -68,10 +45,6 @@ Time critical_path_length(const FlatView& view) {
   return length;
 }
 
-Time critical_path_length(const FlatDag& flat) {
-  return critical_path_length(flat.view());
-}
-
 std::vector<Time> down_lengths(const FlatView& view) {
   const std::size_t n = view.num_nodes();
   std::vector<Time> down(n, 0);
@@ -83,10 +56,6 @@ std::vector<Time> down_lengths(const FlatView& view) {
     down[v] = best + view.wcet(v);
   }
   return down;
-}
-
-std::vector<Time> down_lengths(const FlatDag& flat) {
-  return down_lengths(flat.view());
 }
 
 std::vector<NodeId> extract_critical_path(const Dag& dag) {

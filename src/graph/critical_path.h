@@ -16,22 +16,18 @@
 #include <vector>
 
 #include "graph/dag.h"
-#include "graph/flat_dag.h"
+#include "graph/flat_view.h"
 
 namespace hedra::graph {
 
 /// Longest-path data for a whole DAG.
 class CriticalPathInfo {
  public:
-  /// Computes lengths via one topological pass.  Throws on cyclic input.
+  /// Computes lengths over a snapshot of `dag`.  Throws on cyclic input.
   explicit CriticalPathInfo(const Dag& dag);
 
-  /// Same lengths from a CSR snapshot, reusing its cached topological order
-  /// (no re-sort, no pointer-chased adjacency) — the hot-path constructor
-  /// the AnalysisCache and the simulator use.
-  explicit CriticalPathInfo(const FlatDag& flat);
-
-  /// Same lengths from a non-owning CSR view (arena batches).
+  /// Same lengths from a CSR view, reusing its cached topological order
+  /// (no re-sort, no pointer-chased adjacency) — the hot-path constructor.
   explicit CriticalPathInfo(const FlatView& view);
 
   /// len(G): length of the longest path; 0 for an empty graph.
@@ -43,8 +39,12 @@ class CriticalPathInfo {
   /// Longest path starting at v (inclusive).
   [[nodiscard]] Time down(NodeId v) const { return down_.at(v); }
 
-  /// True iff v lies on at least one critical path.
-  [[nodiscard]] bool on_critical_path(const Dag& dag, NodeId v) const;
+  /// True iff v lies on at least one critical path of `g`, the Dag or
+  /// FlatView these lengths were computed from.
+  template <class Graph>
+  [[nodiscard]] bool on_critical_path(const Graph& g, NodeId v) const {
+    return up(v) + down(v) - g.wcet(v) == length_;
+  }
 
  private:
   Time length_ = 0;
@@ -55,15 +55,13 @@ class CriticalPathInfo {
 /// len(G) without retaining per-node data.
 [[nodiscard]] Time critical_path_length(const Dag& dag);
 
-/// len(G) from a CSR snapshot (single forward pass, no allocation beyond
-/// one lengths array).
-[[nodiscard]] Time critical_path_length(const FlatDag& flat);
+/// len(G) from a CSR view (single forward pass, no allocation beyond one
+/// lengths array).
 [[nodiscard]] Time critical_path_length(const FlatView& view);
 
-/// down(v) for every node of a snapshot — the longest path starting at v,
-/// v's WCET included.  One reverse pass over the cached topological order;
-/// used by the critical-path-first simulator policy and the B&B solver.
-[[nodiscard]] std::vector<Time> down_lengths(const FlatDag& flat);
+/// down(v) for every node of a view — the longest path starting at v, v's
+/// WCET included.  One reverse pass over the cached topological order; used
+/// by the critical-path-first simulator policy and the B&B solver.
 [[nodiscard]] std::vector<Time> down_lengths(const FlatView& view);
 
 /// One longest path, source to sink, as a node sequence.  Deterministic

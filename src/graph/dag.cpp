@@ -16,6 +16,15 @@ const char* to_string(NodeKind kind) noexcept {
   return "?";
 }
 
+std::string default_label(NodeId id, DeviceId device, bool sync) {
+  if (sync) return "vSync";
+  if (device == kHostDevice) {
+    return std::string("v").append(std::to_string(id + 1));
+  }
+  return device == 1 ? "vOff"
+                     : std::string("vOff").append(std::to_string(device));
+}
+
 NodeId Dag::add_node(Time wcet, NodeKind kind, std::string label) {
   Node node;
   node.wcet = wcet;
@@ -42,20 +51,7 @@ NodeId Dag::add_node(const Node& node) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
   Node stored = node;
   if (stored.label.empty()) {
-    switch (stored.kind()) {
-      case NodeKind::kHost:
-        stored.label = std::string("v").append(std::to_string(id + 1));
-        break;
-      case NodeKind::kOffload:
-        stored.label = stored.device == 1
-                           ? "vOff"
-                           : std::string("vOff").append(
-                                 std::to_string(stored.device));
-        break;
-      case NodeKind::kSync:
-        stored.label = "vSync";
-        break;
-    }
+    stored.label = default_label(id, stored.device, stored.sync);
   }
   nodes_.push_back(std::move(stored));
   succ_.emplace_back();

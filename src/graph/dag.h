@@ -15,10 +15,10 @@
 /// synchronisation nodes inserted by the transformation of §3.4 (always
 /// host-side).
 ///
-/// The class stores adjacency in insertion order and supports the edge
-/// removals/insertions Algorithm 1 performs.  Structural rules that are
-/// global properties (acyclicity, single source/sink, absence of transitive
-/// edges) are checked by graph/validate.h rather than on every mutation.
+/// The class stores adjacency in insertion order and carries the labels
+/// tooling prints.  Structural rules that are global properties
+/// (acyclicity, single source/sink, absence of transitive edges) are checked
+/// by graph/validate.h rather than on every mutation.
 
 #include <cstdint>
 #include <optional>
@@ -55,6 +55,11 @@ enum class NodeKind : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(NodeKind kind) noexcept;
+
+/// The label Dag::add_node gives node `id` when none is passed: "v<id+1>"
+/// on the host, "vOff" on device 1, "vOff<d>" on device d >= 2, "vSync"
+/// for a sync node.
+[[nodiscard]] std::string default_label(NodeId id, DeviceId device, bool sync);
 
 /// One vertex of the task graph.
 struct Node {

@@ -36,6 +36,17 @@ std::string at_line(int line_no) {
   return "line " + std::to_string(line_no) + ": ";
 }
 
+/// parse_int, naming the line when `text` is not an integer.
+Time parse_int_on_line(std::string_view text, int line_no) {
+  try {
+    return parse_int(text);
+  } catch (const Error&) {
+    HEDRA_REQUIRE(false, at_line(line_no) + "malformed integer: '" +
+                             std::string(trim(text)) + "'");
+    throw;
+  }
+}
+
 /// Kind token grammar: "host", "sync", "offload" (device 1), or
 /// "offload:<d>" for an explicit accelerator device d >= 1.
 struct ParsedKind {
@@ -48,7 +59,7 @@ ParsedKind parse_kind(std::string_view text, int line_no) {
   if (text == "sync") return {NodeKind::kSync, kHostDevice};
   if (text == "offload") return {NodeKind::kOffload, DeviceId{1}};
   if (text.starts_with("offload:")) {
-    const Time device = parse_int(text.substr(8));
+    const Time device = parse_int_on_line(text.substr(8), line_no);
     HEDRA_REQUIRE(device >= 1 &&
                       device <= std::numeric_limits<DeviceId>::max(),
                   at_line(line_no) + "offload device id out of range in '" +
@@ -200,10 +211,14 @@ Dag read_dag_text(std::string_view text) {
       HEDRA_REQUIRE(!by_label.contains(label),
                     at_line(line_no) + "duplicate node label '" +
                         std::string(label) + "'");
-      const Time wcet = parse_int(tokens.field[2]);
+      const Time wcet = parse_int_on_line(tokens.field[2], line_no);
       const ParsedKind kind = tokens.count == 4
                                   ? parse_kind(tokens.field[3], line_no)
                                   : ParsedKind{};
+      HEDRA_REQUIRE(wcet >= 0,
+                    at_line(line_no) + "node WCET must be non-negative");
+      HEDRA_REQUIRE(kind.kind != NodeKind::kSync || wcet == 0,
+                    at_line(line_no) + "sync nodes must have zero WCET");
       const NodeId id =
           kind.kind == NodeKind::kSync
               ? dag.add_node(wcet, NodeKind::kSync, std::string(label))

@@ -36,7 +36,7 @@ void FlatDagBatch::append(const StagedDag& staged, EdgeOrder order,
 
   wcet_.insert(wcet_.end(), staged.wcet.begin(), staged.wcet.end());
   device_.insert(device_.end(), staged.device.begin(), staged.device.end());
-  sync_.insert(sync_.end(), n, 0);
+  sync_.insert(sync_.end(), staged.sync.begin(), staged.sync.end());
   for (std::size_t v = 0; v < n; ++v) {
     rec.max_device = std::max(rec.max_device, staged.device[v]);
     if (staged.device[v] != kHostDevice) ++rec.num_offload;
@@ -109,11 +109,12 @@ Dag FlatDagBatch::materialize(std::size_t i) const {
   const DeviceId* device = device_.data() + r.node_off;
   Dag dag;
   if (r.order == EdgeOrder::kGroupedBySource) {
+    const std::uint8_t* sync = sync_.data() + r.node_off;
     for (NodeId v = 0; v < n; ++v) {
       if (v == r.offload_relabel) {
         dag.add_node(wcet[v], NodeKind::kOffload);
       } else {
-        dag.add_node(wcet[v]);
+        dag.add_node(wcet[v], sync[v] != 0 ? NodeKind::kSync : NodeKind::kHost);
       }
     }
     const std::uint32_t* soff = succ_off_.data() + r.csr_off;

@@ -10,8 +10,8 @@
 /// `succ_off / pred_off / succ / pred / wcet / device / sync / topo` arrays
 /// with a per-DAG offset record, node ids are DAG-local (0-based), and each
 /// DAG is exposed as a `FlatView`.  A `Dag` object is materialised lazily,
-/// and only for callers that genuinely need one (dag_io, DOT rendering, the
-/// §3.4 transformation).
+/// and only for callers that genuinely need one (labels: dag_io, DOT
+/// rendering, trace validation).
 ///
 /// Generators stage one DAG at a time in a reusable `StagedDag` scratch
 /// (plain wcet/device arrays plus the edge list in insertion order) and
@@ -40,10 +40,12 @@ namespace hedra::graph {
 
 /// Reusable staging buffers for one DAG under construction.  Generators
 /// fill these directly (no `Dag` allocation per attempt) and hand the
-/// accepted attempt to `FlatDagBatch::append`.
+/// accepted attempt to `FlatDagBatch::append`; so does Algorithm 1
+/// (analysis/transform.h), which stages G′ with its v_sync node.
 struct StagedDag {
   std::vector<Time> wcet;
   std::vector<DeviceId> device;
+  std::vector<std::uint8_t> sync;
   std::vector<std::pair<NodeId, NodeId>> edges;  ///< insertion order
   std::vector<std::uint32_t> in_deg;
   std::vector<std::uint32_t> out_deg;
@@ -52,9 +54,17 @@ struct StagedDag {
   NodeId add_node(Time c) {
     wcet.push_back(c);
     device.push_back(kHostDevice);
+    sync.push_back(0);
     in_deg.push_back(0);
     out_deg.push_back(0);
     return static_cast<NodeId>(wcet.size() - 1);
+  }
+
+  /// Adds a zero-WCET host synchronisation node; returns its id.
+  NodeId add_sync_node() {
+    const NodeId v = add_node(0);
+    sync[v] = 1;
+    return v;
   }
 
   void add_edge(NodeId from, NodeId to) {
@@ -70,6 +80,7 @@ struct StagedDag {
   void clear() noexcept {
     wcet.clear();
     device.clear();
+    sync.clear();
     edges.clear();
     in_deg.clear();
     out_deg.clear();
@@ -98,9 +109,8 @@ class FlatDagBatch {
 
   /// Copies one staged DAG into the arena, deriving succ/pred CSR and the
   /// deterministic Kahn topological order.  `staged.device` must already
-  /// carry final placements.  Sync flags are all-false by construction (the
-  /// generators never emit sync nodes; those appear only through the §3.4
-  /// transformation, which operates on materialised Dags).
+  /// carry final placements.  The generators never stage sync nodes; the
+  /// §3.4 transformation stages one, v_sync.
   void append(const StagedDag& staged, EdgeOrder order,
               NodeId offload_relabel = kInvalidNode);
 
@@ -125,7 +135,7 @@ class FlatDagBatch {
 
   /// Rebuilds DAG `i` as a full `Dag` (labels included) whose CSR snapshot
   /// equals `view(i)`.  O(n + e); intended for the cold paths (dag_io, DOT,
-  /// transformation) only.
+  /// trace validation) only.
   [[nodiscard]] Dag materialize(std::size_t i) const;
 
   /// Whole-arena attribute arrays (all DAGs back to back) for batch kernels.

@@ -5,7 +5,7 @@
 ///
 /// `Dag` stores adjacency as `std::vector<std::vector<NodeId>>` and node
 /// attributes behind a bounds-checked `node(id)` accessor — the right shape
-/// for the mutations Algorithm 1 performs, and the wrong shape for the
+/// for building and labelling a graph, and the wrong shape for the
 /// Monte-Carlo pipeline, which walks the *same frozen graph* thousands of
 /// times (per policy, per core count, per search node).  `FlatDag` snapshots
 /// a Dag once into contiguous arrays:
@@ -41,7 +41,7 @@ class FlatDag {
   /// Binding to a temporary would dangle immediately.
   explicit FlatDag(Dag&&) = delete;
 
-  /// The snapshotted graph (labels, mutation API, validation).
+  /// The snapshotted graph (labels, validation).
   [[nodiscard]] const Dag& source() const noexcept { return *source_; }
 
   /// Non-owning view over this snapshot's arrays (valid while the snapshot

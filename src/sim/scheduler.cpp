@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "graph/flat_dag.h"
 #include "sim/engine.h"
 
 namespace hedra::sim {
@@ -74,11 +75,13 @@ void run_single(const graph::FlatView& view, const SimConfig& config,
   (void)run_engine(std::span<const EngineTask>(&task, 1), engine, recorder);
 }
 
-/// A trace-recording run over `view`, whose source Dag is `dag`.
-ScheduleTrace run_traced(const graph::FlatView& view, const Dag* dag,
-                         const SimConfig& config,
+/// A trace-recording run over a Dag-backed `view`.
+ScheduleTrace run_traced(const graph::FlatView& view, const SimConfig& config,
                          const std::vector<Time>* actual) {
-  TraceRecorder recorder{ScheduleTrace(dag, config.cores, config.device_units)};
+  HEDRA_REQUIRE(view.source() != nullptr,
+                "a traced simulation requires a Dag-backed view");
+  TraceRecorder recorder{
+      ScheduleTrace(view.source(), config.cores, config.device_units)};
   recorder.trace.reserve(view.num_nodes());
   run_single(view, config, actual, recorder);
   if (config.validate) {
@@ -99,21 +102,20 @@ std::uint64_t validation_runs() noexcept {
   return g_validation_runs.load(std::memory_order_relaxed);
 }
 
-ScheduleTrace simulate(const FlatDag& flat, const SimConfig& config) {
-  return run_traced(flat.view(), &flat.source(), config, nullptr);
+ScheduleTrace simulate(const graph::FlatView& view, const SimConfig& config) {
+  return run_traced(view, config, nullptr);
 }
 
 ScheduleTrace simulate(const Dag& dag, const SimConfig& config) {
-  return simulate(FlatDag(dag), config);  // FlatDag throws on cyclic input
+  // FlatDag throws on cyclic input.
+  return simulate(graph::FlatDag(dag).view(), config);
 }
 
 Time simulated_makespan(const graph::FlatView& view, const SimConfig& config) {
   if (config.validate) {
     // Validation needs a full trace (and the source Dag to check against),
     // so honour the flag by taking the recording path.
-    HEDRA_REQUIRE(view.source() != nullptr,
-                  "trace validation requires a Dag-backed view");
-    return run_traced(view, view.source(), config, nullptr).makespan();
+    return run_traced(view, config, nullptr).makespan();
   }
   MakespanRecorder recorder;
   run_single(view, config, nullptr, recorder);
@@ -121,21 +123,18 @@ Time simulated_makespan(const graph::FlatView& view, const SimConfig& config) {
 }
 
 Time simulated_makespan(const Dag& dag, const SimConfig& config) {
-  return simulated_makespan(FlatDag(dag).view(), config);
+  return simulated_makespan(graph::FlatDag(dag).view(), config);
 }
 
-Time simulated_makespan(const FlatDag& flat, const SimConfig& config) {
-  return simulated_makespan(flat.view(), config);
-}
-
-ScheduleTrace simulate_with_times(const FlatDag& flat, const SimConfig& config,
+ScheduleTrace simulate_with_times(const graph::FlatView& view,
+                                  const SimConfig& config,
                                   const std::vector<Time>& actual_times) {
-  return run_traced(flat.view(), &flat.source(), config, &actual_times);
+  return run_traced(view, config, &actual_times);
 }
 
 ScheduleTrace simulate_with_times(const Dag& dag, const SimConfig& config,
                                   const std::vector<Time>& actual_times) {
-  return simulate_with_times(FlatDag(dag), config, actual_times);
+  return simulate_with_times(graph::FlatDag(dag).view(), config, actual_times);
 }
 
 std::vector<Time> random_actual_times(const Dag& dag, double scale_min,

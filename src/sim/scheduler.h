@@ -20,13 +20,11 @@
 
 #include <cstdint>
 
-#include "graph/flat_dag.h"
+#include "graph/flat_view.h"
 #include "sim/trace.h"
 #include "util/rng.h"
 
 namespace hedra::sim {
-
-using graph::FlatDag;
 
 /// Ready-queue ordering for host cores.
 enum class Policy : std::uint8_t {
@@ -70,22 +68,20 @@ struct SimConfig {
 /// bug).
 [[nodiscard]] ScheduleTrace simulate(const Dag& dag, const SimConfig& config);
 
-/// Same simulation over a prebuilt CSR snapshot — the sweep entry point: a
-/// 5-policy × 4-m sweep snapshots the DAG once and reuses it for all 20
-/// runs.
-[[nodiscard]] ScheduleTrace simulate(const FlatDag& flat,
+/// Same simulation over a Dag-backed CSR view (`view.source()` names the
+/// Dag the trace refers to) — a sweep snapshots the DAG once and reuses the
+/// view for every policy and core count.
+[[nodiscard]] ScheduleTrace simulate(const graph::FlatView& view,
                                      const SimConfig& config);
 
 /// Convenience: makespan of simulate().
 [[nodiscard]] Time simulated_makespan(const Dag& dag, const SimConfig& config);
-[[nodiscard]] Time simulated_makespan(const FlatDag& flat,
-                                      const SimConfig& config);
 
-/// Makespan over a non-owning CSR view — the Monte-Carlo batch hot path.
-/// With `config.validate` off (the sweep setting) the run records no trace
-/// and makes the same decisions as simulate().  With it on, the view must
-/// be Dag-backed (view.source() != nullptr) and the run records and
-/// validates a trace.
+/// Makespan over a CSR view — the Monte-Carlo batch hot path.  With
+/// `config.validate` off (the sweep setting) the run records no trace and
+/// makes the same decisions as simulate().  With it on, the view must be
+/// Dag-backed (view.source() != nullptr) and the run records and validates
+/// a trace.
 [[nodiscard]] Time simulated_makespan(const graph::FlatView& view,
                                       const SimConfig& config);
 
@@ -100,7 +96,7 @@ struct SimConfig {
     const Dag& dag, const SimConfig& config,
     const std::vector<Time>& actual_times);
 [[nodiscard]] ScheduleTrace simulate_with_times(
-    const FlatDag& flat, const SimConfig& config,
+    const graph::FlatView& view, const SimConfig& config,
     const std::vector<Time>& actual_times);
 
 /// Draws actual times uniformly from [ceil(scale_min·WCET), WCET] per node

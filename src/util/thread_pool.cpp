@@ -12,13 +12,8 @@ namespace hedra {
 
 namespace {
 
-/// Depth of ThreadPool item execution on this thread (any pool).  Nested
-/// parallel_for_each calls issued from inside an item run their items
-/// inline instead of dispatching: dispatching to the same pool would
-/// deadlock the single-job-slot protocol, and dispatching to a second pool
-/// from a worker oversubscribes the machine.  Inline nested execution keeps
-/// Runner::sweep --jobs N composable with callbacks that parallelise
-/// internally (e.g. the parallel B&B).
+/// Depth of ThreadPool item execution on this thread (any pool), so a
+/// parallel_for_each issued from inside an item fails closed.
 thread_local int pool_item_depth = 0;
 
 struct ItemDepthGuard {
@@ -132,11 +127,12 @@ int ThreadPool::default_workers() noexcept {
 
 void ThreadPool::parallel_for_each(
     std::size_t count, const std::function<void(std::size_t)>& fn) {
+  HEDRA_REQUIRE(pool_item_depth == 0,
+                "parallel_for_each may not be called from inside a pool item");
   if (count == 0) return;
-  // 1-worker pool, or a nested call from inside a pool item (the worker is
-  // already a parallel lane — dispatching again would deadlock the one-job
-  // dispatch protocol or oversubscribe): run inline, fail on first error.
-  if (impl_ == nullptr || pool_item_depth > 0) {
+  if (impl_ == nullptr) {
+    // The 1-worker pool runs inline and fails on the first error.
+    const ItemDepthGuard guard;
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }

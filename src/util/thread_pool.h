@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <vector>
 
 namespace hedra {
 
@@ -43,23 +42,13 @@ class ThreadPool {
   /// Runs fn(0) ... fn(count - 1), distributing items over the pool; the
   /// calling thread participates.  Blocks until every item completed.  If
   /// any item throws, the exception of the smallest-index failing item is
-  /// rethrown here once all claimed items finished.  Reentrant: a call
-  /// issued from inside an item (on this or any other pool) runs its items
-  /// inline on the calling thread — nested parallelism never deadlocks the
-  /// dispatch protocol or oversubscribes the machine.  Concurrent calls
-  /// from two independent (non-pool) threads remain invalid.
+  /// rethrown here once all claimed items finished.  Not reentrant: a
+  /// call issued from inside an item (of this or any other pool) throws
+  /// hedra::Error — dispatching again would deadlock the one-job protocol
+  /// or oversubscribe the machine, and no caller nests.  Concurrent calls
+  /// from two independent (non-pool) threads are invalid too.
   void parallel_for_each(std::size_t count,
                          const std::function<void(std::size_t)>& fn);
-
-  /// Deterministic map: out[i] = fn(i).  Results land in index order no
-  /// matter which worker computed them.
-  template <typename R>
-  std::vector<R> parallel_map(std::size_t count,
-                              const std::function<R(std::size_t)>& fn) {
-    std::vector<R> out(count);
-    parallel_for_each(count, [&](std::size_t i) { out[i] = fn(i); });
-    return out;
-  }
 
  private:
   struct Impl;

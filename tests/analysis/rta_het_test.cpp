@@ -132,7 +132,7 @@ TEST(RtaHetTest, RhetReducesInterferenceVersusEq1OnTransformedGraph) {
     for (const int m : {2, 4, 8}) {
       const auto analysis = analyze_heterogeneous(dag, m);
       const Frac eq1_on_gprime =
-          rta_homogeneous(analysis.transform.transformed, m);
+          rta_homogeneous(analysis.transformed, m);
       EXPECT_LE(analysis.r_het, eq1_on_gprime);
     }
   }

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 
+#include "analysis/analysis_cache.h"
 #include "common/fixtures.h"
 #include "graph/algorithms.h"
+#include "graph/flat_dag.h"
 #include "graph/critical_path.h"
 #include "graph/validate.h"
 #include "util/error.h"
@@ -16,10 +18,30 @@ namespace {
 using graph::NodeId;
 using graph::NodeKind;
 
+/// Algorithm 1's result on `dag` together with G′ as a labelled Dag.
+struct Transformed {
+  TransformResult result;
+  graph::Dag g;
+};
+
+Transformed run(const graph::Dag& dag) {
+  const graph::FlatDag flat(dag);
+  Transformed t{transform_for_offload(flat.view()), {}};
+  t.g = transformed_dag(dag, t.result);
+  return t;
+}
+
+std::vector<NodeId> members(const DynamicBitset& set) {
+  std::vector<NodeId> out;
+  for (const auto v : set.to_indices()) out.push_back(static_cast<NodeId>(v));
+  return out;
+}
+
 TEST(TransformTest, PaperExampleStructure) {
   const auto ex = testing::paper_example();
-  const TransformResult result = transform_for_offload(ex.dag);
-  const graph::Dag& g = result.transformed;
+  const Transformed t = run(ex.dag);
+  const TransformResult& result = t.result;
+  const graph::Dag& g = t.g;
 
   // V' = V ∪ {v_sync}, v_sync has zero WCET and sync kind.
   ASSERT_EQ(g.num_nodes(), ex.dag.num_nodes() + 1);
@@ -49,40 +71,38 @@ TEST(TransformTest, PaperExampleStructure) {
 TEST(TransformTest, PaperExampleLenBecomes10) {
   // §3.3: "the length of the transformed DAG in Figure 2(a) is 10".
   const auto ex = testing::paper_example();
-  const TransformResult result = transform_for_offload(ex.dag);
-  EXPECT_EQ(graph::critical_path_length(result.transformed), 10);
+  EXPECT_EQ(graph::critical_path_length(run(ex.dag).g), 10);
 }
 
 TEST(TransformTest, PaperExampleGPar) {
   const auto ex = testing::paper_example();
-  const TransformResult result = transform_for_offload(ex.dag);
+  AnalysisCache cache(ex.dag);
   // G_par = {v2, v3}: vol = 10, len = 6, no internal edges.
-  EXPECT_EQ(result.gpar.dag.num_nodes(), 2u);
-  EXPECT_EQ(result.gpar.dag.num_edges(), 0u);
-  EXPECT_EQ(result.gpar.dag.volume(), 10);
-  EXPECT_EQ(graph::critical_path_length(result.gpar.dag), 6);
-  std::vector<NodeId> members = result.gpar.to_parent;
-  std::sort(members.begin(), members.end());
-  EXPECT_EQ(members, (std::vector<NodeId>{ex.v2, ex.v3}));
+  EXPECT_EQ(members(cache.transform().gpar),
+            (std::vector<NodeId>{ex.v2, ex.v3}));
+  EXPECT_FALSE(ex.dag.has_edge(ex.v2, ex.v3));
+  EXPECT_FALSE(ex.dag.has_edge(ex.v3, ex.v2));
+  EXPECT_EQ(cache.quantities().vol_gpar, 10);
+  EXPECT_EQ(cache.quantities().len_gpar, 6);
 }
 
 TEST(TransformTest, PaperExamplePredSuccSets) {
   const auto ex = testing::paper_example();
-  const TransformResult result = transform_for_offload(ex.dag);
-  EXPECT_EQ(result.pred_of_voff, (std::vector<NodeId>{ex.v1, ex.v4}));
-  EXPECT_EQ(result.succ_of_voff, (std::vector<NodeId>{ex.v5}));
+  const TransformResult result = run(ex.dag).result;
+  EXPECT_EQ(members(result.pred), (std::vector<NodeId>{ex.v1, ex.v4}));
+  EXPECT_EQ(members(result.succ), (std::vector<NodeId>{ex.v5}));
 }
 
 TEST(TransformTest, VolumeIsPreserved) {
   const auto ex = testing::paper_example();
-  const TransformResult result = transform_for_offload(ex.dag);
-  EXPECT_EQ(result.transformed.volume(), ex.dag.volume());
+  EXPECT_EQ(run(ex.dag).g.volume(), ex.dag.volume());
 }
 
 TEST(TransformTest, Fig3EveryDescribedEdgeMove) {
   const auto ex = testing::fig3_example();
-  const TransformResult result = transform_for_offload(ex.dag);
-  const graph::Dag& g = result.transformed;
+  const Transformed t = run(ex.dag);
+  const TransformResult& result = t.result;
+  const graph::Dag& g = t.g;
   const NodeId vsync = result.vsync;
   const auto id = [&](const char* name) { return ex.id(name); };
 
@@ -112,28 +132,31 @@ TEST(TransformTest, Fig3EveryDescribedEdgeMove) {
 
 TEST(TransformTest, Fig3GParMembersAndEdges) {
   const auto ex = testing::fig3_example();
-  const TransformResult result = transform_for_offload(ex.dag);
+  const TransformResult result = run(ex.dag).result;
   std::vector<std::string> names;
-  for (const NodeId parent : result.gpar.to_parent) {
-    names.push_back(ex.dag.label(parent));
+  for (const NodeId v : members(result.gpar)) {
+    names.push_back(ex.dag.label(v));
   }
   std::sort(names.begin(), names.end());
   EXPECT_EQ(names, (std::vector<std::string>{"v11", "v2", "v4", "v5", "v6",
                                              "v7"}));
   // Internal edges only: v2->v4, v2->v5, v4->v6, v5->v6.
-  EXPECT_EQ(result.gpar.dag.num_edges(), 4u);
+  int internal = 0;
+  for (const auto& [u, w] : ex.dag.edges()) {
+    if (result.gpar.test(u) && result.gpar.test(w)) ++internal;
+  }
+  EXPECT_EQ(internal, 4);
 }
 
 TEST(TransformTest, GParNodesAllDependOnVsync) {
   // The whole point of the transformation: every G_par node starts after
   // v_sync, i.e. simultaneously with v_off.
   const auto ex = testing::fig3_example();
-  const TransformResult result = transform_for_offload(ex.dag);
-  const auto reachable_from_sync =
-      graph::descendants(result.transformed, result.vsync);
-  for (const NodeId parent : result.gpar.to_parent) {
-    EXPECT_TRUE(reachable_from_sync.test(parent))
-        << ex.dag.label(parent) << " does not depend on v_sync";
+  const Transformed t = run(ex.dag);
+  const auto reachable_from_sync = graph::descendants(t.g, t.result.vsync);
+  for (const NodeId v : members(t.result.gpar)) {
+    EXPECT_TRUE(reachable_from_sync.test(v))
+        << ex.dag.label(v) << " does not depend on v_sync";
   }
 }
 
@@ -141,23 +164,22 @@ TEST(TransformTest, TransformedGraphStaysSingleSourceSinkAcyclic) {
   for (const auto& dag :
        {testing::paper_example().dag, testing::fig3_example().dag,
         testing::s21_example(), testing::wide_gpar_example(4)}) {
-    const TransformResult result = transform_for_offload(dag);
     graph::ValidationRules rules = graph::heterogeneous_rules();
     // G' may legitimately contain transitive edges via v_sync.
     rules.forbid_transitive_edges = false;
-    EXPECT_TRUE(graph::is_valid(result.transformed, rules));
+    EXPECT_TRUE(graph::is_valid(run(dag).g, rules));
   }
 }
 
 TEST(TransformTest, EdgeAccounting) {
   const auto ex = testing::paper_example();
-  const TransformResult result = transform_for_offload(ex.dag);
+  const Transformed t = run(ex.dag);
   // Removed: (v4,vOff), (v1,v2), (v1,v3).  Added: (v4,vsync), (vsync,vOff),
   // (vsync,v2), (vsync,v3).
-  EXPECT_EQ(result.edges_removed, 3u);
-  EXPECT_EQ(result.edges_added, 4u);
-  EXPECT_EQ(result.transformed.num_edges(),
-            ex.dag.num_edges() + result.edges_added - result.edges_removed);
+  EXPECT_EQ(t.result.edges_removed, 3u);
+  EXPECT_EQ(t.result.edges_added, 4u);
+  EXPECT_EQ(t.g.num_edges(), ex.dag.num_edges() + t.result.edges_added -
+                                 t.result.edges_removed);
 }
 
 TEST(TransformTest, EmptyGParChain) {
@@ -168,11 +190,11 @@ TEST(TransformTest, EmptyGParChain) {
   const NodeId v3 = dag.add_node(1);
   dag.add_edge(v1, voff);
   dag.add_edge(voff, v3);
-  const TransformResult result = transform_for_offload(dag);
-  EXPECT_EQ(result.gpar.dag.num_nodes(), 0u);
-  EXPECT_TRUE(result.transformed.has_edge(v1, result.vsync));
-  EXPECT_TRUE(result.transformed.has_edge(result.vsync, voff));
-  EXPECT_EQ(graph::critical_path_length(result.transformed), 7);
+  const Transformed t = run(dag);
+  EXPECT_TRUE(t.result.gpar.none());
+  EXPECT_TRUE(t.g.has_edge(v1, t.result.vsync));
+  EXPECT_TRUE(t.g.has_edge(t.result.vsync, voff));
+  EXPECT_EQ(graph::critical_path_length(t.g), 7);
 }
 
 TEST(TransformTest, SharedParallelSuccessorNoDuplicateEdge) {
@@ -193,10 +215,10 @@ TEST(TransformTest, SharedParallelSuccessorNoDuplicateEdge) {
   dag.add_edge(d2, p);
   dag.add_edge(p, vn);
   dag.add_edge(voff, vn);
-  const TransformResult result = transform_for_offload(dag);
+  const Transformed t = run(dag);
   int sync_to_p = 0;
-  for (const auto& [u, w] : result.transformed.edges()) {
-    if (u == result.vsync && w == p) ++sync_to_p;
+  for (const auto& [u, w] : t.g.edges()) {
+    if (u == t.result.vsync && w == p) ++sync_to_p;
   }
   EXPECT_EQ(sync_to_p, 1);
 }
@@ -206,7 +228,7 @@ TEST(TransformTest, RejectsOffloadAtSource) {
   const NodeId voff = dag.add_node(2, NodeKind::kOffload);
   const NodeId v2 = dag.add_node(1);
   dag.add_edge(voff, v2);
-  EXPECT_THROW(transform_for_offload(dag), Error);
+  EXPECT_THROW(run(dag), Error);
 }
 
 TEST(TransformTest, RejectsOffloadAtSink) {
@@ -214,32 +236,24 @@ TEST(TransformTest, RejectsOffloadAtSink) {
   const NodeId v1 = dag.add_node(1);
   const NodeId voff = dag.add_node(2, NodeKind::kOffload);
   dag.add_edge(v1, voff);
-  EXPECT_THROW(transform_for_offload(dag), Error);
+  EXPECT_THROW(run(dag), Error);
 }
 
 TEST(TransformTest, RejectsMissingOffload) {
   const auto dag = testing::chain(3, 1);
-  EXPECT_THROW(transform_for_offload(dag), Error);
+  EXPECT_THROW(run(dag), Error);
 }
 
 TEST(TransformTest, RejectsTransitiveEdges) {
   auto ex = testing::paper_example();
   ex.dag.add_edge(ex.v1, ex.v5);  // transitive shortcut
-  EXPECT_THROW(transform_for_offload(ex.dag), Error);
-}
-
-TEST(TransformTest, ParallelNodesHelper) {
-  const auto ex = testing::paper_example();
-  EXPECT_EQ(parallel_nodes(ex.dag, ex.voff),
-            (std::vector<NodeId>{ex.v2, ex.v3}));
-  const auto f3 = testing::fig3_example();
-  EXPECT_EQ(parallel_nodes(f3.dag, f3.id("vOff")).size(), 6u);
+  EXPECT_THROW(run(ex.dag), Error);
 }
 
 TEST(TransformTest, InputGraphIsNotMutated) {
   const auto ex = testing::paper_example();
   const auto edges_before = ex.dag.edges();
-  (void)transform_for_offload(ex.dag);
+  (void)run(ex.dag);
   EXPECT_EQ(ex.dag.edges(), edges_before);
   EXPECT_EQ(ex.dag.num_nodes(), 6u);
 }

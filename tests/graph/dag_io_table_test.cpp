@@ -65,14 +65,26 @@ TEST(DagIoTableTest, MalformedInputsNameTheirLine) {
       {"node a 1 host\nnode b 2 offload:70000\n",
        "precondition violated: line 2: offload device id out of range in "
        "'offload:70000'"},
-      {"node a 1 offload:x\n", "precondition violated: malformed integer: 'x'"},
-      {"node a 1 offload:\n", "precondition violated: malformed integer: ''"},
-      {"node a x\n", "precondition violated: malformed integer: 'x'"},
+      {"node a 1 offload:x\n",
+       "precondition violated: line 1: malformed integer: 'x'"},
+      {"node a 1 offload:\n",
+       "precondition violated: line 1: malformed integer: ''"},
+      {"node a x\n", "precondition violated: line 1: malformed integer: 'x'"},
+      {"node a 1\nnode b 2x offload\n",
+       "precondition violated: line 2: malformed integer: '2x'"},
       {"node a 99999999999999999999\n",
-       "precondition violated: malformed integer: '99999999999999999999'"},
-      {"node a -1\n", "precondition violated: node WCET must be non-negative"},
+       "precondition violated: line 1: malformed integer: "
+       "'99999999999999999999'"},
+      {"node a -1\n",
+       "precondition violated: line 1: node WCET must be non-negative"},
+      {"node a 1\n# c\nnode b -3 offload:2\n",
+       "precondition violated: line 3: node WCET must be non-negative"},
+      // The kind token is read before the WCET's range.
+      {"node a -1 gpu\n", "line 1: unknown node kind 'gpu'"},
       {"node s 3 sync\n",
-       "precondition violated: sync nodes must have zero WCET"},
+       "precondition violated: line 1: sync nodes must have zero WCET"},
+      {"node a 1\nnode s -1 sync\n",
+       "precondition violated: line 2: node WCET must be non-negative"},
       {"node a 1\nedge a a\n",
        "precondition violated: self-loop edges are not allowed"},
       {"node a 1\nnode b 1\nedge a b\nedge a b\n",

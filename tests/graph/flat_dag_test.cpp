@@ -66,14 +66,14 @@ TEST(FlatDagTest, CriticalPathInfoMatchesDagOverload) {
   const Dag dag = hedra::testing::s21_example();
   const FlatDag flat(dag);
   const CriticalPathInfo from_dag(dag);
-  const CriticalPathInfo from_flat(flat);
+  const CriticalPathInfo from_flat(flat.view());
   EXPECT_EQ(from_flat.length(), from_dag.length());
   for (NodeId v = 0; v < dag.num_nodes(); ++v) {
     EXPECT_EQ(from_flat.up(v), from_dag.up(v));
     EXPECT_EQ(from_flat.down(v), from_dag.down(v));
   }
-  EXPECT_EQ(critical_path_length(flat), critical_path_length(dag));
-  const auto down = down_lengths(flat);
+  EXPECT_EQ(critical_path_length(flat.view()), critical_path_length(dag));
+  const auto down = down_lengths(flat.view());
   for (NodeId v = 0; v < dag.num_nodes(); ++v) {
     EXPECT_EQ(down[v], from_dag.down(v));
   }

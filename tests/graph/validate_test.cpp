@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/fixtures.h"
+#include "graph/flat_batch.h"
+#include "graph/flat_dag.h"
 #include "util/error.h"
 
 namespace hedra::graph {
@@ -132,6 +134,68 @@ TEST(ValidateTest, Fig3ExampleIsValid) {
   const auto ex = testing::fig3_example();
   EXPECT_TRUE(is_valid(ex.dag, heterogeneous_rules()))
       << validate(ex.dag, heterogeneous_rules()).front();
+}
+
+TEST(ValidateTest, CycleListedWithEveryOtherIssue) {
+  // A cyclic Dag has no CSR snapshot; its form still reports the cycle
+  // alongside the rules that need no topological order.
+  Dag dag;
+  const NodeId a = dag.add_node(1);
+  const NodeId b = dag.add_node(0);
+  dag.add_edge(a, b);
+  dag.add_edge(b, a);
+  EXPECT_EQ(validate(dag, heterogeneous_rules()),
+            (std::vector<std::string>{"graph contains a cycle",
+                                      "expected exactly one source, found 0",
+                                      "expected exactly one sink, found 0",
+                                      "expected 1 offload node(s), found 0",
+                                      "node v2 has non-positive WCET"}));
+}
+
+TEST(ValidateTest, DagBackedViewReportsTheDagsMessages) {
+  auto ex = testing::paper_example();
+  ex.dag.add_edge(ex.v1, ex.v5);  // transitive
+  const FlatDag flat(ex.dag);
+  EXPECT_EQ(validate(flat.view(), heterogeneous_rules()),
+            validate(ex.dag, heterogeneous_rules()));
+  EXPECT_EQ(validate(ex.dag, heterogeneous_rules()),
+            (std::vector<std::string>{"transitive edge (v1, v5)"}));
+}
+
+TEST(ValidateTest, SourcelessViewUsesDefaultLabels) {
+  // An arena view with no source Dag names nodes as Dag::add_node would by
+  // default: "v<id+1>" on the host, "vOff" on device 1, "vOff<d>" on
+  // device d, "vSync" for a sync node.
+  StagedDag staged;
+  const NodeId src = staged.add_node(1);
+  const NodeId off = staged.add_node(2);
+  const NodeId off2 = staged.add_node(0);
+  const NodeId sync = staged.add_sync_node();
+  const NodeId sink = staged.add_node(1);
+  staged.device[off] = 1;
+  staged.device[off2] = 2;
+  staged.add_edge(src, off);
+  staged.add_edge(src, off2);
+  staged.add_edge(off, sync);
+  staged.add_edge(off2, sync);
+  staged.add_edge(sync, sink);
+  staged.add_edge(src, sync);  // transitive
+  FlatDagBatch batch;
+  batch.append(staged, FlatDagBatch::EdgeOrder::kInsertion);
+  EXPECT_EQ(validate(batch.view(0), heterogeneous_rules()),
+            (std::vector<std::string>{"transitive edge (v1, vSync)",
+                                      "expected 1 offload node(s), found 2",
+                                      "node vOff2 has non-positive WCET"}));
+  try {
+    throw_if_invalid(batch.view(0), heterogeneous_rules());
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "invalid task graph:\n  - transitive edge (v1, vSync)\n"
+              "  - expected 1 offload node(s), found 2\n"
+              "  - node vOff2 has non-positive WCET");
+  }
+  (void)sink;
 }
 
 }  // namespace

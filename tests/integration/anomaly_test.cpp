@@ -55,7 +55,7 @@ TEST_P(AnomalySweep, EarlyCompletionNeverBreaksRhom) {
         config.cores = m;
         config.policy = policy;
         const auto trace =
-            sim::simulate_with_times(cache.flat(), config, actual);
+            sim::simulate_with_times(cache.flat().view(), config, actual);
         EXPECT_LE(Frac(trace.makespan()), r_hom)
             << "m=" << m << " policy=" << sim::to_string(policy);
       }
@@ -86,8 +86,8 @@ TEST_P(AnomalySweep, EarlyCompletionNeverBreaksRhet) {
         sim::SimConfig config;
         config.cores = m;
         config.policy = policy;
-        const auto trace =
-            sim::simulate_with_times(cache.flat_transformed(), config, actual);
+        const auto trace = sim::simulate_with_times(
+            cache.flat_transformed().view(), config, actual);
         EXPECT_LE(Frac(trace.makespan()), r_het)
             << "m=" << m << " policy=" << sim::to_string(policy)
             << " scenario=" << to_string(cache.scenario(m));

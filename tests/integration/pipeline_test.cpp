@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "analysis/analysis_cache.h"
 #include "analysis/schedulability.h"
 #include "common/fixtures.h"
 #include "exact/bnb.h"
@@ -33,7 +34,7 @@ TEST(PipelineTest, GenerateAnalyzeSimulateSolve) {
   const auto analysis = analysis::analyze_heterogeneous(dag, m);
   sim::SimConfig config;
   config.cores = m;
-  const auto trace = sim::simulate(analysis.transform.transformed, config);
+  const auto trace = sim::simulate(analysis.transformed, config);
   EXPECT_TRUE(trace.validate().empty());
   EXPECT_LE(Frac(trace.makespan()), analysis.r_het);
 
@@ -113,17 +114,17 @@ TEST(PipelineTest, BatchMembersAreValidHeterogeneousTasks) {
 
 TEST(PipelineTest, DotAndGanttArtifactsRender) {
   const auto ex = testing::paper_example();
-  const auto result = analysis::transform_for_offload(ex.dag);
+  analysis::AnalysisCache cache(ex.dag);
   graph::DotOptions options;
-  for (const auto parent : result.gpar.to_parent) {
-    options.highlight.push_back(parent);
+  for (const auto v : cache.transform().gpar.to_indices()) {
+    options.highlight.push_back(static_cast<graph::NodeId>(v));
   }
-  const std::string dot = graph::to_dot(result.transformed, options);
+  const std::string dot = graph::to_dot(cache.transformed(), options);
   EXPECT_NE(dot.find("vSync"), std::string::npos);
   sim::SimConfig config;
   config.cores = 2;
-  const auto trace = sim::simulate(result.transformed, config);
-  const std::string gantt = sim::render_gantt(trace, result.transformed);
+  const auto trace = sim::simulate(cache.transformed(), config);
+  const std::string gantt = sim::render_gantt(trace, cache.transformed());
   EXPECT_NE(gantt.find("ACC"), std::string::npos);
 }
 

@@ -87,8 +87,8 @@ TEST_P(SoundnessSweep, RhetDominatesEveryExecutionOfTransformedTask) {
       sim::SimConfig config;
       config.cores = inst.m;
       config.policy = policy;
-      const graph::Time observed = sim::simulated_makespan(
-          analysis.transform.transformed, config);
+      const graph::Time observed =
+          sim::simulated_makespan(analysis.transformed, config);
       EXPECT_LE(Frac(observed), analysis.r_het)
           << "policy=" << sim::to_string(policy) << " m=" << inst.m
           << " scenario=" << to_string(analysis.scenario);
@@ -144,12 +144,14 @@ TEST_P(SoundnessSweep, PlatformBoundDominatesEveryPolicyOnEveryDevice) {
         sim::SimConfig config;
         config.cores = m;
         config.policy = policy;
-        EXPECT_LE(Frac(sim::simulated_makespan(cache.flat(), config)), bound)
+        EXPECT_LE(Frac(sim::simulated_makespan(cache.flat().view(), config)),
+                  bound)
             << "K=" << num_devices << " m=" << m
             << " policy=" << sim::to_string(policy);
         const auto actual = sim::random_actual_times(dag, 0.3, rng);
         const graph::Time early =
-            sim::simulate_with_times(cache.flat(), config, actual).makespan();
+            sim::simulate_with_times(cache.flat().view(), config, actual)
+                .makespan();
         EXPECT_LE(Frac(early), bound)
             << "early completion, K=" << num_devices << " m=" << m
             << " policy=" << sim::to_string(policy);
@@ -188,12 +190,13 @@ TEST_P(SoundnessSweep, MultiUnitPlatformBoundDominatesEveryPolicy) {
           config.cores = m;
           config.policy = policy;
           config.device_units = device_units;
-          EXPECT_LE(Frac(sim::simulated_makespan(cache.flat(), config)), bound)
+          EXPECT_LE(Frac(sim::simulated_makespan(cache.flat().view(), config)),
+                  bound)
               << "K=" << num_devices << " units=" << units << " m=" << m
               << " policy=" << sim::to_string(policy);
           const auto actual = sim::random_actual_times(dag, 0.3, rng);
           const graph::Time early =
-              sim::simulate_with_times(cache.flat(), config, actual)
+              sim::simulate_with_times(cache.flat().view(), config, actual)
                   .makespan();
           EXPECT_LE(Frac(early), bound)
               << "early completion, K=" << num_devices << " units=" << units
@@ -235,20 +238,21 @@ TEST_P(SoundnessSweep, OrderingLenOptSimBound) {
 TEST_P(SoundnessSweep, TransformInvariants) {
   for (const auto& inst :
        random_instances(GetParam() + 4000, 15, medium_params(), 0.005, 0.7)) {
-    const auto result = analysis::transform_for_offload(inst.dag);
+    analysis::AnalysisCache cache(inst.dag);
+    const auto& result = cache.transform();
+    const graph::Dag& transformed = cache.transformed();
     // Volume preserved; critical path can only grow.
-    EXPECT_EQ(result.transformed.volume(), inst.dag.volume());
-    EXPECT_GE(graph::critical_path_length(result.transformed),
+    EXPECT_EQ(transformed.volume(), inst.dag.volume());
+    EXPECT_GE(graph::critical_path_length(transformed),
               graph::critical_path_length(inst.dag));
     // G_par partitions: parallel nodes + Pred + Succ + v_off = V.
-    EXPECT_EQ(result.gpar.dag.num_nodes() + result.pred_of_voff.size() +
-                  result.succ_of_voff.size() + 1,
+    EXPECT_EQ(result.gpar.count() + result.pred.count() + result.succ.count() +
+                  1,
               inst.dag.num_nodes());
     // v_sync is the single gateway: every G_par node descends from it.
-    const auto reach =
-        graph::descendants(result.transformed, result.vsync);
-    for (const auto parent : result.gpar.to_parent) {
-      EXPECT_TRUE(reach.test(parent));
+    const auto reach = graph::descendants(transformed, result.vsync);
+    for (const auto v : result.gpar.to_indices()) {
+      EXPECT_TRUE(reach.test(v));
     }
   }
 }

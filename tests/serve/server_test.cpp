@@ -427,7 +427,7 @@ const std::vector<std::string> kPipelinedReplies{
     "OK tasks=2 cores_used=2 schedulable=1 version=2 platform=4:acc "
     "journal_bytes=0 admitted=2 rejected_exact=0 rejected_seed=0 "
     "provisional=0 admit_errors=0 queue=",
-    "ERROR bad1 precondition violated: malformed integer: 'x'",
+    "ERROR bad1 precondition violated: line 1: malformed integer: 'x'",
     "ADMITTED a3 cores=1 response=14 proven by exact fixpoint",
     "ERROR loop line 4: edge 'b' -> 'a' closes a cycle",
     "ERROR a1 task 'a1' is already admitted",

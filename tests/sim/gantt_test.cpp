@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/transform.h"
+#include "analysis/rta_heterogeneous.h"
 #include "common/fixtures.h"
 #include "sim/scheduler.h"
 #include "util/error.h"
@@ -43,7 +43,8 @@ TEST(GanttTest, ShowsTimeAxis) {
 
 TEST(GanttTest, ListsInstantCompletions) {
   const auto ex = testing::paper_example();
-  const auto transformed = analysis::transform_for_offload(ex.dag).transformed;
+  const auto transformed =
+      analysis::analyze_heterogeneous(ex.dag, 2).transformed;
   SimConfig config;
   config.cores = 2;
   const auto trace = simulate(transformed, config);
@@ -54,7 +55,8 @@ TEST(GanttTest, ListsInstantCompletions) {
 
 TEST(GanttTest, InstantsCanBeHidden) {
   const auto ex = testing::paper_example();
-  const auto transformed = analysis::transform_for_offload(ex.dag).transformed;
+  const auto transformed =
+      analysis::analyze_heterogeneous(ex.dag, 2).transformed;
   SimConfig config;
   config.cores = 2;
   const auto trace = simulate(transformed, config);

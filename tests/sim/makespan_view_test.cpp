@@ -52,7 +52,7 @@ TEST(MakespanViewTest, ViewMakespanEqualsTracedMakespan) {
           config.policy = policy;
           config.seed = 97;  // kRandom consumes the same stream either way
           config.validate = false;
-          const Time want = simulate(flat, config).makespan();
+          const Time want = simulate(flat.view(), config).makespan();
           const Time got = simulated_makespan(batch.view(i), config);
           EXPECT_EQ(got, want)
               << "devices " << devices << " dag " << i << " policy "
@@ -73,7 +73,7 @@ TEST(MakespanViewTest, MultiUnitViewMakespanEqualsTracedMakespan) {
     sim_config.cores = 2;
     sim_config.device_units = {2, 3};
     sim_config.validate = false;
-    const Time want = simulate(flat, sim_config).makespan();
+    const Time want = simulate(flat.view(), sim_config).makespan();
     EXPECT_EQ(simulated_makespan(batch.view(i), sim_config), want)
         << "dag " << i;
   }

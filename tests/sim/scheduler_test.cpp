@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/transform.h"
+#include "analysis/rta_heterogeneous.h"
 #include "common/fixtures.h"
 #include "graph/critical_path.h"
 #include "taskset/sim.h"
@@ -56,7 +56,7 @@ TEST(SchedulerTest, PaperFig2bTransformedBreadthFirstReaches10) {
   // exactly len(G') = 10.
   const auto ex = testing::paper_example();
   const auto transformed =
-      analysis::transform_for_offload(ex.dag).transformed;
+      analysis::analyze_heterogeneous(ex.dag, 2).transformed;
   EXPECT_EQ(simulated_makespan(transformed, cfg(2, Policy::kBreadthFirst)),
             10);
 }

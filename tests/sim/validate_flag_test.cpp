@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/golden_batch.h"
+#include "graph/flat_dag.h"
 #include "sim/scheduler.h"
 
 namespace hedra::sim {
@@ -49,10 +50,10 @@ TEST(ValidateFlagTest, FlatDagEntryPointsHonourTheFlag) {
   config.cores = 2;
   const std::uint64_t before = validation_runs();
   config.validate = false;
-  const auto fast = simulate(flat, config);
+  const auto fast = simulate(flat.view(), config);
   EXPECT_EQ(validation_runs(), before);
   config.validate = true;
-  const auto checked = simulate(flat, config);
+  const auto checked = simulate(flat.view(), config);
   EXPECT_EQ(validation_runs(), before + 1);
   EXPECT_EQ(fast.to_text(), checked.to_text());
 }

@@ -49,14 +49,6 @@ TEST(ThreadPoolTest, MoreWorkersThanTasks) {
   for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
-TEST(ThreadPoolTest, ParallelMapPreservesIndexOrder) {
-  ThreadPool pool(4);
-  const auto out = pool.parallel_map<std::size_t>(
-      1000, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(out.size(), 1000u);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
-}
-
 TEST(ThreadPoolTest, PropagatesExceptionFromSerialPool) {
   ThreadPool pool(1);
   EXPECT_THROW(pool.parallel_for_each(
@@ -104,51 +96,24 @@ TEST(ThreadPoolTest, PoolIsReusableAfterAnException) {
   EXPECT_EQ(sum.load(), 45);
 }
 
-TEST(ThreadPoolTest, NestedCallRunsInline) {
-  // A parallel_for_each issued from inside an item must run inline on that
-  // worker instead of deadlocking the dispatch protocol (the regression the
-  // parallel B&B needs to run under Runner::sweep --jobs N).
-  ThreadPool pool(4);
-  std::atomic<int> inner{0};
-  pool.parallel_for_each(8, [&](std::size_t) {
-    pool.parallel_for_each(16, [&](std::size_t) { ++inner; });
-  });
-  EXPECT_EQ(inner.load(), 8 * 16);
-}
-
-TEST(ThreadPoolTest, NestedCallOnASecondPoolRunsInline) {
-  // Cross-pool nesting would oversubscribe the machine; it runs inline too.
-  ThreadPool outer(4);
-  ThreadPool other(4);
-  std::atomic<int> inner{0};
-  outer.parallel_for_each(6, [&](std::size_t) {
-    other.parallel_for_each(10, [&](std::size_t) { ++inner; });
-  });
-  EXPECT_EQ(inner.load(), 60);
-}
-
-TEST(ThreadPoolTest, DoublyNestedCallRunsInline) {
-  ThreadPool pool(3);
-  std::atomic<int> inner{0};
-  pool.parallel_for_each(4, [&](std::size_t) {
-    pool.parallel_for_each(4, [&](std::size_t) {
-      pool.parallel_for_each(4, [&](std::size_t) { ++inner; });
-    });
-  });
-  EXPECT_EQ(inner.load(), 64);
-}
-
-TEST(ThreadPoolTest, NestedExceptionPropagatesThroughBothLevels) {
-  ThreadPool pool(4);
-  try {
-    pool.parallel_for_each(4, [&](std::size_t) {
-      pool.parallel_for_each(4, [](std::size_t j) {
-        if (j == 2) throw Error("nested boom");
-      });
-    });
-    FAIL() << "expected an Error";
-  } catch (const Error& e) {
-    EXPECT_STREQ(e.what(), "nested boom");
+TEST(ThreadPoolTest, NestedCallThrows) {
+  // Items never nest; a call from inside an item, on the same pool or
+  // another, fails closed on every pool size and leaves the pool usable.
+  for (const int workers : {1, 4}) {
+    ThreadPool pool(workers);
+    ThreadPool other(2);
+    const auto noop = [](std::size_t) {};
+    EXPECT_THROW(pool.parallel_for_each(
+                     4, [&](std::size_t) { pool.parallel_for_each(2, noop); }),
+                 Error)
+        << workers << " workers";
+    EXPECT_THROW(pool.parallel_for_each(
+                     4, [&](std::size_t) { other.parallel_for_each(2, noop); }),
+                 Error)
+        << workers << " workers";
+    std::atomic<int> calls{0};
+    pool.parallel_for_each(3, [&](std::size_t) { ++calls; });
+    EXPECT_EQ(calls.load(), 3);
   }
 }
 
