@@ -90,8 +90,8 @@ std::vector<std::string> validate(const FlatView& view,
   if (rules.forbid_transitive_edges) transitive = transitive_edges(view);
   const Dag* source = view.source();
   return check(view, /*cyclic=*/false, transitive, rules, [&](NodeId v) {
-    return source != nullptr ? source->label(v)
-                             : default_label(v, view.device(v), view.is_sync(v));
+    if (source != nullptr) return source->label(v);
+    return default_label(v, view.device(v), view.is_sync(v));
   });
 }
 

@@ -134,8 +134,9 @@ TEST(TransformGoldenTest, BnbBatches) {
   for (const auto& c : goldens::golden_bnb_cases()) {
     got.push_back(hash_all(goldens::golden_bnb_batch(c)));
   }
-  EXPECT_EQ(got, (std::vector<std::uint64_t>{0x82c55c91d8221f72ULL, 0x87828adaa11cb3b6ULL,
-                                               0x702b9bf98053adc5ULL, 0x619e888187b64647ULL}));
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{
+                     0x82c55c91d8221f72ULL, 0x87828adaa11cb3b6ULL,
+                     0x702b9bf98053adc5ULL, 0x619e888187b64647ULL}));
 }
 
 }  // namespace
