@@ -47,11 +47,6 @@ const Dag& AnalysisCache::transformed() {
   return *transformed_;
 }
 
-const graph::FlatDag& AnalysisCache::flat_transformed() {
-  if (!flat_transformed_) flat_transformed_.emplace(transformed());
-  return *flat_transformed_;
-}
-
 const TheoremQuantities& AnalysisCache::quantities() {
   if (!quantities_) {
     const TransformResult& t = transform();

@@ -16,14 +16,14 @@
 ///
 /// Every walk runs over CSR: flat_view() for G, the transform's own
 /// snapshot for G'.  A `Dag` comes into being only where labels are asked
-/// for, and nothing on the bound path asks:
+/// for, and nothing on the bound path or in fig6's validated simulations
+/// asks:
 ///  - original() — materialises an arena-backed DAG (dag_io, DOT, the B&B
-///    solver's input, trace validation through flat());
+///    solver's input);
 ///  - transformed() — G' with the original labels plus "vSync", for DOT,
-///    dag files, Gantt charts, analyze() and traced simulations through
-///    flat_transformed().
-/// So on an arena-backed cache r_het, r_hom, scenario and quantities never
-/// build a Dag.
+///    dag files, Gantt charts and analyze().
+/// So on an arena-backed cache r_het, r_hom, scenario, quantities and
+/// simulations over flat_view() and transform().view() never build a Dag.
 ///
 /// An instance references (does not copy) the DAG it analyses and is meant
 /// for single-threaded use; the experiment runner builds one cache per DAG
@@ -65,10 +65,10 @@ class AnalysisCache {
   /// materialises it from the batch (labels included).
   [[nodiscard]] const Dag& original();
 
-  /// Dag-backed CSR snapshot of G, built once on first use — what traced
-  /// simulations run on, so a sweep over policies and core counts
-  /// snapshots the DAG once.  Arena-backed caches materialise the Dag
-  /// first; the bound paths use flat_view(), which never does.
+  /// Dag-backed CSR snapshot of G, built once on first use, for traces
+  /// whose messages should carry the Dag's labels.  Arena-backed caches
+  /// materialise the Dag first; the bound paths and fig6 use flat_view(),
+  /// which never does.
   [[nodiscard]] const graph::FlatDag& flat();
 
   /// CSR view of G: the arena slice for a batch-backed cache (no
@@ -81,9 +81,6 @@ class AnalysisCache {
 
   /// G' as a labelled Dag, materialised on first call.
   [[nodiscard]] const Dag& transformed();
-
-  /// Dag-backed CSR snapshot of G' (forces transformed()).
-  [[nodiscard]] const graph::FlatDag& flat_transformed();
 
   /// The m-independent quantities of Theorem 1, measured once: longest
   /// paths of G' from the transform's snapshot, len/vol of G_par from one
@@ -134,7 +131,6 @@ class AnalysisCache {
   std::optional<TransformResult> transform_;
   std::optional<Dag> transformed_;
   std::optional<graph::FlatDag> flat_;
-  std::optional<graph::FlatDag> flat_transformed_;
   std::optional<TheoremQuantities> quantities_;
   std::optional<PlatformQuantities> platform_quantities_;
   std::optional<graph::Time> len_original_;

@@ -18,15 +18,15 @@ Fig6Result run_fig6(const Fig6Config& config) {
       make_grid({config.ratios, config.cores, config.params,
                  config.dags_per_point, config.seed}),
       [&config](analysis::AnalysisCache& cache, int m) {
-        // Validated runs on the cache's Dag-backed snapshots: each graph
-        // is snapshotted once per DAG, not once per core count.
+        // Validated runs on the views the bounds already use: G's arena
+        // slice and the transform's snapshot of G'.  No Dag is built.
         sim::SimConfig sim_config;
         sim_config.cores = m;
         sim_config.policy = config.policy;
         return Sample{static_cast<double>(sim::simulated_makespan(
-                          cache.flat().view(), sim_config)),
+                          cache.flat_view(), sim_config)),
                       static_cast<double>(sim::simulated_makespan(
-                          cache.flat_transformed().view(), sim_config))};
+                          cache.transform().view(), sim_config))};
       },
       [](const SweepPoint& point, int m, const std::vector<Sample>& samples) {
         Fig6Row row;

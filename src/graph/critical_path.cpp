@@ -46,8 +46,13 @@ Time critical_path_length(const FlatView& view) {
 }
 
 std::vector<Time> down_lengths(const FlatView& view) {
-  const std::size_t n = view.num_nodes();
-  std::vector<Time> down(n, 0);
+  std::vector<Time> down;
+  down_lengths(view, down);
+  return down;
+}
+
+void down_lengths(const FlatView& view, std::vector<Time>& down) {
+  down.assign(view.num_nodes(), 0);
   const auto order = view.topological_order();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const NodeId v = *it;
@@ -55,7 +60,6 @@ std::vector<Time> down_lengths(const FlatView& view) {
     for (const NodeId s : view.successors(v)) best = std::max(best, down[s]);
     down[v] = best + view.wcet(v);
   }
-  return down;
 }
 
 std::vector<NodeId> extract_critical_path(const Dag& dag) {

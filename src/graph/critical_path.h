@@ -64,6 +64,10 @@ class CriticalPathInfo {
 /// by the critical-path-first simulator policy and the B&B solver.
 [[nodiscard]] std::vector<Time> down_lengths(const FlatView& view);
 
+/// Same, written into `down` (resized to the node count), so a caller that
+/// runs many times can keep one buffer.
+void down_lengths(const FlatView& view, std::vector<Time>& down);
+
 /// One longest path, source to sink, as a node sequence.  Deterministic
 /// (smallest-id tie-breaks).  Empty for an empty graph.
 [[nodiscard]] std::vector<NodeId> extract_critical_path(const Dag& dag);

@@ -69,20 +69,6 @@ void Dag::add_edge(NodeId from, NodeId to) {
   ++num_edges_;
 }
 
-void Dag::remove_edge(NodeId from, NodeId to) {
-  check_id(from);
-  check_id(to);
-  auto& out = succ_[from];
-  const auto out_it = std::find(out.begin(), out.end(), to);
-  HEDRA_REQUIRE(out_it != out.end(), "edge to remove does not exist");
-  out.erase(out_it);
-  auto& in = pred_[to];
-  const auto in_it = std::find(in.begin(), in.end(), from);
-  HEDRA_ASSERT(in_it != in.end());
-  in.erase(in_it);
-  --num_edges_;
-}
-
 bool Dag::has_edge(NodeId from, NodeId to) const {
   check_id(from);
   check_id(to);

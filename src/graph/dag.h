@@ -103,9 +103,6 @@ class Dag {
   /// Adds edge (from, to).  Throws on self-loop, duplicate, or bad id.
   void add_edge(NodeId from, NodeId to);
 
-  /// Removes edge (from, to).  Throws if the edge does not exist.
-  void remove_edge(NodeId from, NodeId to);
-
   [[nodiscard]] bool has_edge(NodeId from, NodeId to) const;
 
   [[nodiscard]] std::size_t num_nodes() const noexcept { return nodes_.size(); }

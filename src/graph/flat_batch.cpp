@@ -15,8 +15,6 @@ void FlatDagBatch::reserve(std::size_t dags, std::size_t nodes_per_dag,
   device_.reserve(dags * nodes_per_dag);
   sync_.reserve(dags * nodes_per_dag);
   topo_.reserve(dags * nodes_per_dag);
-  edge_from_.reserve(dags * edges_per_dag);
-  edge_to_.reserve(dags * edges_per_dag);
 }
 
 void FlatDagBatch::append(const StagedDag& staged, EdgeOrder order,
@@ -74,11 +72,12 @@ void FlatDagBatch::append(const StagedDag& staged, EdgeOrder order,
     }
   }
 
-  edge_from_.resize(rec.edge_off + e);
-  edge_to_.resize(rec.edge_off + e);
-  for (std::size_t k = 0; k < e; ++k) {
-    edge_from_[rec.edge_off + k] = staged.edges[k].first;
-    edge_to_[rec.edge_off + k] = staged.edges[k].second;
+  if (order == EdgeOrder::kInsertion) {
+    rec.raw_edge_off = static_cast<std::uint32_t>(edge_from_.size());
+    for (const auto& [from, to] : staged.edges) {
+      edge_from_.push_back(from);
+      edge_to_.push_back(to);
+    }
   }
 
   topo_.resize(rec.node_off + n);
@@ -129,7 +128,8 @@ Dag FlatDagBatch::materialize(std::size_t i) const {
     for (NodeId v = 0; v < n; ++v) {
       if (device[v] != kHostDevice) dag.set_device(v, device[v]);
     }
-    for (std::uint32_t k = r.edge_off; k < r.edge_end; ++k) {
+    const std::uint32_t raw_end = r.raw_edge_off + (r.edge_end - r.edge_off);
+    for (std::uint32_t k = r.raw_edge_off; k < raw_end; ++k) {
       dag.add_edge(edge_from_[k], edge_to_[k]);
     }
   }

@@ -11,7 +11,7 @@
 /// with a per-DAG offset record, node ids are DAG-local (0-based), and each
 /// DAG is exposed as a `FlatView`.  A `Dag` object is materialised lazily,
 /// and only for callers that genuinely need one (labels: dag_io, DOT
-/// rendering, trace validation).
+/// rendering).
 ///
 /// Generators stage one DAG at a time in a reusable `StagedDag` scratch
 /// (plain wcet/device arrays plus the edge list in insertion order) and
@@ -134,8 +134,8 @@ class FlatDagBatch {
   [[nodiscard]] FlatView view(std::size_t i) const;
 
   /// Rebuilds DAG `i` as a full `Dag` (labels included) whose CSR snapshot
-  /// equals `view(i)`.  O(n + e); intended for the cold paths (dag_io, DOT,
-  /// trace validation) only.
+  /// equals `view(i)`.  O(n + e); intended for the cold paths (dag_io, DOT)
+  /// only.
   [[nodiscard]] Dag materialize(std::size_t i) const;
 
   /// Whole-arena attribute arrays (all DAGs back to back) for batch kernels.
@@ -152,8 +152,9 @@ class FlatDagBatch {
   struct Record {
     std::uint32_t node_off = 0;  ///< into wcet_/device_/sync_/topo_
     std::uint32_t node_end = 0;
-    std::uint32_t edge_off = 0;  ///< into succ_/pred_ (and edge_from_/to_)
+    std::uint32_t edge_off = 0;  ///< into succ_/pred_
     std::uint32_t edge_end = 0;
+    std::uint32_t raw_edge_off = 0;  ///< into edge_from_/to_ (kInsertion)
     std::uint32_t csr_off = 0;   ///< into succ_off_/pred_off_ (n+1 entries)
     DeviceId max_device = 0;
     std::uint32_t num_offload = 0;
@@ -173,8 +174,8 @@ class FlatDagBatch {
   std::vector<DeviceId> device_;
   std::vector<std::uint8_t> sync_;
   std::vector<NodeId> topo_;
-  // Raw edge list in insertion order, kept so kInsertion DAGs can
-  // materialise with their exact edge-insertion ordering.
+  // Raw edge list in insertion order of the kInsertion DAGs only, so they
+  // can materialise with their exact edge-insertion ordering.
   std::vector<NodeId> edge_from_;
   std::vector<NodeId> edge_to_;
   std::vector<std::uint32_t> cursor_;  ///< counting-sort scratch

@@ -45,7 +45,7 @@ class FlatView {
         num_offload_(num_offload) {}
 
   /// The snapshotted graph, or nullptr for an arena view that was never
-  /// materialised (labels/validation need materialisation first).
+  /// materialised (its nodes then go by graph::default_label).
   [[nodiscard]] const Dag* source() const noexcept { return source_; }
 
   [[nodiscard]] std::size_t num_nodes() const noexcept { return wcet_.size(); }

@@ -33,6 +33,8 @@
 /// buffer capacity carries over between runs.
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -85,40 +87,87 @@ struct NodeInstance {
 
 namespace detail {
 
-/// A ready queue in policy order, every pick O(1) or O(log n): FIFO by
-/// readiness (breadth-first, GOMP's queue), LIFO (depth-first), a heap on
-/// the longest down(v) then the smallest (job, node) (critical-path-first),
-/// a heap on the smallest (job, node) (index order), or one uniform draw
-/// with swap-remove (random).
+/// A ready queue in policy order, every pick O(1) amortised: FIFO by
+/// readiness (breadth-first, GOMP's queue), LIFO (depth-first), one uniform
+/// draw with swap-remove (random), or the lowest set bit of a rank bitset
+/// (critical-path-first, index order).
+///
+/// A rank bitset has one slot per (job, node) of the task, base[v] +
+/// job·stride[v], laid out in the queue's total order: (down desc, job,
+/// node) for critical-path-first, (job, node) for index order.  A queue
+/// holds one task's nodes, so the lowest set slot is the pick.  A summary
+/// word per 64 slot words keeps the search short on many-job runs.
 class ReadyQueue {
  public:
-  void reset(Policy policy, const Time* down) {
+  /// Empties the queue for `policy`.  The ranked policies lay out `nodes` ×
+  /// `jobs` slots; critical-path-first ranks by `down`, down(v) per node.
+  void reset(Policy policy, std::span<const Time> down, std::size_t nodes,
+             std::size_t jobs) {
     policy_ = policy;
-    down_ = down;
     items_.clear();
     head_ = 0;
+    if (!is_ranked()) return;
+    base_.resize(nodes);
+    stride_.resize(nodes);
+    if (policy == Policy::kIndexOrder) {
+      for (NodeId v = 0; v < nodes; ++v) {
+        base_[v] = v;
+        stride_[v] = nodes;
+      }
+    } else {
+      rank_by_down(down, nodes);
+      // Runs of equal down(v), longest first; a run of k nodes takes k
+      // slots per job, job-major, nodes ascending within a job.
+      std::size_t slot = 0;
+      for (std::size_t i = 0; i < nodes;) {
+        std::size_t j = i + 1;
+        while (j < nodes && down[order_[j]] == down[order_[i]]) ++j;
+        for (std::size_t r = i; r < j; ++r) {
+          base_[order_[r]] = slot + (r - i);
+          stride_[order_[r]] = j - i;
+        }
+        slot += (j - i) * jobs;
+        i = j;
+      }
+    }
+    const std::size_t words = (nodes * jobs + 63) / 64;
+    bits_.assign(words, 0);
+    summary_.assign((words + 63) / 64, 0);
+    at_.resize(nodes * jobs);
+    size_ = 0;
   }
 
-  [[nodiscard]] bool empty() const noexcept { return head_ == items_.size(); }
+  [[nodiscard]] bool empty() const noexcept {
+    return is_ranked() ? size_ == 0 : head_ == items_.size();
+  }
 
   void push(const NodeInstance& item) {
-    items_.push_back(item);
-    if (is_heap()) std::push_heap(items_.begin(), items_.end(), Lower{down_});
+    if (!is_ranked()) {
+      items_.push_back(item);
+      return;
+    }
+    const std::size_t slot = base_[item.node] + item.job * stride_[item.node];
+    at_[slot] = item;
+    bits_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+    summary_[slot >> 12] |= std::uint64_t{1} << ((slot >> 6) & 63);
+    ++size_;
   }
 
   [[nodiscard]] NodeInstance pop(Rng& rng) {
     HEDRA_ASSERT(!empty());
+    if (is_ranked()) return pop_lowest();
     NodeInstance out;
     if (policy_ == Policy::kBreadthFirst) {
       out = items_[head_++];
-      if (empty()) reset(policy_, down_);
+      if (empty()) {
+        items_.clear();
+        head_ = 0;
+      }
       return out;
     }
     if (policy_ == Policy::kRandom) {
       const std::size_t pick = rng.index(items_.size());
       std::swap(items_[pick], items_.back());
-    } else if (is_heap()) {
-      std::pop_heap(items_.begin(), items_.end(), Lower{down_});
     }
     out = items_.back();
     items_.pop_back();
@@ -126,27 +175,56 @@ class ReadyQueue {
   }
 
  private:
-  /// Heap "less": true if `a` ranks below `b`, so the top is the best pick.
-  /// A queue holds one task's nodes, so (job, node) breaks ties.
-  struct Lower {
-    const Time* down;  ///< kCriticalPathFirst only
-    bool operator()(const NodeInstance& a, const NodeInstance& b) const {
-      if (down != nullptr && down[a.node] != down[b.node]) {
-        return down[a.node] < down[b.node];  // longer remaining path wins
-      }
-      return std::tie(b.job, b.node) < std::tie(a.job, a.node);
-    }
-  };
-
-  [[nodiscard]] bool is_heap() const noexcept {
+  [[nodiscard]] bool is_ranked() const noexcept {
     return policy_ == Policy::kCriticalPathFirst ||
            policy_ == Policy::kIndexOrder;
   }
 
+  /// Fills order_ with the nodes by (down desc, node asc): a stable LSD
+  /// radix sort on max(down) − down(v), one byte per pass, from node order.
+  void rank_by_down(std::span<const Time> down, std::size_t nodes) {
+    order_.resize(nodes);
+    spare_.resize(nodes);
+    for (NodeId v = 0; v < nodes; ++v) order_[v] = v;
+    Time top = 0;
+    for (NodeId v = 0; v < nodes; ++v) top = std::max(top, down[v]);
+    for (int shift = 0; shift < 64 && (top >> shift) != 0; shift += 8) {
+      std::array<std::uint32_t, 257> first{};
+      const auto digit = [&](NodeId v) {
+        return static_cast<std::size_t>(((top - down[v]) >> shift) & 0xFF);
+      };
+      for (const NodeId v : order_) ++first[digit(v) + 1];
+      for (std::size_t d = 0; d < 256; ++d) first[d + 1] += first[d];
+      for (const NodeId v : order_) spare_[first[digit(v)]++] = v;
+      order_.swap(spare_);
+    }
+  }
+
+  [[nodiscard]] NodeInstance pop_lowest() {
+    std::size_t s = 0;
+    while (summary_[s] == 0) ++s;
+    const std::size_t word =
+        (s << 6) | static_cast<std::size_t>(std::countr_zero(summary_[s]));
+    const std::size_t slot =
+        (word << 6) | static_cast<std::size_t>(std::countr_zero(bits_[word]));
+    bits_[word] &= bits_[word] - 1;
+    if (bits_[word] == 0) summary_[s] &= summary_[s] - 1;
+    --size_;
+    return at_[slot];
+  }
+
   Policy policy_ = Policy::kBreadthFirst;
-  const Time* down_ = nullptr;  ///< kCriticalPathFirst only
-  std::vector<NodeInstance> items_;
-  std::size_t head_ = 0;  ///< FIFO read position (kBreadthFirst only)
+  std::vector<NodeInstance> items_;  ///< FIFO, LIFO and random
+  std::size_t head_ = 0;             ///< FIFO read position
+  // Ranked policies only.
+  std::vector<std::size_t> base_;    ///< per node: slot of job 0
+  std::vector<std::size_t> stride_;  ///< per node: slots between its jobs
+  std::vector<NodeId> order_;        ///< layout scratch
+  std::vector<NodeId> spare_;        ///< layout scratch
+  std::vector<std::uint64_t> bits_;     ///< one bit per slot
+  std::vector<std::uint64_t> summary_;  ///< one bit per nonzero bits_ word
+  std::vector<NodeInstance> at_;        ///< per slot: its item, when set
+  std::size_t size_ = 0;
 };
 
 /// Identical units that share one ready queue: a device's units (FIFO) or
@@ -157,11 +235,11 @@ struct Pool {
   std::vector<int> free;   ///< min-heap: the smallest free unit goes first
   std::vector<Time> down;  ///< the task's down(v), kCriticalPathFirst only
 
-  /// Points the ready queue at `down`, so fill that first.
-  void reset(graph::DeviceId id, int units, Policy policy) {
+  /// Resets the ready queue over `down`, so fill that first.
+  void reset(graph::DeviceId id, int units, Policy policy,
+             std::size_t nodes = 0, std::size_t jobs = 0) {
     device = id;
-    ready.reset(policy,
-                policy == Policy::kCriticalPathFirst ? down.data() : nullptr);
+    ready.reset(policy, down, nodes, jobs);
     free.clear();
     for (int u = 0; u < units; ++u) free.push_back(u);
   }
@@ -258,9 +336,10 @@ template <class Recorder>
     job_slots += task.releases.size();
     detail::Pool& cores = s.pools[num_devices + i];
     if (config.policy == Policy::kCriticalPathFirst) {
-      cores.down = graph::down_lengths(view);
+      graph::down_lengths(view, cores.down);
     }
-    cores.reset(graph::kHostDevice, task.cores, config.policy);
+    cores.reset(graph::kHostDevice, task.cores, config.policy,
+                view.num_nodes(), task.releases.size());
     for (std::uint32_t j = 0; j < task.releases.size(); ++j) {
       s.releases.emplace_back(task.releases[j], i, j);
     }

@@ -75,22 +75,19 @@ void run_single(const graph::FlatView& view, const SimConfig& config,
   (void)run_engine(std::span<const EngineTask>(&task, 1), engine, recorder);
 }
 
-/// A trace-recording run over a Dag-backed `view`.
-ScheduleTrace run_traced(const graph::FlatView& view, const SimConfig& config,
+/// A trace-recording run over `trace.view()`, validated when the config
+/// says so.
+ScheduleTrace run_traced(ScheduleTrace trace, const SimConfig& config,
                          const std::vector<Time>* actual) {
-  HEDRA_REQUIRE(view.source() != nullptr,
-                "a traced simulation requires a Dag-backed view");
-  TraceRecorder recorder{
-      ScheduleTrace(view.source(), config.cores, config.device_units)};
+  TraceRecorder recorder{std::move(trace)};
+  const graph::FlatView view = recorder.trace.view();
   recorder.trace.reserve(view.num_nodes());
   run_single(view, config, actual, recorder);
   if (config.validate) {
     g_validation_runs.fetch_add(1, std::memory_order_relaxed);
-    const std::vector<Time> durations =
-        actual != nullptr
-            ? *actual
-            : std::vector<Time>(view.wcets().begin(), view.wcets().end());
-    const auto issues = recorder.trace.validate_with_durations(durations);
+    const auto issues = actual != nullptr
+                            ? recorder.trace.validate_with_durations(*actual)
+                            : recorder.trace.validate();
     HEDRA_ASSERT(issues.empty());
   }
   return std::move(recorder.trace);
@@ -103,20 +100,18 @@ std::uint64_t validation_runs() noexcept {
 }
 
 ScheduleTrace simulate(const graph::FlatView& view, const SimConfig& config) {
-  return run_traced(view, config, nullptr);
+  return run_traced(ScheduleTrace(view, config.cores, config.device_units),
+                    config, nullptr);
 }
 
 ScheduleTrace simulate(const Dag& dag, const SimConfig& config) {
-  // FlatDag throws on cyclic input.
-  return simulate(graph::FlatDag(dag).view(), config);
+  // The trace owns its snapshot; FlatDag throws on cyclic input.
+  return run_traced(ScheduleTrace(&dag, config.cores, config.device_units),
+                    config, nullptr);
 }
 
 Time simulated_makespan(const graph::FlatView& view, const SimConfig& config) {
-  if (config.validate) {
-    // Validation needs a full trace (and the source Dag to check against),
-    // so honour the flag by taking the recording path.
-    return run_traced(view, config, nullptr).makespan();
-  }
+  if (config.validate) return simulate(view, config).makespan();
   MakespanRecorder recorder;
   run_single(view, config, nullptr, recorder);
   return recorder.makespan;
@@ -129,12 +124,14 @@ Time simulated_makespan(const Dag& dag, const SimConfig& config) {
 ScheduleTrace simulate_with_times(const graph::FlatView& view,
                                   const SimConfig& config,
                                   const std::vector<Time>& actual_times) {
-  return run_traced(view, config, &actual_times);
+  return run_traced(ScheduleTrace(view, config.cores, config.device_units),
+                    config, &actual_times);
 }
 
 ScheduleTrace simulate_with_times(const Dag& dag, const SimConfig& config,
                                   const std::vector<Time>& actual_times) {
-  return simulate_with_times(graph::FlatDag(dag).view(), config, actual_times);
+  return run_traced(ScheduleTrace(&dag, config.cores, config.device_units),
+                    config, &actual_times);
 }
 
 std::vector<Time> random_actual_times(const Dag& dag, double scale_min,

@@ -52,9 +52,10 @@ struct SimConfig {
   std::vector<int> device_units;
   /// Re-validate the produced trace against the DAG (precedence, unit
   /// capacity, placement).  Defaults on — any violation is a hedra bug and
-  /// throws — but costs O(n log n + E) per run, so the Monte-Carlo sweep
-  /// call sites (fig10, the ablation bench, B&B heuristic seeding) switch
-  /// it off; the property/golden tests keep it on.
+  /// throws — but records a trace and costs an O(n + E) pass per run, so
+  /// the Monte-Carlo sweep call sites (fig10, the ablation bench, B&B
+  /// heuristic seeding) switch it off; the property/golden tests keep it
+  /// on.
   bool validate = true;
 };
 
@@ -68,9 +69,10 @@ struct SimConfig {
 /// bug).
 [[nodiscard]] ScheduleTrace simulate(const Dag& dag, const SimConfig& config);
 
-/// Same simulation over a Dag-backed CSR view (`view.source()` names the
-/// Dag the trace refers to) — a sweep snapshots the DAG once and reuses the
-/// view for every policy and core count.
+/// Same simulation over a CSR view, which must outlive the trace — a sweep
+/// snapshots the DAG once and reuses the view for every policy and core
+/// count.  Validation messages name nodes by `view.source()`'s labels, or by
+/// graph::default_label for an arena view.
 [[nodiscard]] ScheduleTrace simulate(const graph::FlatView& view,
                                      const SimConfig& config);
 
@@ -79,9 +81,8 @@ struct SimConfig {
 
 /// Makespan over a CSR view — the Monte-Carlo batch hot path.  With
 /// `config.validate` off (the sweep setting) the run records no trace and
-/// makes the same decisions as simulate().  With it on, the view must be
-/// Dag-backed (view.source() != nullptr) and the run records and validates
-/// a trace.
+/// makes the same decisions as simulate().  With it on, the run records and
+/// validates a trace.
 [[nodiscard]] Time simulated_makespan(const graph::FlatView& view,
                                       const SimConfig& config);
 

@@ -6,11 +6,15 @@
 /// the task graph (precedence, unit capacity, placement) so that every
 /// simulated schedule used in the experiments is provably well-formed.
 
+#include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "graph/dag.h"
+#include "graph/flat_dag.h"
+#include "graph/flat_view.h"
 
 namespace hedra::sim {
 
@@ -84,9 +88,22 @@ struct Interval {
 /// number of execution units per accelerator device (index d−1 holds device
 /// d); missing entries — including the default empty vector — mean one unit,
 /// the paper's platform.
+///
+/// A trace checks itself against a CSR view of its graph.  Messages name
+/// nodes by the view's source Dag's labels, or by graph::default_label when
+/// the view has no source (an arena view).
 class ScheduleTrace {
  public:
+  /// A trace of `view`, whose arrays must outlive the trace.
+  ScheduleTrace(const graph::FlatView& view, int cores,
+                std::vector<int> device_units = {});
+
+  /// A trace of `*dag`, which must be non-null and outlive the trace; the
+  /// trace owns its CSR snapshot of the Dag.  Throws on a cyclic Dag.
   ScheduleTrace(const Dag* dag, int cores, std::vector<int> device_units = {});
+
+  /// The graph the trace is checked against.
+  [[nodiscard]] const graph::FlatView& view() const noexcept { return view_; }
 
   void add(const Interval& interval);
 
@@ -136,7 +153,13 @@ class ScheduleTrace {
   ///  - offload nodes run on one of their own device's units (unit index
   ///    below the device's unit count), host nodes on host cores, zero-WCET
   ///    host-side nodes anywhere.
-  /// Returns human-readable violations; empty means valid.
+  /// Returns human-readable violations; empty means valid.  Placement
+  /// faults are reported in interval order, then missing or repeated nodes
+  /// in node order; only a trace free of those is checked further, for
+  /// precedence in (node, predecessor) order, then for overlaps in
+  /// ascending unit id and start order, equal starts in insertion order.
+  /// O(V + E) for unit ids that span O(V) values, as every simulator
+  /// trace's do.
   [[nodiscard]] std::vector<std::string> validate() const;
 
   /// Same checks, but each node must have run for its entry in
@@ -152,7 +175,12 @@ class ScheduleTrace {
   [[nodiscard]] std::string to_text() const;
 
  private:
-  const Dag* dag_;
+  [[nodiscard]] std::string label(NodeId v) const;
+  [[nodiscard]] std::vector<std::string> check(
+      std::span<const Time> expected_durations) const;
+
+  std::shared_ptr<const graph::FlatDag> snapshot_;  ///< Dag-built traces
+  graph::FlatView view_;
   int cores_;
   std::vector<int> device_units_;  ///< index d−1 = units of device d
   std::vector<Interval> intervals_;

@@ -77,17 +77,6 @@ TEST(DagTest, BadIdsRejected) {
   EXPECT_THROW((void)dag.wcet(9), Error);
 }
 
-TEST(DagTest, RemoveEdge) {
-  Dag dag;
-  const NodeId a = dag.add_node(1);
-  const NodeId b = dag.add_node(1);
-  dag.add_edge(a, b);
-  dag.remove_edge(a, b);
-  EXPECT_FALSE(dag.has_edge(a, b));
-  EXPECT_EQ(dag.num_edges(), 0u);
-  EXPECT_THROW(dag.remove_edge(a, b), Error);
-}
-
 TEST(DagTest, SourcesAndSinks) {
   const auto ex = testing::paper_example();
   EXPECT_EQ(ex.dag.sources(), std::vector<NodeId>{ex.v1});

@@ -87,7 +87,7 @@ TEST_P(AnomalySweep, EarlyCompletionNeverBreaksRhet) {
         config.cores = m;
         config.policy = policy;
         const auto trace = sim::simulate_with_times(
-            cache.flat_transformed().view(), config, actual);
+            cache.transform().view(), config, actual);
         EXPECT_LE(Frac(trace.makespan()), r_het)
             << "m=" << m << " policy=" << sim::to_string(policy)
             << " scenario=" << to_string(cache.scenario(m));

@@ -79,12 +79,32 @@ TEST(MakespanViewTest, MultiUnitViewMakespanEqualsTracedMakespan) {
   }
 }
 
-TEST(MakespanViewTest, ValidationOnSourcelessViewThrows) {
+TEST(MakespanViewTest, ValidatedArenaRunPassesAndBrokenOneIsReported) {
   const FlatDagBatch batch = exp::generate_flat_batch(small_config(9, 1));
+  const graph::FlatView view = batch.view(0);
+  ASSERT_EQ(view.source(), nullptr);
   SimConfig config;
   config.cores = 2;
-  config.validate = true;  // arena views have no Dag to validate against
-  EXPECT_THROW((void)simulated_makespan(batch.view(0), config), Error);
+  config.validate = true;
+  const std::uint64_t before = validation_runs();
+  const ScheduleTrace trace = simulate(view, config);
+  EXPECT_EQ(validation_runs(), before + 1);
+  EXPECT_TRUE(trace.validate().empty());
+  config.validate = false;
+  EXPECT_EQ(simulated_makespan(view, config), trace.makespan());
+
+  // The same schedule with node 0 run one tick long: reported by its
+  // default label.
+  ScheduleTrace broken(view, config.cores);
+  for (Interval iv : trace.intervals()) {
+    if (iv.node == 0) ++iv.finish;
+    broken.add(iv);
+  }
+  ASSERT_EQ(view.kind(0), graph::NodeKind::kHost);
+  EXPECT_EQ(broken.validate(),
+            std::vector<std::string>{
+                "node v1 ran for " + std::to_string(view.wcet(0) + 1) +
+                " ticks, expected " + std::to_string(view.wcet(0))});
 }
 
 TEST(MakespanViewTest, ValidationOnDagBackedViewStillRuns) {
