@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Diffs the example programs' output against the committed goldens.
+"""Diffs the example and figure programs' output against the committed goldens.
 
 Usage: check_example_goldens.py --bin-dir <dir> --golden-dir <dir>
+                                [--suite examples|figures]
 
-Runs, from <bin-dir>:
+The examples suite (the default; goldens in tests/golden/examples) runs,
+from <bin-dir>:
   - `quickstart`, whose stdout must equal quickstart.out;
   - `paper_figures --out <tmp>`, whose stdout (with <tmp> written as OUT)
     must equal paper_figures.out, and each .dot file it writes must equal
@@ -14,9 +16,15 @@ Runs, from <bin-dir>:
     transformed.dag and transformed.dot.
 
 These cover the transformed graph G' as a dag file and as DOT, the G_par
-highlight and Figure 3's re-routing counters.  The goldens are the output
-of the implementation they pin; regenerate them only for an intended
-behaviour change, by running the same commands and copying the files.
+highlight and Figure 3's re-routing counters.
+
+The figures suite (goldens in tests/golden/figures) runs each FIGURES
+entry at --jobs 1 and compares its stdout with <program>.out, so the
+fig6-fig12 tables stay byte-identical across refactors.
+
+The goldens are the output of the implementation they pin; regenerate
+them only for an intended behaviour change, by running the same commands
+and copying the files.
 Exits 1 and prints a unified diff for every mismatch.
 """
 
@@ -27,14 +35,27 @@ import subprocess
 import sys
 import tempfile
 
+# (program, arguments) of the figures suite; small sizes keep all seven
+# runs well under a second.
+FIGURES = [
+    ("fig6_transform_impact", ["--dags", "20"]),
+    ("fig7_accuracy_vs_ilp", ["--dags", "2", "--time-limit", "1000",
+                              "--solver-nodes", "20000"]),
+    ("fig8_scenarios", ["--dags", "20"]),
+    ("fig9_hom_vs_het", ["--dags", "20"]),
+    ("fig10_multi_device", ["--dags", "10"]),
+    ("fig11_units", ["--dags", "10"]),
+    ("fig12_taskset", ["--quick"]),
+]
 
-def run(cmd, out_dir):
-    """stdout of `cmd`, with the scratch directory written as OUT."""
+
+def run(cmd, out_dir=None):
+    """stdout of `cmd`, with the scratch directory (if any) written as OUT."""
     result = subprocess.run(cmd, capture_output=True, text=True, check=False)
     if result.returncode != 0:
         sys.stderr.write(result.stderr)
         raise SystemExit(f"{cmd[0]} exited with {result.returncode}")
-    return result.stdout.replace(str(out_dir), "OUT")
+    return result.stdout if out_dir is None else result.stdout.replace(str(out_dir), "OUT")
 
 
 def compare(name, got, golden_dir):
@@ -46,14 +67,16 @@ def compare(name, got, golden_dir):
                                      f"golden/{name}", f"actual/{name}"))
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--bin-dir", required=True, type=pathlib.Path)
-    parser.add_argument("--golden-dir", required=True, type=pathlib.Path)
-    args = parser.parse_args()
-    bins = args.bin_dir
-    golden = args.golden_dir
+def check_figures(bins, golden):
+    """Diffs of every FIGURES program's stdout against its golden."""
+    diffs = []
+    for name, args in FIGURES:
+        diffs += compare(f"{name}.out", run([bins / name, *args, "--jobs", "1"]), golden)
+    return diffs
 
+
+def check_examples(bins, golden):
+    """Diffs of quickstart, paper_figures and dag_tool against their goldens."""
     diffs = []
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp)
@@ -78,11 +101,22 @@ def main():
         diffs += compare("dag_tool.out", stdout, golden)
         for name in ("transformed.dag", "transformed.dot"):
             diffs += compare(name, (tool / name).read_text(), golden)
+    return diffs
 
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--bin-dir", required=True, type=pathlib.Path)
+    parser.add_argument("--golden-dir", required=True, type=pathlib.Path)
+    parser.add_argument("--suite", choices=("examples", "figures"), default="examples")
+    args = parser.parse_args()
+
+    check = check_figures if args.suite == "figures" else check_examples
+    diffs = check(args.bin_dir, args.golden_dir)
     if diffs:
         sys.stdout.writelines(diffs)
         return 1
-    print("example goldens match")
+    print(f"{args.suite} goldens match")
     return 0
 
 

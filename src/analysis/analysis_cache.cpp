@@ -16,14 +16,10 @@ const Dag& AnalysisCache::original() {
   return *dag_;
 }
 
-const graph::FlatDag& AnalysisCache::flat() {
-  if (!flat_) flat_.emplace(original());
-  return *flat_;
-}
-
 graph::FlatView AnalysisCache::flat_view() {
   if (batch_ != nullptr) return view_;
-  return flat().view();
+  if (!flat_) flat_.emplace(*dag_);
+  return flat_->view();
 }
 
 const TransformResult& AnalysisCache::transform() {

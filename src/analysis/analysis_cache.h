@@ -65,14 +65,10 @@ class AnalysisCache {
   /// materialises it from the batch (labels included).
   [[nodiscard]] const Dag& original();
 
-  /// Dag-backed CSR snapshot of G, built once on first use, for traces
-  /// whose messages should carry the Dag's labels.  Arena-backed caches
-  /// materialise the Dag first; the bound paths and fig6 use flat_view(),
-  /// which never does.
-  [[nodiscard]] const graph::FlatDag& flat();
-
   /// CSR view of G: the arena slice for a batch-backed cache (no
-  /// materialisation, no copy), flat().view() otherwise.
+  /// materialisation, no copy; nodes go by graph::default_label), otherwise
+  /// a snapshot of the bound Dag built once on first use, whose source()
+  /// carries the Dag's labels into trace messages.
   [[nodiscard]] graph::FlatView flat_view();
 
   /// Algorithm 1 over flat_view() (validates the model preconditions on
@@ -130,7 +126,7 @@ class AnalysisCache {
   std::optional<Dag> materialized_;   ///< lazy Dag of a batch-backed cache
   std::optional<TransformResult> transform_;
   std::optional<Dag> transformed_;
-  std::optional<graph::FlatDag> flat_;
+  std::optional<graph::FlatDag> flat_;  ///< snapshot of a Dag-backed G
   std::optional<TheoremQuantities> quantities_;
   std::optional<PlatformQuantities> platform_quantities_;
   std::optional<graph::Time> len_original_;

@@ -90,8 +90,7 @@ TransformResult transform_for_offload(const graph::FlatView& dag) {
 
   result.edges_removed = direct.size() + moved;
   result.edges_added = direct.size() + adopted.count() + 1;
-  result.transformed.append(
-      staged, graph::FlatDagBatch::EdgeOrder::kGroupedBySource, voff);
+  result.transformed.append(staged, voff);
   return result;
 }
 

@@ -35,7 +35,8 @@
 ///    successors other than v_off of each direct predecessor (in
 ///    predecessors(v_off) order), then v_off, then the successors outside
 ///    Pred of each indirect predecessor (in ascending id).
-/// Predecessor lists of G′ are grouped by source id ascending.  The edge
+/// Predecessor lists of G′ ascend by source id, as in every arena
+/// record (graph/flat_batch.h).  The edge
 /// counters follow: edges_removed = |direct| + the moved edges, and
 /// edges_added = |direct| + the distinct moved targets + 1.
 ///

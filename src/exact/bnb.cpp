@@ -111,27 +111,33 @@ void copy_mask(const RankMask& from, RankMask& to) {
 /// Immutable per-solve context.
 struct SearchContext {
   SearchContext(const Dag& dag, int m_in, const BnbConfig& config_in)
-      : flat(dag),
+      : snapshot(dag),
+        view(snapshot.view()),
         m(m_in),
         config(config_in),
-        down(graph::down_lengths(flat.view())),
-        by_tail(tail_order(flat, down)) {
-    const std::size_t n = flat.num_nodes();
+        down(graph::down_lengths(view)),
+        by_tail(tail_order(view, down)) {
+    const std::size_t n = view.num_nodes();
     by_down.resize(n);
     for (NodeId v = 0; v < n; ++v) by_down[v] = v;
     std::sort(by_down.begin(), by_down.end(),
               [this](NodeId a, NodeId b) { return prior(a, b); });
     rank.resize(n);
     for (std::size_t r = 0; r < n; ++r) rank[by_down[r]] = r;
-    single_offload = flat.num_offload_nodes() == 1;
+    single_offload = view.num_offload_nodes() == 1;
   }
+
+  /// `view` points into `snapshot`; a copy would point into the original.
+  SearchContext(const SearchContext&) = delete;
+  SearchContext& operator=(const SearchContext&) = delete;
 
   /// Priority order of ready nodes: critical (largest down) first.
   [[nodiscard]] bool prior(NodeId a, NodeId b) const {
     return down[a] != down[b] ? down[a] > down[b] : a < b;
   }
 
-  FlatDag flat;
+  FlatDag snapshot;  ///< owns the arrays `view` reads
+  graph::FlatView view;
   int m;
   BnbConfig config;
   std::vector<Time> down;
@@ -187,23 +193,23 @@ class DfsEngine {
   /// heuristic upper bound `best`.
   DfsEngine(const SearchContext& ctx, Time best)
       : ctx_(ctx),
-        running_left_(ctx.flat.num_nodes(), 0),
+        running_left_(ctx.view.num_nodes(), 0),
         best_(best),
         initial_best_(best),
         deadline_(search_deadline(ctx.config)) {
-    const std::size_t n = ctx_.flat.num_nodes();
+    const std::size_t n = ctx_.view.num_nodes();
     s_.remaining_preds.resize(n);
     for (NodeId v = 0; v < n; ++v) {
-      s_.remaining_preds[v] = static_cast<std::uint32_t>(ctx_.flat.in_degree(v));
+      s_.remaining_preds[v] = static_cast<std::uint32_t>(ctx_.view.in_degree(v));
     }
     s_.free_cores = ctx_.m;
     s_.started = DynamicBitset(n);
     for (NodeId v = 0; v < n; ++v) {
-      if (ctx_.flat.wcet(v) == 0) continue;
-      if (ctx_.flat.device(v) != graph::kHostDevice) {
-        s_.unstarted_accel_work += ctx_.flat.wcet(v);
+      if (ctx_.view.wcet(v) == 0) continue;
+      if (ctx_.view.device(v) != graph::kHostDevice) {
+        s_.unstarted_accel_work += ctx_.view.wcet(v);
       } else {
-        s_.unstarted_host_work += ctx_.flat.wcet(v);
+        s_.unstarted_host_work += ctx_.view.wcet(v);
       }
     }
     s_.running.reserve(static_cast<std::size_t>(ctx_.m) + 1);
@@ -256,16 +262,16 @@ class DfsEngine {
     while (!newly.empty()) {
       const NodeId v = newly.back();
       newly.pop_back();
-      if (ctx_.flat.wcet(v) == 0) {
+      if (ctx_.view.wcet(v) == 0) {
         s_.started.set_unchecked(v);
         ++s_.completed;
         if (zero_record != nullptr) zero_record->push_back(v);
-        for (const NodeId w : ctx_.flat.successors(v)) {
+        for (const NodeId w : ctx_.view.successors(v)) {
           if (--s_.remaining_preds[w] == 0) newly.push_back(w);
         }
         continue;
       }
-      set_rank(ctx_.flat.device(v) != graph::kHostDevice ? s_.ready_accel
+      set_rank(ctx_.view.device(v) != graph::kHostDevice ? s_.ready_accel
                                                          : s_.ready_host,
                ctx_.rank[v]);
     }
@@ -281,7 +287,7 @@ class DfsEngine {
   }
 
   [[nodiscard]] Time lower_bound() {
-    const std::size_t n = ctx_.flat.num_nodes();
+    const std::size_t n = ctx_.view.num_nodes();
     // Path bound: every unstarted node starts at >= now.  by_down is
     // sorted by descending down(v), so the first unstarted entry IS the
     // maximum; the pointer only moves over nodes already started and is
@@ -296,7 +302,7 @@ class DfsEngine {
     }
     // Running nodes finish at their finish time followed by their tail.
     for (const auto& r : s_.running) {
-      lb = std::max(lb, r.finish + ctx_.down[r.node] - ctx_.flat.wcet(r.node));
+      lb = std::max(lb, r.finish + ctx_.down[r.node] - ctx_.view.wcet(r.node));
     }
     // Area bounds from running sums of finish times.
     const auto [host_work, accel_work] = remaining_work();
@@ -319,7 +325,7 @@ class DfsEngine {
         running_left_[r.node] = r.finish - s_.now;
       }
       const auto left = [this](NodeId v) -> Time {
-        if (!s_.started.test_unchecked(v)) return ctx_.flat.wcet(v);
+        if (!s_.started.test_unchecked(v)) return ctx_.view.wcet(v);
         return running_left_[v];
       };
       s_.energy = s_.now + tail_energy_sweep(ctx_.by_tail, ctx_.m,
@@ -355,18 +361,18 @@ class DfsEngine {
   void start_node(std::size_t r, bool on_accel) {
     const NodeId v = ctx_.by_down[r];
     s_.started.set_unchecked(v);
-    const Time finish = s_.now + ctx_.flat.wcet(v);
+    const Time finish = s_.now + ctx_.view.wcet(v);
     s_.running.push_back(Running{finish, v, on_accel});
     if (on_accel) {
       clear_rank(s_.ready_accel, r);
       s_.accel_free = false;
-      s_.unstarted_accel_work -= ctx_.flat.wcet(v);
+      s_.unstarted_accel_work -= ctx_.view.wcet(v);
       s_.sum_finish_accel += finish;
       ++s_.n_running_accel;
     } else {
       clear_rank(s_.ready_host, r);
       --s_.free_cores;
-      s_.unstarted_host_work -= ctx_.flat.wcet(v);
+      s_.unstarted_host_work -= ctx_.view.wcet(v);
       s_.sum_finish_host += finish;
       ++s_.n_running_host;
     }
@@ -381,13 +387,13 @@ class DfsEngine {
     if (on_accel) {
       set_rank(s_.ready_accel, r);
       s_.accel_free = true;
-      s_.unstarted_accel_work += ctx_.flat.wcet(v);
+      s_.unstarted_accel_work += ctx_.view.wcet(v);
       s_.sum_finish_accel -= finish;
       --s_.n_running_accel;
     } else {
       set_rank(s_.ready_host, r);
       ++s_.free_cores;
-      s_.unstarted_host_work += ctx_.flat.wcet(v);
+      s_.unstarted_host_work += ctx_.view.wcet(v);
       s_.sum_finish_host -= finish;
       --s_.n_running_host;
     }
@@ -444,7 +450,7 @@ class DfsEngine {
         --s_.n_running_host;
       }
       ++s_.completed;
-      for (const NodeId w : ctx_.flat.successors(r.node)) {
+      for (const NodeId w : ctx_.view.successors(r.node)) {
         if (--s_.remaining_preds[w] == 0) newly_.push_back(w);
       }
       s_.running[i] = s_.running.back();
@@ -474,12 +480,12 @@ class DfsEngine {
     copy_mask(frame.ready_accel, s_.ready_accel);
     for (const NodeId v : frame.zero_completed) {
       s_.started.reset_unchecked(v);
-      for (const NodeId w : ctx_.flat.successors(v)) ++s_.remaining_preds[w];
+      for (const NodeId w : ctx_.view.successors(v)) ++s_.remaining_preds[w];
     }
     for (auto it = frame.retired.rbegin(); it != frame.retired.rend(); ++it) {
       s_.running.push_back(it->second);
       std::swap(s_.running[it->first], s_.running.back());
-      for (const NodeId w : ctx_.flat.successors(it->second.node)) {
+      for (const NodeId w : ctx_.view.successors(it->second.node)) {
         ++s_.remaining_preds[w];
       }
     }
@@ -495,7 +501,7 @@ class DfsEngine {
     if (out_of_budget()) return;
     ++nodes_;
 
-    if (s_.completed == ctx_.flat.num_nodes()) {
+    if (s_.completed == ctx_.view.num_nodes()) {
       best_ = std::min(best_, s_.now);
       return;
     }
@@ -597,7 +603,7 @@ BnbResult min_makespan(const Dag& dag, int m, const BnbConfig& config) {
 
   BnbResult result;
   result.root_lower_bound = makespan_lower_bound(dag, m);
-  result.heuristic_upper_bound = best_heuristic_makespan(ctx.flat, m).makespan;
+  result.heuristic_upper_bound = best_heuristic_makespan(ctx.view, m).makespan;
   if (result.heuristic_upper_bound == result.root_lower_bound) {
     // Root-bound shortcut: no search ran, the stats stay zero.
     result.makespan = result.heuristic_upper_bound;

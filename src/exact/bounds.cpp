@@ -32,12 +32,12 @@ Time makespan_lower_bound(const Dag& dag, int m) {
   return makespan_lower_bounds(dag, m).best();
 }
 
-std::vector<TailEntry> tail_order(const graph::FlatDag& flat,
+std::vector<TailEntry> tail_order(const graph::FlatView& view,
                                   const std::vector<Time>& down) {
   std::vector<TailEntry> order;
-  for (graph::NodeId v = 0; v < flat.num_nodes(); ++v) {
-    if (flat.wcet(v) == 0) continue;
-    order.push_back(TailEntry{down[v] - flat.wcet(v), v, flat.device(v)});
+  for (graph::NodeId v = 0; v < view.num_nodes(); ++v) {
+    if (view.wcet(v) == 0) continue;
+    order.push_back(TailEntry{down[v] - view.wcet(v), v, view.device(v)});
   }
   std::sort(order.begin(), order.end(),
             [](const TailEntry& a, const TailEntry& b) {
@@ -49,13 +49,14 @@ std::vector<TailEntry> tail_order(const graph::FlatDag& flat,
 Time tail_energy_bound(const Dag& dag, int m) {
   HEDRA_REQUIRE(m >= 1, "core count m must be >= 1");
   const graph::FlatDag flat(dag);
+  const graph::FlatView view = flat.view();
   const std::vector<TailEntry> order =
-      tail_order(flat, graph::down_lengths(flat.view()));
+      tail_order(view, graph::down_lengths(view));
   // At the root nothing has started: every node's share is its WCET.
-  std::vector<Time> remaining(static_cast<std::size_t>(flat.max_device()) + 1);
-  for (const TailEntry& e : order) remaining[e.device] += flat.wcet(e.node);
+  std::vector<Time> remaining(static_cast<std::size_t>(view.max_device()) + 1);
+  for (const TailEntry& e : order) remaining[e.device] += view.wcet(e.node);
   return tail_energy_sweep(order, m, remaining,
-                           [&flat](graph::NodeId v) { return flat.wcet(v); });
+                           [&view](graph::NodeId v) { return view.wcet(v); });
 }
 
 }  // namespace hedra::exact

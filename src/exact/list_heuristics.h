@@ -7,7 +7,7 @@
 /// usually within a few percent of optimal on these graphs, which makes the
 /// B&B gap small from the start.
 
-#include "graph/flat_dag.h"
+#include "graph/flat_view.h"
 #include "sim/scheduler.h"
 
 namespace hedra::exact {
@@ -23,11 +23,11 @@ struct HeuristicResult {
                                                       int m,
                                                       int random_tries = 4);
 
-/// Overload over a prebuilt CSR snapshot — the B&B solver seeds its upper
+/// Overload over a prebuilt CSR view — the B&B solver seeds its upper
 /// bound through this, sharing one snapshot across all policy runs (and
 /// skipping per-run trace validation; the simulator itself is pinned by the
 /// golden-trace suite).
 [[nodiscard]] HeuristicResult best_heuristic_makespan(
-    const graph::FlatDag& flat, int m, int random_tries = 4);
+    const graph::FlatView& view, int m, int random_tries = 4);
 
 }  // namespace hedra::exact

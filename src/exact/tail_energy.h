@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "graph/dag.h"
-#include "graph/flat_dag.h"
+#include "graph/flat_view.h"
 
 namespace hedra::exact {
 
@@ -25,8 +25,8 @@ struct TailEntry {
 };
 
 /// The nodes with C(v) > 0, by descending tail (ties by node id).  `down`
-/// is graph::down_lengths(flat).
-[[nodiscard]] std::vector<TailEntry> tail_order(const graph::FlatDag& flat,
+/// is graph::down_lengths(view).
+[[nodiscard]] std::vector<TailEntry> tail_order(const graph::FlatView& view,
                                                 const std::vector<Time>& down);
 
 /// The tail-energy term relative to the current instant `now`: the max

@@ -95,7 +95,7 @@ void generate_hierarchical_flat(const HierarchicalParams& params, Rng& rng,
                                 graph::FlatDagBatch& batch) {
   thread_local graph::StagedDag staged;
   generate_hierarchical_staged(params, rng, staged);
-  batch.append(staged, graph::FlatDagBatch::EdgeOrder::kInsertion);
+  batch.append(staged);
 }
 
 void generate_offload_flat(const HierarchicalParams& params, double coff_ratio,
@@ -121,8 +121,7 @@ void generate_offload_flat(const HierarchicalParams& params, double coff_ratio,
       coff_ratio / (1.0 - coff_ratio) * static_cast<double>(vol_rest);
   staged.wcet[chosen] = std::max<Time>(1, std::llround(target));
 
-  batch.append(staged, graph::FlatDagBatch::EdgeOrder::kGroupedBySource,
-               chosen);
+  batch.append(staged, chosen);
 }
 
 void generate_multi_device_flat(const HierarchicalParams& params,
@@ -199,7 +198,7 @@ void generate_multi_device_flat(const HierarchicalParams& params,
     }
   }
 
-  batch.append(staged, graph::FlatDagBatch::EdgeOrder::kInsertion);
+  batch.append(staged);
 }
 
 }  // namespace hedra::gen

@@ -67,24 +67,4 @@ void HierarchicalParams::validate() const {
   }
 }
 
-void LayeredParams::validate() const {
-  HEDRA_REQUIRE(min_layers >= 1 && max_layers >= min_layers,
-                "layer window is empty");
-  HEDRA_REQUIRE(min_width >= 1 && max_width >= min_width,
-                "width window is empty");
-  HEDRA_REQUIRE(p_edge >= 0.0 && p_edge <= 1.0, "p_edge must be in [0, 1]");
-  HEDRA_REQUIRE(wcet_min >= 1 && wcet_max >= wcet_min,
-                "WCET window is empty");
-}
-
-void ForkJoinParams::validate() const {
-  HEDRA_REQUIRE(depth >= 0, "depth must be >= 0");
-  HEDRA_REQUIRE(min_branches >= 2 && max_branches >= min_branches,
-                "branch window is empty");
-  HEDRA_REQUIRE(min_segment >= 1 && max_segment >= min_segment,
-                "segment window is empty");
-  HEDRA_REQUIRE(wcet_min >= 1 && wcet_max >= wcet_min,
-                "WCET window is empty");
-}
-
 }  // namespace hedra::gen

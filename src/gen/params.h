@@ -73,30 +73,4 @@ struct HierarchicalParams {
   void validate() const;
 };
 
-/// Parameters for the layered Erdős–Rényi generator (the style of [12][18]).
-struct LayeredParams {
-  int min_layers = 3;
-  int max_layers = 8;
-  int min_width = 1;
-  int max_width = 10;
-  double p_edge = 0.35;  ///< probability of an edge between consecutive layers
-  Time wcet_min = 1;
-  Time wcet_max = 100;
-
-  void validate() const;
-};
-
-/// Parameters for the nested fork-join generator.
-struct ForkJoinParams {
-  int depth = 2;          ///< nesting depth
-  int min_branches = 2;
-  int max_branches = 4;
-  int min_segment = 1;    ///< sequential nodes per branch segment
-  int max_segment = 3;
-  Time wcet_min = 1;
-  Time wcet_max = 100;
-
-  void validate() const;
-};
-
 }  // namespace hedra::gen

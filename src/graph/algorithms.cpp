@@ -1,33 +1,15 @@
 #include "graph/algorithms.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "graph/flat_dag.h"
 
 namespace hedra::graph {
 
 std::vector<NodeId> topological_order(const Dag& dag) {
-  const std::size_t n = dag.num_nodes();
-  std::vector<std::size_t> in_deg(n);
-  // Min-heap on node id keeps the order deterministic.
-  std::priority_queue<NodeId, std::vector<NodeId>, std::greater<>> ready;
-  for (NodeId v = 0; v < n; ++v) {
-    in_deg[v] = dag.in_degree(v);
-    if (in_deg[v] == 0) ready.push(v);
-  }
-  std::vector<NodeId> order;
-  order.reserve(n);
-  while (!ready.empty()) {
-    const NodeId v = ready.top();
-    ready.pop();
-    order.push_back(v);
-    for (const NodeId w : dag.successors(v)) {
-      if (--in_deg[w] == 0) ready.push(w);
-    }
-  }
-  HEDRA_REQUIRE(order.size() == n, "graph contains a cycle");
-  return order;
+  const FlatDag flat(dag);
+  const auto order = flat.view().topological_order();
+  return {order.begin(), order.end()};
 }
 
 bool is_acyclic(const Dag& dag) {

@@ -17,7 +17,8 @@
 namespace hedra::graph {
 
 /// Topological order (Kahn).  Ties are broken by ascending node id, so the
-/// order is deterministic.  Throws hedra::Error if the graph has a cycle.
+/// order is deterministic: the order of the graph's CSR snapshot
+/// (detail::kahn_order_into).  Throws hedra::Error if the graph has a cycle.
 [[nodiscard]] std::vector<NodeId> topological_order(const Dag& dag);
 
 /// True iff the graph is acyclic.

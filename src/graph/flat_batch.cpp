@@ -17,8 +17,7 @@ void FlatDagBatch::reserve(std::size_t dags, std::size_t nodes_per_dag,
   topo_.reserve(dags * nodes_per_dag);
 }
 
-void FlatDagBatch::append(const StagedDag& staged, EdgeOrder order,
-                          NodeId offload_relabel) {
+void FlatDagBatch::append(const StagedDag& staged, NodeId offload_relabel) {
   const std::size_t n = staged.num_nodes();
   HEDRA_REQUIRE(n > 0, "cannot append an empty staged DAG");
   const std::size_t e = staged.edges.size();
@@ -30,7 +29,6 @@ void FlatDagBatch::append(const StagedDag& staged, EdgeOrder order,
   rec.edge_end = static_cast<std::uint32_t>(succ_.size() + e);
   rec.csr_off = static_cast<std::uint32_t>(succ_off_.size());
   rec.offload_relabel = offload_relabel;
-  rec.order = order;
 
   wcet_.insert(wcet_.end(), staged.wcet.begin(), staged.wcet.end());
   device_.insert(device_.end(), staged.device.begin(), staged.device.end());
@@ -59,24 +57,12 @@ void FlatDagBatch::append(const StagedDag& staged, EdgeOrder order,
   NodeId* pred = pred_.data() + rec.edge_off;
   cursor_.assign(soff, soff + n);
   for (const auto& [from, to] : staged.edges) succ[cursor_[from]++] = to;
+  // Predecessor lists source-ascending: walk the successor lists source by
+  // source, as a Dag that replays them (materialize) fills its own.
   cursor_.assign(poff, poff + n);
-  if (order == EdgeOrder::kInsertion) {
-    for (const auto& [from, to] : staged.edges) pred[cursor_[to]++] = from;
-  } else {
-    // Reproduce the select_offload_node rebuild: edges re-added grouped by
-    // source id ascending, so predecessor lists come out source-ascending.
-    for (NodeId v = 0; v < n; ++v) {
-      for (std::uint32_t k = soff[v]; k < soff[v + 1]; ++k) {
-        pred[cursor_[succ[k]]++] = v;
-      }
-    }
-  }
-
-  if (order == EdgeOrder::kInsertion) {
-    rec.raw_edge_off = static_cast<std::uint32_t>(edge_from_.size());
-    for (const auto& [from, to] : staged.edges) {
-      edge_from_.push_back(from);
-      edge_to_.push_back(to);
+  for (NodeId v = 0; v < n; ++v) {
+    for (std::uint32_t k = soff[v]; k < soff[v + 1]; ++k) {
+      pred[cursor_[succ[k]]++] = v;
     }
   }
 
@@ -104,33 +90,24 @@ FlatView FlatDagBatch::view(std::size_t i) const {
 Dag FlatDagBatch::materialize(std::size_t i) const {
   const Record& r = records_[i];
   const std::size_t n = r.node_end - r.node_off;
-  const Time* wcet = wcet_.data() + r.node_off;
-  const DeviceId* device = device_.data() + r.node_off;
   Dag dag;
-  if (r.order == EdgeOrder::kGroupedBySource) {
-    const std::uint8_t* sync = sync_.data() + r.node_off;
-    for (NodeId v = 0; v < n; ++v) {
-      if (v == r.offload_relabel) {
-        dag.add_node(wcet[v], NodeKind::kOffload);
-      } else {
-        dag.add_node(wcet[v], sync[v] != 0 ? NodeKind::kSync : NodeKind::kHost);
-      }
+  for (NodeId v = 0; v < n; ++v) {
+    Node node;
+    node.wcet = wcet_[r.node_off + v];
+    node.device = device_[r.node_off + v];
+    node.sync = sync_[r.node_off + v] != 0;
+    // Only the relabelled node is named for its device ("vOff"); other
+    // accelerator nodes keep their host-style "v<id+1>".
+    if (v != r.offload_relabel) {
+      node.label = default_label(v, kHostDevice, node.sync);
     }
-    const std::uint32_t* soff = succ_off_.data() + r.csr_off;
-    const NodeId* succ = succ_.data() + r.edge_off;
-    for (NodeId v = 0; v < n; ++v) {
-      for (std::uint32_t k = soff[v]; k < soff[v + 1]; ++k) {
-        dag.add_edge(v, succ[k]);
-      }
-    }
-  } else {
-    for (NodeId v = 0; v < n; ++v) dag.add_node(wcet[v]);
-    for (NodeId v = 0; v < n; ++v) {
-      if (device[v] != kHostDevice) dag.set_device(v, device[v]);
-    }
-    const std::uint32_t raw_end = r.raw_edge_off + (r.edge_end - r.edge_off);
-    for (std::uint32_t k = r.raw_edge_off; k < raw_end; ++k) {
-      dag.add_edge(edge_from_[k], edge_to_[k]);
+    dag.add_node(node);
+  }
+  const std::uint32_t* soff = succ_off_.data() + r.csr_off;
+  const NodeId* succ = succ_.data() + r.edge_off;
+  for (NodeId v = 0; v < n; ++v) {
+    for (std::uint32_t k = soff[v]; k < soff[v + 1]; ++k) {
+      dag.add_edge(v, succ[k]);
     }
   }
   return dag;
@@ -146,8 +123,6 @@ void FlatDagBatch::clear() noexcept {
   device_.clear();
   sync_.clear();
   topo_.clear();
-  edge_from_.clear();
-  edge_to_.clear();
 }
 
 }  // namespace hedra::graph

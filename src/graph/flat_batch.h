@@ -21,12 +21,15 @@
 ///
 /// Determinism contract: `append` derives the CSR arrays so that `view(i)`
 /// is byte-identical to `FlatDag(materialize(i))`, and `materialize(i)` is
-/// the one way a generated `Dag` comes into being (gen/flat_gen.h).  The
-/// two generator recipes pin different predecessor orderings: the
-/// single-offload recipe orders each predecessor list by source id
-/// ascending (as `select_offload_node`, which rebuilds its Dag from
-/// `Dag::edges()`, leaves it), while the plain and multi-device recipes keep
-/// raw insertion order — so each record carries its `EdgeOrder` convention.
+/// the one way a generated `Dag` comes into being (gen/flat_gen.h).  Every
+/// record has one predecessor order: each predecessor list ascends by
+/// source id, and each successor list keeps insertion order.  So does a
+/// `Dag` that replays the successor lists source by source, which is all
+/// `materialize` does.  Every staging the repo makes already inserts each
+/// predecessor list in ascending source order (the hierarchical recursion
+/// adds a join's predecessors as branch exits in ascending id order, and
+/// Algorithm 1 builds G′ with u ascending and v_sync last), so the replay
+/// reproduces the graph the staging describes.
 
 #include <cstdint>
 #include <span>
@@ -89,18 +92,6 @@ struct StagedDag {
 
 class FlatDagBatch {
  public:
-  /// Which predecessor ordering (and materialisation labels) a DAG
-  /// follows; see the file comment.
-  enum class EdgeOrder : std::uint8_t {
-    /// Predecessor lists in raw edge-insertion order; materialises via
-    /// `add_node(wcet)` + `set_device` (plain and multi-device recipes).
-    kInsertion,
-    /// Predecessor lists grouped by source id ascending, reproducing the
-    /// `select_offload_node` rebuild; the single offload node materialises
-    /// as `NodeKind::kOffload` (label "vOff").
-    kGroupedBySource,
-  };
-
   FlatDagBatch() = default;
 
   /// Pre-sizes the arena (counts are hints, not limits).
@@ -110,9 +101,10 @@ class FlatDagBatch {
   /// Copies one staged DAG into the arena, deriving succ/pred CSR and the
   /// deterministic Kahn topological order.  `staged.device` must already
   /// carry final placements.  The generators never stage sync nodes; the
-  /// §3.4 transformation stages one, v_sync.
-  void append(const StagedDag& staged, EdgeOrder order,
-              NodeId offload_relabel = kInvalidNode);
+  /// §3.4 transformation stages one, v_sync.  `offload_relabel` names the
+  /// single offload node that materialises as `NodeKind::kOffload` (label
+  /// "vOff"); any other accelerator node keeps a host-style label.
+  void append(const StagedDag& staged, NodeId offload_relabel = kInvalidNode);
 
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
   [[nodiscard]] bool empty() const noexcept { return records_.empty(); }
@@ -133,9 +125,9 @@ class FlatDagBatch {
   /// CSR view of DAG `i`; valid until the next append/clear/move.
   [[nodiscard]] FlatView view(std::size_t i) const;
 
-  /// Rebuilds DAG `i` as a full `Dag` (labels included) whose CSR snapshot
-  /// equals `view(i)`.  O(n + e); intended for the cold paths (dag_io, DOT)
-  /// only.
+  /// Rebuilds DAG `i` as a full `Dag` (labels included) by replaying its
+  /// successor lists source by source, so its CSR snapshot equals `view(i)`.
+  /// O(n + e); intended for the cold paths (dag_io, DOT) only.
   [[nodiscard]] Dag materialize(std::size_t i) const;
 
   /// Whole-arena attribute arrays (all DAGs back to back) for batch kernels.
@@ -154,12 +146,10 @@ class FlatDagBatch {
     std::uint32_t node_end = 0;
     std::uint32_t edge_off = 0;  ///< into succ_/pred_
     std::uint32_t edge_end = 0;
-    std::uint32_t raw_edge_off = 0;  ///< into edge_from_/to_ (kInsertion)
     std::uint32_t csr_off = 0;   ///< into succ_off_/pred_off_ (n+1 entries)
     DeviceId max_device = 0;
     std::uint32_t num_offload = 0;
-    NodeId offload_relabel = kInvalidNode;  ///< "vOff" node (kGroupedBySource)
-    EdgeOrder order = EdgeOrder::kInsertion;
+    NodeId offload_relabel = kInvalidNode;  ///< "vOff" node
   };
 
   std::vector<Record> records_;
@@ -174,10 +164,6 @@ class FlatDagBatch {
   std::vector<DeviceId> device_;
   std::vector<std::uint8_t> sync_;
   std::vector<NodeId> topo_;
-  // Raw edge list in insertion order of the kInsertion DAGs only, so they
-  // can materialise with their exact edge-insertion ordering.
-  std::vector<NodeId> edge_from_;
-  std::vector<NodeId> edge_to_;
   std::vector<std::uint32_t> cursor_;  ///< counting-sort scratch
 };
 

@@ -20,12 +20,13 @@
 ///     because every consumer — longest paths, weighted paths, simulation
 ///     ready-counts — needs it anyway.
 ///
-/// The snapshot keeps a pointer to its source Dag (which must outlive it)
-/// so trace validation and rendering can still reach labels and the
-/// original adjacency.  Construction throws hedra::Error on cyclic input.
+/// `FlatDag` only owns the arrays: every read goes through `view()`, the
+/// same `FlatView` the batch arena hands out, so there is one CSR reading
+/// interface.  The snapshot keeps a pointer to its source Dag (which must
+/// outlive it) so trace validation and rendering can still reach labels.
+/// Construction throws hedra::Error on cyclic input.
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "graph/dag.h"
@@ -45,56 +46,10 @@ class FlatDag {
   [[nodiscard]] const Dag& source() const noexcept { return *source_; }
 
   /// Non-owning view over this snapshot's arrays (valid while the snapshot
-  /// lives); lets FlatDag-based callers reuse the FlatView entry points.
+  /// lives); the one way to read them.
   [[nodiscard]] FlatView view() const noexcept {
     return FlatView(succ_off_, pred_off_, succ_, pred_, wcet_, device_, sync_,
                     topo_, max_device_, num_offload_, source_);
-  }
-
-  [[nodiscard]] std::size_t num_nodes() const noexcept { return wcet_.size(); }
-  [[nodiscard]] std::size_t num_edges() const noexcept { return succ_.size(); }
-
-  [[nodiscard]] std::span<const NodeId> successors(NodeId v) const noexcept {
-    return {succ_.data() + succ_off_[v], succ_off_[v + 1] - succ_off_[v]};
-  }
-  [[nodiscard]] std::span<const NodeId> predecessors(NodeId v) const noexcept {
-    return {pred_.data() + pred_off_[v], pred_off_[v + 1] - pred_off_[v]};
-  }
-  [[nodiscard]] std::size_t out_degree(NodeId v) const noexcept {
-    return succ_off_[v + 1] - succ_off_[v];
-  }
-  [[nodiscard]] std::size_t in_degree(NodeId v) const noexcept {
-    return pred_off_[v + 1] - pred_off_[v];
-  }
-
-  [[nodiscard]] Time wcet(NodeId v) const noexcept { return wcet_[v]; }
-  [[nodiscard]] DeviceId device(NodeId v) const noexcept { return device_[v]; }
-  [[nodiscard]] bool is_sync(NodeId v) const noexcept {
-    return sync_[v] != 0;
-  }
-  [[nodiscard]] NodeKind kind(NodeId v) const noexcept {
-    if (sync_[v] != 0) return NodeKind::kSync;
-    return device_[v] == kHostDevice ? NodeKind::kHost : NodeKind::kOffload;
-  }
-
-  /// Raw attribute arrays for tight loops.
-  [[nodiscard]] std::span<const Time> wcets() const noexcept { return wcet_; }
-  [[nodiscard]] std::span<const DeviceId> devices() const noexcept {
-    return device_;
-  }
-
-  /// Deterministic Kahn topological order (ascending-id tie-breaks) — the
-  /// same order graph::topological_order(source()) returns.
-  [[nodiscard]] const std::vector<NodeId>& topological_order() const noexcept {
-    return topo_;
-  }
-
-  /// Largest device id present (0 for a homogeneous DAG).
-  [[nodiscard]] DeviceId max_device() const noexcept { return max_device_; }
-
-  /// Number of nodes placed on an accelerator (device != 0).
-  [[nodiscard]] std::size_t num_offload_nodes() const noexcept {
-    return num_offload_;
   }
 
  private:

@@ -3,12 +3,11 @@
 /// \file flat_view.h
 /// Non-owning CSR view of one DAG's flat arrays.
 ///
-/// `FlatDag` owns its arrays and always snapshots a live `Dag`.  The batch
-/// pipeline inverts that: `FlatDagBatch` owns one contiguous arena for a
-/// whole batch and hands out `FlatView`s — spans into the arena with the
-/// exact accessor vocabulary of `FlatDag`, so every template that walks a
-/// `FlatDag` (longest paths, weighted chain walks, the simulator) works on a
-/// view unchanged.  A view may or may not have a source `Dag` behind it:
+/// The one CSR reading interface.  Two owners hand it out: `FlatDag`, which
+/// snapshots a live `Dag`, and `FlatDagBatch`, which owns one contiguous
+/// arena for a whole batch.  Every walk (longest paths, weighted chain
+/// walks, the simulator, the exact solver) reads a view, whichever owner is
+/// behind it.  A view may or may not have a source `Dag` behind it:
 /// arena-generated DAGs are never materialised unless a caller asks, so
 /// `source()` is a nullable pointer here (unlike `FlatDag::source()`, which
 /// is a reference by construction).
@@ -107,10 +106,10 @@ class FlatView {
 
 namespace detail {
 
-/// Kahn with a min-heap on node id over raw CSR arrays — byte-identical
-/// order to graph::topological_order(Dag).  Writes the order into `out`
-/// (capacity n) and throws on cyclic input.  Shared by FlatDag and the
-/// batch arena builder.
+/// Kahn with a min-heap on node id over raw CSR arrays, the one
+/// topological sort: FlatDag, the batch arena builder and, through FlatDag,
+/// graph::topological_order(Dag) use it.  Writes the order into `out`
+/// (capacity n) and throws on cyclic input.
 void kahn_order_into(std::size_t n, const std::uint32_t* succ_off,
                      const NodeId* succ, const std::uint32_t* pred_off,
                      NodeId* out);

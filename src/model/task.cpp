@@ -17,7 +17,7 @@ void check_timing(Time period, Time deadline) {
 }  // namespace
 
 DagTask::DagTask(Dag dag, Time period, Time deadline, std::string name)
-    : dag_(std::make_shared<Dag>(std::move(dag))),
+    : dag_(std::make_shared<const Dag>(std::move(dag))),
       period_(period),
       deadline_(deadline),
       name_(std::move(name)) {
@@ -43,21 +43,10 @@ DagTask DagTask::implicit(Dag dag, Time period, std::string name) {
 }
 
 const Dag& DagTask::dag() const {
-  if (!dag_) dag_ = std::make_shared<Dag>(batch_->materialize(batch_index_));
-  return *dag_;
-}
-
-Dag& DagTask::mutable_dag() {
   if (!dag_) {
-    dag_ = std::make_shared<Dag>(batch_->materialize(batch_index_));
-  } else if (dag_.use_count() != 1) {
-    dag_ = std::make_shared<Dag>(*dag_);  // copy-on-write
+    dag_ = std::make_shared<const Dag>(batch_->materialize(batch_index_));
   }
-  batch_.reset();  // the arena no longer reflects upcoming mutations
-  // The graph was allocated non-const (above or in the constructor) and
-  // this task is now its only owner, so writing through it is defined and
-  // invisible to every other task.
-  return const_cast<Dag&>(*dag_);
+  return *dag_;
 }
 
 graph::FlatView DagTask::flat_view() const {

@@ -25,8 +25,8 @@ using graph::Time;
 ///   - *eager*: constructed from a `Dag`, held behind a shared pointer so
 ///     copies of the task alias one immutable graph (the classic path —
 ///     file round-trips, hand-built tests, rewrites).  Copying a task costs
-///     a reference-count bump, not a graph copy; mutable_dag() detaches a
-///     private copy first (copy-on-write);
+///     a reference-count bump, not a graph copy.  The graph never changes:
+///     a rewrite builds a new task from an edited copy of dag();
 ///   - *arena-backed*: constructed from a shared `graph::FlatDagBatch`
 ///     record.  The CSR arrays ARE the task's graph; `dag()` materialises a
 ///     field-identical `Dag` lazily, only if something actually asks for
@@ -52,12 +52,6 @@ class DagTask {
   /// order).  Not thread-safe across concurrent first calls on the SAME
   /// task object.
   [[nodiscard]] const Dag& dag() const;
-
-  /// Mutable graph access, copy-on-write: a graph shared with other copies
-  /// of this task is cloned first, so mutating this task never changes
-  /// another one.  Detaches an arena-backed task from its batch too (the
-  /// flat view would silently go stale under mutation).
-  [[nodiscard]] Dag& mutable_dag();
 
   /// True when the task still aliases its generation arena, i.e.
   /// flat_view() is available without materialising anything.
@@ -85,9 +79,7 @@ class DagTask {
 
  private:
   /// Present for eager tasks; lazily filled for arena-backed ones.  Shared
-  /// between copies and never written through while shared: every Dag
-  /// stored here is allocated non-const, and mutable_dag() hands out a
-  /// writable reference only once this task owns it alone.
+  /// between copies, which is safe because no one writes to it.
   mutable std::shared_ptr<const Dag> dag_;
   std::shared_ptr<const graph::FlatDagBatch> batch_;  ///< null when eager
   std::size_t batch_index_ = 0;

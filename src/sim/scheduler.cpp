@@ -66,9 +66,15 @@ template <class Recorder>
 void run_single(const graph::FlatView& view, const SimConfig& config,
                 const std::vector<Time>* actual, Recorder& recorder) {
   static constexpr Time kReleaseAtZero[] = {0};
-  // Devices the configuration leaves unsized get one unit each.
-  std::vector<int> units = config.device_units;
-  if (units.size() < view.max_device()) units.resize(view.max_device(), 1);
+  // Devices the configuration leaves unsized get one unit each, padded in
+  // per-thread scratch so a warm run allocates nothing.
+  std::span<const int> units = config.device_units;
+  if (units.size() < view.max_device()) {
+    thread_local std::vector<int> padded;
+    padded.assign(units.begin(), units.end());
+    padded.resize(view.max_device(), 1);
+    units = padded;
+  }
   EngineTask task{view, config.cores, kReleaseAtZero, {}};
   if (actual != nullptr) task.actual = *actual;
   const EngineConfig engine{config.policy, config.seed, units, {}};

@@ -135,7 +135,7 @@ inline constexpr std::size_t kMaxOracleNodes = 12;
         if (rng.uniform_int(0, 2) == 0) staged.add_edge(u, v);
       }
     }
-    batch.append(staged, graph::FlatDagBatch::EdgeOrder::kInsertion);
+    batch.append(staged);
   }
   return batch;
 }

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 
+#include "common/view_equal.h"
 #include "exp/experiment.h"
 #include "gen/hierarchical.h"
 #include "gen/multi_device.h"
@@ -31,34 +32,12 @@ using graph::FlatDagBatch;
 using graph::FlatView;
 using graph::NodeId;
 
-/// Element-wise equality of an arena view and a FlatDag snapshot.
-void expect_view_equals_flat(const FlatView& view, const FlatDag& flat,
-                             const std::string& context) {
-  SCOPED_TRACE(context);
-  ASSERT_EQ(view.num_nodes(), flat.num_nodes());
-  ASSERT_EQ(view.num_edges(), flat.num_edges());
-  EXPECT_EQ(view.max_device(), flat.max_device());
-  EXPECT_EQ(view.num_offload_nodes(), flat.num_offload_nodes());
-  for (NodeId v = 0; v < view.num_nodes(); ++v) {
-    EXPECT_EQ(view.wcet(v), flat.wcet(v));
-    EXPECT_EQ(view.device(v), flat.device(v));
-    EXPECT_EQ(view.is_sync(v), flat.is_sync(v));
-    ASSERT_TRUE(std::ranges::equal(view.successors(v), flat.successors(v)))
-        << "successor list of node " << v;
-    ASSERT_TRUE(
-        std::ranges::equal(view.predecessors(v), flat.predecessors(v)))
-        << "predecessor list of node " << v;
-  }
-  EXPECT_TRUE(std::ranges::equal(view.topological_order(),
-                                 flat.topological_order()));
-}
-
 void expect_views_match_materialized(const FlatDagBatch& batch,
                                      const std::string& context) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Dag dag = batch.materialize(i);
-    expect_view_equals_flat(batch.view(i), FlatDag(dag),
-                            context + ", dag " + std::to_string(i));
+    testing::expect_views_equal(batch.view(i), FlatDag(dag).view(),
+                                context + ", dag " + std::to_string(i));
   }
 }
 
@@ -103,8 +82,8 @@ std::uint64_t dag_hash(const std::vector<Dag>& dags) {
 }
 
 TEST(FlatGenTest, SingleOffloadBatchBitIdenticalToLegacy) {
-  // The single offload node materialises as "vOff" with its predecessor
-  // lists grouped by source.
+  // The single offload node materialises as "vOff"; predecessor lists
+  // ascend by source, as in every arena record.
   EXPECT_EQ(dag_hash(exp::generate_batch(small_config(42, 0.1))),
             8365139801959191763ULL);
   for (const std::uint64_t seed : {7ULL, 42ULL, 12345ULL}) {
@@ -167,7 +146,8 @@ TEST(FlatGenTest, HierarchicalFlatMatchesLegacyStructure) {
   Rng flat_rng(5);
   FlatDagBatch batch;
   generate_hierarchical_flat(params, flat_rng, batch);
-  expect_view_equals_flat(batch.view(0), FlatDag(dag), "plain hierarchical");
+  testing::expect_views_equal(batch.view(0), FlatDag(dag).view(),
+                              "plain hierarchical");
   EXPECT_EQ(dag_rng.next_u64(), flat_rng.next_u64());
 }
 

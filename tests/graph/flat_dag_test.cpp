@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/fixtures.h"
 #include "graph/algorithms.h"
 #include "graph/critical_path.h"
@@ -22,35 +24,39 @@ TEST(FlatDagTest, MirrorsAdjacencyAttributesAndCounts) {
 
   const FlatDag flat(dag);
   EXPECT_EQ(&flat.source(), &dag);
-  EXPECT_EQ(flat.num_nodes(), dag.num_nodes());
-  EXPECT_EQ(flat.num_edges(), dag.num_edges());
-  EXPECT_EQ(flat.max_device(), 2);
-  EXPECT_EQ(flat.num_offload_nodes(), 1u);
+  const FlatView view = flat.view();
+  EXPECT_EQ(view.source(), &dag);
+  EXPECT_EQ(view.num_nodes(), dag.num_nodes());
+  EXPECT_EQ(view.num_edges(), dag.num_edges());
+  EXPECT_EQ(view.max_device(), 2);
+  EXPECT_EQ(view.num_offload_nodes(), 1u);
   for (NodeId v = 0; v < dag.num_nodes(); ++v) {
-    EXPECT_EQ(flat.wcet(v), dag.wcet(v));
-    EXPECT_EQ(flat.device(v), dag.device(v));
-    EXPECT_EQ(flat.kind(v), dag.kind(v));
-    EXPECT_EQ(flat.in_degree(v), dag.in_degree(v));
-    EXPECT_EQ(flat.out_degree(v), dag.out_degree(v));
-    const auto succ = flat.successors(v);
+    EXPECT_EQ(view.wcet(v), dag.wcet(v));
+    EXPECT_EQ(view.device(v), dag.device(v));
+    EXPECT_EQ(view.kind(v), dag.kind(v));
+    EXPECT_EQ(view.in_degree(v), dag.in_degree(v));
+    EXPECT_EQ(view.out_degree(v), dag.out_degree(v));
+    const auto succ = view.successors(v);
     ASSERT_EQ(succ.size(), dag.successors(v).size());
     for (std::size_t i = 0; i < succ.size(); ++i) {
       EXPECT_EQ(succ[i], dag.successors(v)[i]);
     }
-    const auto pred = flat.predecessors(v);
+    const auto pred = view.predecessors(v);
     ASSERT_EQ(pred.size(), dag.predecessors(v).size());
     for (std::size_t i = 0; i < pred.size(); ++i) {
       EXPECT_EQ(pred[i], dag.predecessors(v)[i]);
     }
   }
-  EXPECT_TRUE(flat.is_sync(c));
-  EXPECT_FALSE(flat.is_sync(b));
+  EXPECT_TRUE(view.is_sync(c));
+  EXPECT_FALSE(view.is_sync(b));
 }
 
 TEST(FlatDagTest, TopologicalOrderMatchesDagAlgorithm) {
   const Dag dag = hedra::testing::s21_example();
   const FlatDag flat(dag);
-  EXPECT_EQ(flat.topological_order(), topological_order(dag));
+  const auto order = flat.view().topological_order();
+  EXPECT_EQ(std::vector<NodeId>(order.begin(), order.end()),
+            topological_order(dag));
 }
 
 TEST(FlatDagTest, ThrowsOnCycle) {

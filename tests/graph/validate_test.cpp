@@ -181,7 +181,7 @@ TEST(ValidateTest, SourcelessViewUsesDefaultLabels) {
   staged.add_edge(sync, sink);
   staged.add_edge(src, sync);  // transitive
   FlatDagBatch batch;
-  batch.append(staged, FlatDagBatch::EdgeOrder::kInsertion);
+  batch.append(staged);
   EXPECT_EQ(validate(batch.view(0), heterogeneous_rules()),
             (std::vector<std::string>{"transitive edge (v1, vSync)",
                                       "expected 1 offload node(s), found 2",

@@ -55,7 +55,7 @@ TEST_P(AnomalySweep, EarlyCompletionNeverBreaksRhom) {
         config.cores = m;
         config.policy = policy;
         const auto trace =
-            sim::simulate_with_times(cache.flat().view(), config, actual);
+            sim::simulate_with_times(cache.flat_view(), config, actual);
         EXPECT_LE(Frac(trace.makespan()), r_hom)
             << "m=" << m << " policy=" << sim::to_string(policy);
       }

@@ -144,13 +144,13 @@ TEST_P(SoundnessSweep, PlatformBoundDominatesEveryPolicyOnEveryDevice) {
         sim::SimConfig config;
         config.cores = m;
         config.policy = policy;
-        EXPECT_LE(Frac(sim::simulated_makespan(cache.flat().view(), config)),
+        EXPECT_LE(Frac(sim::simulated_makespan(cache.flat_view(), config)),
                   bound)
             << "K=" << num_devices << " m=" << m
             << " policy=" << sim::to_string(policy);
         const auto actual = sim::random_actual_times(dag, 0.3, rng);
         const graph::Time early =
-            sim::simulate_with_times(cache.flat().view(), config, actual)
+            sim::simulate_with_times(cache.flat_view(), config, actual)
                 .makespan();
         EXPECT_LE(Frac(early), bound)
             << "early completion, K=" << num_devices << " m=" << m
@@ -190,13 +190,13 @@ TEST_P(SoundnessSweep, MultiUnitPlatformBoundDominatesEveryPolicy) {
           config.cores = m;
           config.policy = policy;
           config.device_units = device_units;
-          EXPECT_LE(Frac(sim::simulated_makespan(cache.flat().view(), config)),
+          EXPECT_LE(Frac(sim::simulated_makespan(cache.flat_view(), config)),
                   bound)
               << "K=" << num_devices << " units=" << units << " m=" << m
               << " policy=" << sim::to_string(policy);
           const auto actual = sim::random_actual_times(dag, 0.3, rng);
           const graph::Time early =
-              sim::simulate_with_times(cache.flat().view(), config, actual)
+              sim::simulate_with_times(cache.flat_view(), config, actual)
                   .makespan();
           EXPECT_LE(Frac(early), bound)
               << "early completion, K=" << num_devices << " units=" << units

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/fixtures.h"
 #include "util/error.h"
 
@@ -54,24 +56,21 @@ TEST(TaskTest, CopiesShareTheGraphUntilOneIsMutated) {
   const DagTask original(ex.dag, 100, 100, "orig");
   DagTask copy = original;
   EXPECT_EQ(&copy.dag(), &original.dag());  // shared, not copied
-
-  copy.mutable_dag().set_wcet(ex.voff, 10);
-  EXPECT_NE(&copy.dag(), &original.dag());  // detached on write
-  EXPECT_EQ(copy.dag().wcet(ex.voff), 10);
-  EXPECT_EQ(original.dag().wcet(ex.voff), ex.dag.wcet(ex.voff));
-  EXPECT_EQ(original.utilization(), Frac(18, 100));
-
-  // A sole owner mutates in place.
-  const Dag* before = &copy.dag();
-  copy.mutable_dag().set_wcet(ex.voff, 11);
-  EXPECT_EQ(&copy.dag(), before);
+  DagTask assigned(ex.dag, 50, 50, "other");
+  assigned = copy;
+  EXPECT_EQ(&assigned.dag(), &original.dag());
+  EXPECT_EQ(assigned.utilization(), Frac(18, 100));
 }
 
 TEST(TaskTest, MutableDagAllowsCoffSweeps) {
+  // A C_off sweep builds a new task from an edited copy of the graph.
   const auto ex = testing::paper_example();
-  DagTask task(ex.dag, 100, 100);
-  task.mutable_dag().set_wcet(ex.voff, 10);
-  EXPECT_EQ(task.utilization(), Frac(24, 100));
+  const DagTask task(ex.dag, 100, 100);
+  Dag edited = task.dag();
+  edited.set_wcet(ex.voff, 10);
+  const DagTask swept(std::move(edited), 100, 100);
+  EXPECT_EQ(swept.utilization(), Frac(24, 100));
+  EXPECT_EQ(task.utilization(), Frac(18, 100));
 }
 
 }  // namespace

@@ -61,7 +61,7 @@ graph::FlatDagBatch arena_batch() {
   }
   for (const auto& [from, to] : kEdges) staged.add_edge(from, to);
   graph::FlatDagBatch batch;
-  batch.append(staged, graph::FlatDagBatch::EdgeOrder::kInsertion);
+  batch.append(staged);
   return batch;
 }
 

@@ -75,19 +75,6 @@ TEST(ArenaTasksetTest, MetricsMatchTheEagerPath) {
   EXPECT_EQ(set.total_utilization(), eager.total_utilization());
 }
 
-TEST(ArenaTasksetTest, MutableDagDetachesFromTheArena) {
-  Rng rng(35);
-  const TaskSet set = generate_task_set(base_config(), rng);
-  model::DagTask task = set[0];
-  const Frac before = task.utilization();
-  ASSERT_TRUE(task.has_flat_view());
-  model::Dag& dag = task.mutable_dag();
-  EXPECT_FALSE(task.has_flat_view());
-  EXPECT_EQ(task.utilization(), before);
-  EXPECT_THROW((void)task.flat_view(), Error);
-  (void)dag;
-}
-
 TEST(ArenaTasksetTest, AdmissionIsBitIdenticalToTheEagerPath) {
   for (const std::uint64_t seed : {11u, 57u, 203u}) {
     Rng rng(seed);
