@@ -3,7 +3,7 @@
 /// pipeline's hot kernels single-threaded and emits machine-readable JSON.
 ///
 /// Every kernel exercises a *stable public entry point* (simulate,
-/// exact::min_makespan, AnalysisCache, run_fig10, the graph algorithms), so
+/// exact::min_makespan, AnalysisCache, run_fig11, the graph algorithms), so
 /// the same harness builds before and after an optimisation and the two JSON
 /// files diff into a speedup table — BENCH_PR3.json in the repo root records
 /// the first such pair (flat CSR snapshots + event-heap simulator +
@@ -17,10 +17,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,16 +28,10 @@
 #include "dense_dag.h"
 #include "exact/bnb.h"
 #include "exp/experiment.h"
-#include "exp/fig10.h"
 #include "exp/fig11.h"
-#include "exp/fig12.h"
 #include "graph/algorithms.h"
 #include "graph/critical_path.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "serve/admission.h"
 #include "sim/scheduler.h"
-#include "taskset/gen.h"
 #include "util/cli.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -153,20 +145,6 @@ int main(int argc, char** argv) {
       std::cerr << "  " << b.name << ": " << b.value << " " << b.unit << "\n";
     };
 
-    // -- End-to-end: the fig10 simulated-policy sweep, single-threaded.
-    {
-      hedra::exp::Fig10Config config;
-      config.devices = {1, 2, 3};
-      config.ratios = {0.10, 0.30};
-      config.cores = {2, 8};
-      config.dags_per_point = q ? 2 : 6;
-      config.seed = 7;
-      config.jobs = 1;
-      const double ms =
-          best_ms(reps, [&] { (void)hedra::exp::run_fig10(config); });
-      record("fig10_sweep", "ms", ms);
-    }
-
     // -- End-to-end: the fig11 unit-multiplicity sweep (PR 4), same batch
     //    evaluated under n_d ∈ {1, 2, 3} units per class.
     {
@@ -181,24 +159,6 @@ int main(int argc, char** argv) {
       const double ms =
           best_ms(reps, [&] { (void)hedra::exp::run_fig11(config); });
       record("fig11_sweep", "ms", ms);
-    }
-
-    // -- End-to-end: the fig12 taskset admission + shared-device
-    //    simulation sweep (PR 5), single-threaded.
-    {
-      hedra::exp::Fig12Config config;
-      config.utilizations = {0.25, 0.75};
-      config.devices = {1, 2};
-      config.units = {1, 2};
-      config.cores = {4};
-      config.num_tasks = 3;
-      config.tasksets_per_point = q ? 2 : 6;
-      config.jobs_per_task = 2;
-      config.seed = 13;
-      config.jobs = 1;
-      const double ms =
-          best_ms(reps, [&] { (void)hedra::exp::run_fig12(config); });
-      record("fig12_sweep", "ms", ms);
     }
 
     // -- Batched anomaly runs: simulate_with_times over ONE cached CSR
@@ -331,143 +291,6 @@ int main(int argc, char** argv) {
       });
       record("platform_rta_batch", "us_per_dag",
              1000.0 * rta_ms / static_cast<double>(arena.size()));
-    }
-
-    // -- Admission service (PR 8): decision latency against a WARM
-    //    snapshot.  A journal pre-loaded with a large admitted set is
-    //    replayed once (setup), then each timed decision — one feasible
-    //    admit plus the leave that restores the baseline — re-runs the
-    //    exact contention fixpoint over the full set, which is what a
-    //    long-lived daemon pays per request.  Tracks the ROADMAP item 2
-    //    throughput target.
-    {
-      // Pure-host DAGs: the per-device carry-in sum grows linearly in the
-      // task count, so a 1k-task set sharing two accelerator classes is
-      // structurally inadmissible — and a daemon never *holds* a state it
-      // would not have admitted.  The warm-state cost being tracked is the
-      // federated partition over n tasks, which is device-independent.
-      const int warm_tasks = q ? 64 : 1000;
-      hedra::taskset::TaskSetGenConfig gen_config;
-      gen_config.num_tasks = warm_tasks;
-      gen_config.total_utilization = 0.25 * warm_tasks;
-      gen_config.dag_params = hedra::gen::HierarchicalParams::small_tasks();
-      gen_config.dag_params.min_nodes = 10;
-      gen_config.dag_params.max_nodes = 40;
-      gen_config.dag_params.num_devices = 0;
-      gen_config.cores = warm_tasks + 64;  // federated: heavy tasks take
-                                           // several cores; keep spares
-                                           // for the candidate under test
-      hedra::Rng gen_rng(71);
-      hedra::taskset::TaskSet warm =
-          hedra::taskset::generate_task_set(gen_config, gen_rng);
-      // A daemon only ever HOLDS tasks it admitted, but UUniFast at this
-      // scale can draw a structurally infeasible task (period floored at
-      // the critical path) that poisons the greedy partition — apply the
-      // daemon's own admission filter offline until the warm set is a
-      // state the service would genuinely be in.
-      for (int round = 0; round < 5; ++round) {
-        const auto verdict = hedra::taskset::contention_rta(warm);
-        if (verdict.schedulable) break;
-        hedra::taskset::TaskSet kept(warm.platform());
-        for (std::size_t i = 0; i < warm.size(); ++i) {
-          if (verdict.tasks[i].schedulable) kept.add(warm[i]);
-        }
-        warm = std::move(kept);
-      }
-
-      // Warm snapshot via journal replay: one analysis over the full set in
-      // the service constructor instead of N incremental admissions.
-      const std::string journal_path = "perf_admission_warm.journal";
-      std::remove(journal_path.c_str());
-      {
-        hedra::serve::Journal journal(journal_path);
-        journal.append("platform " + warm.platform().spec());
-        for (const auto& task : warm) {
-          journal.append("admit\n" + hedra::serve::task_to_text(task));
-        }
-      }
-      hedra::serve::AdmissionConfig admission_config;
-      admission_config.platform = warm.platform();
-      admission_config.journal_path = journal_path;
-      hedra::serve::AdmissionService service(admission_config);
-
-      // Candidates: small feasible tasks with names disjoint from tau*.
-      hedra::taskset::TaskSetGenConfig cand_config = gen_config;
-      cand_config.num_tasks = 4;
-      cand_config.total_utilization = 0.25 * cand_config.num_tasks;
-      hedra::Rng cand_rng(72);
-      const hedra::taskset::TaskSet raw_candidates =
-          hedra::taskset::generate_task_set(cand_config, cand_rng);
-      std::vector<hedra::model::DagTask> candidates;
-      for (std::size_t i = 0; i < raw_candidates.size(); ++i) {
-        candidates.emplace_back(raw_candidates[i].dag(),
-                                raw_candidates[i].period(),
-                                raw_candidates[i].deadline(),
-                                "cand" + std::to_string(i));
-      }
-      const int per_rep = q ? 1 : static_cast<int>(candidates.size());
-      std::uint64_t admitted = 0;
-      const double ms = best_ms(reps, [&] {
-        admitted = 0;
-        for (int i = 0; i < per_rep; ++i) {
-          if (service.admit(candidates[static_cast<std::size_t>(i)])
-                  .decision == hedra::serve::Decision::kAdmitted) {
-            ++admitted;
-            (void)service.leave(candidates[static_cast<std::size_t>(i)]
-                                    .name());
-          }
-        }
-      });
-      // Every admit AND every restoring leave counts as a decision the
-      // daemon served.
-      const double decisions = static_cast<double>(per_rep) +
-                               static_cast<double>(admitted);
-      record("admission_decisions_per_sec", "us_per_decision",
-             1000.0 * ms / decisions,
-             {{"decisions_per_sec", ms > 0 ? 1000.0 * decisions / ms : 0},
-              {"warm_tasks", static_cast<double>(warm.size())},
-              {"admitted", static_cast<double>(admitted)}});
-
-      // -- Telemetry overhead (PR 10): the SAME warm decision loop with
-      //    the metrics registry armed and a RequestTrace carried through
-      //    every admit — exactly what the daemon pays per request under
-      //    --trace-out.  The value is the metrics-ON latency; the
-      //    metrics-OFF latency and the relative overhead ride along as
-      //    counters, pinning the ISSUE's <= 2% budget in the report.
-      {
-        hedra::obs::set_enabled(true);
-        hedra::obs::Tracer tracer;
-        std::uint64_t traced_admitted = 0;
-        std::uint64_t trace_seq = 0;
-        const double on_ms = best_ms(reps, [&] {
-          traced_admitted = 0;
-          for (int i = 0; i < per_rep; ++i) {
-            auto trace =
-                std::make_unique<hedra::obs::RequestTrace>(++trace_seq);
-            trace->begin("request");
-            if (service
-                    .admit(candidates[static_cast<std::size_t>(i)],
-                           hedra::util::Deadline::never(), trace.get())
-                    .decision == hedra::serve::Decision::kAdmitted) {
-              ++traced_admitted;
-              (void)service.leave(candidates[static_cast<std::size_t>(i)]
-                                      .name());
-            }
-            tracer.submit(std::move(trace));
-          }
-        });
-        hedra::obs::set_enabled(false);
-        const double on_decisions = static_cast<double>(per_rep) +
-                                    static_cast<double>(traced_admitted);
-        const double off_us = 1000.0 * ms / decisions;
-        const double on_us = 1000.0 * on_ms / on_decisions;
-        record("admission_trace_overhead", "us_per_decision", on_us,
-               {{"off_us_per_decision", off_us},
-                {"overhead_pct",
-                 off_us > 0 ? 100.0 * (on_us - off_us) / off_us : 0},
-                {"traced_admitted", static_cast<double>(traced_admitted)}});
-      }
-      std::remove(journal_path.c_str());
     }
 
     // -- Theorem 1 pipeline across the m grid (single-offload DAGs).

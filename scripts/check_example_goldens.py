@@ -2,7 +2,7 @@
 """Diffs the example and figure programs' output against the committed goldens.
 
 Usage: check_example_goldens.py --bin-dir <dir> --golden-dir <dir>
-                                [--suite examples|figures]
+                                [--suite examples|figures|daemon]
 
 The examples suite (the default; goldens in tests/golden/examples) runs,
 from <bin-dir>:
@@ -22,6 +22,11 @@ The figures suite (goldens in tests/golden/figures) runs each FIGURES
 entry at --jobs 1 and compares its stdout with <program>.out, so the
 fig6-fig12 tables stay byte-identical across refactors.
 
+The daemon suite (goldens in tests/golden) pipes admissiond_session.txt
+through `admissiond` once per DAEMON platform and compares its stdout,
+with the STATUS queue depth masked as ` queue=_`, with the golden named
+there.
+
 The goldens are the output of the implementation they pin; regenerate
 them only for an intended behaviour change, by running the same commands
 and copying the files.
@@ -31,6 +36,7 @@ Exits 1 and prints a unified diff for every mismatch.
 import argparse
 import difflib
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -48,10 +54,19 @@ FIGURES = [
     ("fig12_taskset", ["--quick"]),
 ]
 
+# (platform, golden) of the daemon suite.  The second platform's speedup
+# has a prime numerator above 2^20, so every decision of that session runs
+# in exact arithmetic rather than on scaled integers.
+DAEMON = [
+    ("8:acc*2", "admissiond_session.out"),
+    ("8:acc*2@1.048583", "admissiond_session_exact.out"),
+]
 
-def run(cmd, out_dir=None):
-    """stdout of `cmd`, with the scratch directory (if any) written as OUT."""
-    result = subprocess.run(cmd, capture_output=True, text=True, check=False)
+
+def run(cmd, out_dir=None, stdin=None):
+    """stdout of `cmd` fed `stdin`, with the scratch directory (if any)
+    written as OUT."""
+    result = subprocess.run(cmd, input=stdin, capture_output=True, text=True, check=False)
     if result.returncode != 0:
         sys.stderr.write(result.stderr)
         raise SystemExit(f"{cmd[0]} exited with {result.returncode}")
@@ -72,6 +87,16 @@ def check_figures(bins, golden):
     diffs = []
     for name, args in FIGURES:
         diffs += compare(f"{name}.out", run([bins / name, *args, "--jobs", "1"]), golden)
+    return diffs
+
+
+def check_daemon(bins, golden):
+    """Diffs of the committed daemon session on every DAEMON platform."""
+    session = (golden / "admissiond_session.txt").read_text()
+    diffs = []
+    for platform, name in DAEMON:
+        stdout = run([bins / "admissiond", "--platform", platform], stdin=session)
+        diffs += compare(name, re.sub(r" queue=[0-9]*", " queue=_", stdout), golden)
     return diffs
 
 
@@ -108,10 +133,12 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bin-dir", required=True, type=pathlib.Path)
     parser.add_argument("--golden-dir", required=True, type=pathlib.Path)
-    parser.add_argument("--suite", choices=("examples", "figures"), default="examples")
+    parser.add_argument("--suite", choices=("examples", "figures", "daemon"),
+                        default="examples")
     args = parser.parse_args()
 
-    check = check_figures if args.suite == "figures" else check_examples
+    check = {"examples": check_examples, "figures": check_figures,
+             "daemon": check_daemon}[args.suite]
     diffs = check(args.bin_dir, args.golden_dir)
     if diffs:
         sys.stdout.writelines(diffs)

@@ -12,7 +12,6 @@
 #include "exact/bounds.h"
 #include "exact/list_heuristics.h"
 #include "exact/tail_energy.h"
-#include "graph/algorithms.h"
 #include "graph/critical_path.h"
 #include "graph/flat_dag.h"
 #include "obs/metrics.h"
@@ -108,10 +107,19 @@ void copy_mask(const RankMask& from, RankMask& to) {
   for (std::size_t w = 0; w < from.size(); ++w) to[w] = from[w];
 }
 
+/// The solve's one CSR snapshot of `dag`, which also checks acyclicity.
+graph::FlatDag acyclic_snapshot(const Dag& dag) {
+  try {
+    return graph::FlatDag(dag);
+  } catch (const Error&) {
+    HEDRA_REQUIRE(false, "cannot solve a cyclic graph");
+  }
+}
+
 /// Immutable per-solve context.
 struct SearchContext {
   SearchContext(const Dag& dag, int m_in, const BnbConfig& config_in)
-      : snapshot(dag),
+      : snapshot(acyclic_snapshot(dag)),
         view(snapshot.view()),
         m(m_in),
         config(config_in),
@@ -593,16 +601,15 @@ void flush_search_metrics(const BnbResult& result) {
 BnbResult min_makespan(const Dag& dag, int m, const BnbConfig& config) {
   HEDRA_REQUIRE(dag.num_nodes() > 0, "cannot solve an empty graph");
   HEDRA_REQUIRE(m >= 1, "core count m must be >= 1");
-  HEDRA_REQUIRE(graph::is_acyclic(dag), "cannot solve a cyclic graph");
-  HEDRA_REQUIRE(dag.max_device() <= 1,
+  const SearchContext ctx(dag, m, config);  // rejects a cyclic graph
+  HEDRA_REQUIRE(ctx.view.max_device() <= 1,
                 "exact solvers model a single accelerator device; "
                 "multi-device DAGs are not supported");
   HEDRA_REQUIRE(config.jobs == 1,
                 "BnbConfig::jobs must be 1: the solver is sequential");
-  const SearchContext ctx(dag, m, config);
 
   BnbResult result;
-  result.root_lower_bound = makespan_lower_bound(dag, m);
+  result.root_lower_bound = makespan_lower_bounds(ctx.view, m).best();
   result.heuristic_upper_bound = best_heuristic_makespan(ctx.view, m).makespan;
   if (result.heuristic_upper_bound == result.root_lower_bound) {
     // Root-bound shortcut: no search ran, the stats stay zero.

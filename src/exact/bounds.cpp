@@ -13,19 +13,29 @@ Time LowerBounds::best() const noexcept {
   return std::max({critical_path, host_area, accel_area});
 }
 
-LowerBounds makespan_lower_bounds(const Dag& dag, int m) {
+LowerBounds makespan_lower_bounds(const graph::FlatView& view, int m) {
   HEDRA_REQUIRE(m >= 1, "core count m must be >= 1");
   LowerBounds lb;
-  lb.critical_path = graph::critical_path_length(dag);
-  const Time host_vol = dag.host_volume();
+  lb.critical_path = graph::critical_path_length(view);
+  Time host_vol = 0;
+  std::vector<Time> device_vol(static_cast<std::size_t>(view.max_device()) + 1);
+  for (graph::NodeId v = 0; v < view.num_nodes(); ++v) {
+    if (view.device(v) == graph::kHostDevice) {
+      host_vol += view.wcet(v);
+    } else {
+      device_vol[view.device(v)] += view.wcet(v);
+    }
+  }
   lb.host_area = (host_vol + m - 1) / m;
   // Each accelerator device serialises its own work, so the busiest device
   // is a lower bound; devices overlap each other, so their volumes must NOT
   // be summed (with a single device this is exactly vol_off).
-  for (const auto device : dag.device_ids()) {
-    lb.accel_area = std::max(lb.accel_area, dag.volume_on(device));
-  }
+  lb.accel_area = *std::max_element(device_vol.begin(), device_vol.end());
   return lb;
+}
+
+LowerBounds makespan_lower_bounds(const Dag& dag, int m) {
+  return makespan_lower_bounds(graph::FlatDag(dag).view(), m);
 }
 
 Time makespan_lower_bound(const Dag& dag, int m) {

@@ -8,6 +8,7 @@
 /// single accelerator, these bounds are sound for any device count.
 
 #include "graph/dag.h"
+#include "graph/flat_view.h"
 
 namespace hedra::exact {
 
@@ -23,6 +24,9 @@ struct LowerBounds {
 };
 
 /// Computes all bounds.  Requires m >= 1, acyclic input.
+[[nodiscard]] LowerBounds makespan_lower_bounds(const graph::FlatView& view,
+                                                int m);
+/// The same over a snapshot of `dag`.
 [[nodiscard]] LowerBounds makespan_lower_bounds(const Dag& dag, int m);
 
 /// max of the individual bounds.

@@ -11,7 +11,6 @@
 
 #include "graph/dag.h"
 #include "graph/flat_batch.h"
-#include "util/fraction.h"
 
 namespace hedra::model {
 
@@ -64,18 +63,6 @@ class DagTask {
   [[nodiscard]] Time period() const noexcept { return period_; }
   [[nodiscard]] Time deadline() const noexcept { return deadline_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-
-  /// vol(G) / T — the task's utilisation (host + accelerator workload).
-  [[nodiscard]] Frac utilization() const;
-
-  /// vol(G) / D.
-  [[nodiscard]] Frac density() const;
-
-  /// Host-only utilisation: (vol(G) - C_off) / T.
-  [[nodiscard]] Frac host_utilization() const;
-
-  /// len(G) / D — no m-core platform can meet D if this exceeds 1.
-  [[nodiscard]] Frac length_ratio() const;
 
  private:
   /// Present for eager tasks; lazily filled for arena-backed ones.  Shared

@@ -27,22 +27,22 @@ namespace {
 /// Per-set quantities shared by every fixpoint evaluation: the platform's
 /// unit/speedup vectors, each task's per-device volumes, and the
 /// precomputed per-job interference rationals vol_{j,d}/(n_d·s_d) — the
-/// innermost fixpoint loop multiplies those by integer job counts instead
-/// of re-deriving the fraction every iteration.
+/// fixpoint multiplies those by integer job counts instead of re-deriving
+/// the fraction every iteration.
 struct SetQuantities {
   std::vector<int> units;                       ///< n_d, indexed d−1
   std::vector<Frac> speedups;                   ///< s_d, indexed d−1
   std::vector<std::vector<graph::Time>> volume; ///< [task][device d−1]
   std::vector<std::vector<Frac>> unit_volume;   ///< vol/(n_d·s_d), same shape
+  std::vector<graph::Time> deadlines;  ///< D_j, indexed by task
+  std::vector<graph::Time> periods;    ///< T_j, indexed by task
 
-  // Integer-fixpoint precomputation (see fixpoint_int): every unit volume
+  // Integer-arithmetic precomputation (see ScaledTicks): every unit volume
   // as an integer at the common base scale B = lcm of their denominators,
   // plus __int128 magnitude bounds so each fixpoint call can clear the
   // overflow guard with a handful of multiplies instead of re-scanning.
-  graph::Time base_scale = 0;  ///< B; 0 = unusable, take the Frac path
+  graph::Time base_scale = 0;  ///< B; 0 = unusable, exact arithmetic only
   std::vector<graph::Time> scaled_uv;  ///< uv·B, flat [task·K + device d−1]
-  std::vector<graph::Time> deadlines;  ///< D_j, indexed by task
-  std::vector<graph::Time> periods;    ///< T_j, indexed by task
   __int128 step_weight = 0;  ///< Σ_{j,d} uv·B · n_jobs_max_j
   __int128 timing_max = 0;   ///< max_j max(D_j, T_j), and the set's D_max
 };
@@ -50,8 +50,6 @@ struct SetQuantities {
 constexpr graph::Time kMaxScale = graph::Time{1} << 20;
 // Headroom: one fixpoint step past the deadline must not overflow int64.
 constexpr __int128 kMaxMagnitude = __int128{1} << 56;
-// Threshold steps one integer fixpoint may walk, over all its competitors.
-constexpr __int128 kMaxCarryInJobs = __int128{1} << 20;
 
 /// vol_d(G) of every class d into `volume` (indexed d−1) in one pass over
 /// the nodes, from the arena view when the task is arena-backed — the
@@ -110,10 +108,10 @@ const SetQuantities& measure(const TaskSet& set) {
     }
   }
 
-  // Base scale and magnitude bounds for the integer fixpoint.  Job counts
-  // are evaluated at windows that never exceed the analysed task's
-  // deadline, so (D_max + D_j)/T_j + 1 bounds n_jobs_j for every task in
-  // the set.
+  // Base scale and magnitude bounds for the integer arithmetic.  Job
+  // counts are evaluated at windows that never exceed the analysed task's
+  // deadline (the seed window aside, which ScaledTicks::fits checks), so
+  // (D_max + D_j)/T_j + 1 bounds n_jobs_j for every task in the set.
   graph::Time d_max = 0;
   q.deadlines.resize(set.size());
   q.periods.resize(set.size());
@@ -128,11 +126,10 @@ const SetQuantities& measure(const TaskSet& set) {
   for (const auto& task_uv : q.unit_volume) {
     for (const Frac& uv : task_uv) {
       base = std::lcm(base, uv.den());
-      if (base > kMaxScale) return q;  // base_scale stays 0: Frac path only
+      if (base > kMaxScale) return q;  // base_scale stays 0: exact only
     }
   }
   q.scaled_uv.resize(set.size() * num_devices);
-  __int128 carry_in_jobs = 0;  // Σ_j n_jobs_max_j over tasks with device work
   for (std::size_t j = 0; j < set.size(); ++j) {
     __int128 weight = 0;  // Σ_d uv·B of task j
     for (std::size_t d = 0; d < num_devices; ++d) {
@@ -141,92 +138,11 @@ const SetQuantities& measure(const TaskSet& set) {
       scaled = uv.num() * (base / uv.den());
       weight += scaled;
     }
-    if (weight == 0) continue;  // no device work: nothing to weigh
-    const __int128 n_jobs_max =
-        (__int128{d_max} + q.deadlines[j]) / q.periods[j] + 1;
-    q.step_weight += weight * n_jobs_max;
-    carry_in_jobs += n_jobs_max;
+    q.step_weight +=
+        weight * ((__int128{d_max} + q.deadlines[j]) / q.periods[j] + 1);
   }
-  // fixpoint_int walks one threshold per carry-in job, so a set whose
-  // deadline windows hold very many jobs (periods far below the largest
-  // deadline) takes the Frac path, whose iterations cost the same however
-  // many jobs they count.
-  if (carry_in_jobs > kMaxCarryInJobs) return q;
   q.base_scale = base;
   return q;
-}
-
-/// The competitors of task `index` that place work on at least one
-/// accelerator class the task uses, in index order: the only tasks whose
-/// carry-in job counts fixpoint_frac ever reads.  Empty for a host-only
-/// task, whose fixpoint is therefore its seed bound after one iteration.
-void sharers_of(const SetQuantities& q, std::size_t index,
-                std::vector<std::size_t>& sharers) {
-  sharers.clear();
-  const std::vector<graph::Time>& own = q.volume[index];
-  if (std::none_of(own.begin(), own.end(),
-                   [](graph::Time v) { return v != 0; })) {
-    return;
-  }
-  for (std::size_t j = 0; j < q.volume.size(); ++j) {
-    if (j == index) continue;
-    for (std::size_t d = 0; d < own.size(); ++d) {
-      if (own[d] != 0 && q.volume[j][d] != 0) {
-        sharers.push_back(j);
-        break;
-      }
-    }
-  }
-}
-
-/// floor((L + D_j)/T_j) + 1 — jobs of τ_j whose execution can overlap a
-/// window of length L, given τ_j meets its deadline.
-graph::Time carry_in_jobs(const Frac& window, const DagTask& competitor) {
-  return (window + Frac(competitor.deadline())).floor() /
-             competitor.period() +
-         1;
-}
-
-/// One evaluation of the interference sum at window length `window`.
-/// Returns Σ_d Σ_{j≠i} n_jobs_j·vol_{j,d}/(n_d·s_d) and fills
-/// `per_device` (parallel to q.units) with the per-class totals.
-/// `sharers` is sharers_of(q, index); `n_jobs` is caller-owned scratch
-/// parallel to it (the fixpoint re-evaluates this in its innermost loop;
-/// the buffer survives across iterations).
-Frac interference_at(const TaskSet& set, const SetQuantities& q,
-                     std::size_t index,
-                     const std::vector<std::size_t>& sharers,
-                     const Frac& window, std::vector<graph::Time>& n_jobs,
-                     std::vector<Frac>* per_device,
-                     std::vector<std::size_t>* dominant) {
-  // n_jobs_j depends only on (window, j) — compute it once per competitor,
-  // not once per (competitor, device), and only for competitors whose
-  // volume the sums below read.
-  n_jobs.resize(sharers.size());
-  for (std::size_t k = 0; k < sharers.size(); ++k) {
-    n_jobs[k] = carry_in_jobs(window, set[sharers[k]]);
-  }
-  Frac total;
-  for (std::size_t d = 0; d < q.units.size(); ++d) {
-    if (q.volume[index][d] == 0) continue;  // task never touches the class
-    Frac device_total;
-    Frac best;
-    std::size_t best_task = index;
-    for (std::size_t k = 0; k < sharers.size(); ++k) {
-      const std::size_t j = sharers[k];
-      if (q.volume[j][d] == 0) continue;
-      const Frac contribution = Frac(n_jobs[k]) * q.unit_volume[j][d];
-      device_total += contribution;
-      if (best_task == index || contribution > best) {
-        best = contribution;
-        best_task = j;
-      }
-    }
-    total += device_total;
-    if (per_device != nullptr) (*per_device)[d] = device_total;
-    if (dominant != nullptr) (*dominant)[d] = best_task;
-  }
-  return total;
 }
 
 struct FixpointResult {
@@ -257,115 +173,129 @@ struct FixpointResult {
 
 constexpr int kMaxIterations = 1000;
 
-/// Iterates R ← seed + I(R) from R = seed until stable or past `deadline`.
-/// The right-hand side is non-decreasing in R, so the sequence is monotone;
-/// a generous iteration cap guards against pathological slow convergence.
-void fixpoint_frac(const TaskSet& set, const SetQuantities& q,
-                   std::size_t index, const std::vector<std::size_t>& sharers,
-                   const Frac& seed, graph::Time deadline,
-                   util::Budget* budget, FixpointResult& out) {
-  std::vector<graph::Time> n_jobs;
-  Frac response = seed;
-  for (int k = 1; k <= kMaxIterations; ++k) {
-    HEDRA_FAULT("taskset.rta.iteration");
-    if (budget != nullptr && !budget->consume()) {
-      out.truncated = true;  // budget cut mid-fixpoint: sound partial only
-      out.response = response;
-      return;
-    }
-    out.iterations = k;
-    const Frac next =
-        seed + interference_at(set, q, index, sharers, response, n_jobs,
-                               &out.per_device, &out.dominant);
-    if (next == response) {
-      out.response = response;
-      out.converged = true;
-      return;
-    }
-    response = next;
-    if (response > Frac(deadline)) {
-      out.response = response;
-      return;  // crossed the deadline; diverging
-    }
-  }
-  out.response = response;
-  out.truncated = true;  // iteration cap: truncated, NOT proven infeasible
-}
+/// The fixpoint's arithmetic on L-scaled integers: a value v is held as
+/// the int64 v·L.  Every rational the fixpoint touches has a denominator
+/// dividing L = B·f (B the set's base scale, f = seed.den/gcd(B,
+/// seed.den)), so the iteration takes the same values, convergence step
+/// and dominant-competitor ties as in exact arithmetic (scaled comparisons
+/// preserve order), with integer adds and multiplies in place of every gcd
+/// normalisation.
+struct ScaledTicks {
+  using Value = graph::Time;
+  using Sum = __int128;  ///< the seed window's carry-in, checked by fits()
 
-/// One competitor's carry-in term in fixpoint_int, on L-scaled integers.
-struct Sharer {
-  std::size_t task = 0;
-  graph::Time weight = 0;     ///< f·Σ_{own d} uv_{j,d}·B: one job's share
-  graph::Time step = 0;       ///< T_j·L
-  graph::Time jobs = 0;       ///< n_jobs_j at the last evaluated window
-  /// n_jobs_j·T_j·L − D_j·L: the smallest window with one more job.
-  graph::Time threshold = 0;
+  const SetQuantities& q;
+  graph::Time L = 1;
+  graph::Time f = 1;
+
+  [[nodiscard]] Value ticks(graph::Time t) const { return t * L; }
+  [[nodiscard]] Value unit_volume(std::size_t j, std::size_t d) const {
+    return q.scaled_uv[j * q.units.size() + d] * f;
+  }
+  [[nodiscard]] static graph::Time floor_div(Value a, Value b) {
+    return a / b;
+  }
+  [[nodiscard]] Frac exact(Value v) const { return Frac(v, L); }
+  /// The magnitude guard in fixpoint() covers windows up to the set's
+  /// largest deadline; a seed past it is the one window that can exceed
+  /// it (the first iteration then crosses the deadline).
+  [[nodiscard]] static bool fits(Value seed, Sum carry_in) {
+    return seed + carry_in <= kMaxMagnitude;
+  }
 };
 
-/// Every rational the fixpoint touches has a denominator dividing
-/// L = lcm(seed.den, all unit-volume denominators), so when L is small and
-/// the magnitudes leave int64 headroom the whole iteration runs on
-/// L-scaled integers — same sequence of values, same convergence step,
-/// same dominant-competitor ties (scaled comparisons preserve order), with
-/// every gcd normalisation replaced by integer adds and multiplies.  The
-/// Monte-Carlo sweeps (unit speedups, n_d <= a few) always take this path;
-/// exotic platforms fall back to the Frac loop above.
-///
-/// L = B·f with B the precomputed base scale and f = seed.den/gcd(B,
-/// seed.den): the stored base-scaled unit volumes reach scale L with one
-/// multiply by f per term, so nothing is allocated or re-derived per call.
+/// Exact rational arithmetic, for platforms whose scale or magnitudes the
+/// integer instance cannot hold.
+struct ExactTicks {
+  using Value = Frac;
+  using Sum = Frac;
+
+  const SetQuantities& q;
+
+  [[nodiscard]] static Value ticks(graph::Time t) { return Frac(t); }
+  [[nodiscard]] const Frac& unit_volume(std::size_t j, std::size_t d) const {
+    return q.unit_volume[j][d];
+  }
+  /// floor(a/b) for a whole number of ticks b: floor(floor(a)/b).
+  [[nodiscard]] static graph::Time floor_div(const Frac& a, const Frac& b) {
+    return a.floor() / b.num();
+  }
+  [[nodiscard]] static const Frac& exact(const Frac& v) { return v; }
+  [[nodiscard]] static bool fits(const Frac&, const Frac&) { return true; }
+};
+
+/// One competitor's carry-in term, in the fixpoint's arithmetic.
+template <typename Value>
+struct Sharer {
+  std::size_t task = 0;
+  Value weight{};  ///< Σ_{own d} vol_{j,d}/(n_d·s_d): one job's share
+  Value step{};    ///< T_j
+  Value offset{};  ///< D_j
+  graph::Time jobs = 0;  ///< n_jobs_j at the last evaluated window
+  /// n_jobs_j·T_j − D_j: the smallest window with one more job.
+  Value threshold{};
+};
+
+/// Iterates R ← seed + Σ_d Σ_{j≠i} n_jobs_j(R)·vol_{j,d}/(n_d·s_d) for task
+/// `index` from R = seed until stable or past its deadline, in the given
+/// arithmetic.  The right-hand side is non-decreasing in R, so the
+/// sequence is monotone; a generous iteration cap guards against
+/// pathological slow convergence.
 ///
 /// One pass over the set gathers the competitors that use a class the task
-/// uses, each with its job count at the seed window (the only division)
-/// and the window at which that count next grows.  The iterate never
-/// shrinks, so an iteration only moves the counts whose thresholds it
-/// reached, adding one job's weight to the running total per crossing.
+/// uses, each with its job count at the seed window and the window at
+/// which that count next grows.  The iterate never shrinks, so an
+/// iteration recounts, with one floor division, only the competitors whose
+/// threshold it reached, and moves the running total by the jobs added.
 /// The per-class breakdown is evaluated once, from the job counts of the
 /// last evaluated window, whichever way the iteration ends.
 ///
-/// The caller's magnitude guard covers windows up to the set's largest
-/// deadline; a seed past it is the one window that can exceed it (the
-/// first iteration then crosses the deadline).  When the job counts there
-/// leave no int64 headroom, returns false before touching `out` or the
-/// budget, and the caller takes the Frac path.
-bool fixpoint_int(const SetQuantities& q, graph::Time L, graph::Time f,
-                  std::size_t index, const Frac& seed, graph::Time deadline,
-                  util::Budget* budget, FixpointResult& out) {
-  using graph::Time;
-  const Time seed_scaled = seed.num() * (L / seed.den());
-  const Time deadline_scaled = deadline * L;
+/// Returns false, before touching the budget or the iteration fields of
+/// `out`, when the arithmetic cannot hold the seed window's total; the
+/// caller then runs the exact instance.
+template <typename Arithmetic>
+bool iterate(const Arithmetic& a, std::size_t index,
+             const typename Arithmetic::Value& seed, util::Budget* budget,
+             FixpointResult& out) {
+  using Value = typename Arithmetic::Value;
+  using Sum = typename Arithmetic::Sum;
+  const SetQuantities& q = a.q;
   const std::size_t num_devices = q.units.size();
+  // n_jobs_j = floor((R + D_j)/T_j) + 1 at window R, and its threshold.
+  const auto count = [](Sharer<Value>& s, const Value& window) {
+    s.jobs = Arithmetic::floor_div(window + s.offset, s.step) + 1;
+    s.threshold = Value(s.jobs) * s.step - s.offset;
+  };
 
   thread_local std::vector<std::size_t> own;  // classes the task uses
   own.clear();
   for (std::size_t d = 0; d < num_devices; ++d) {
     if (q.volume[index][d] != 0) own.push_back(d);
   }
-  thread_local std::vector<Sharer> sharers;
+  thread_local std::vector<Sharer<Value>> sharers;
   sharers.clear();
-  __int128 seed_total = 0;  // Σ_j n_jobs_j·weight_j at the seed window
+  Sum carry_in{};  // Σ_j n_jobs_j·weight_j at the seed window
   if (!own.empty()) {
     for (std::size_t j = 0; j < q.deadlines.size(); ++j) {
       if (j == index) continue;
-      const Time* uv = &q.scaled_uv[j * num_devices];
-      Time weight = 0;
-      for (const std::size_t d : own) weight += uv[d];
-      if (weight == 0) continue;  // no work on any class the task uses
-      Sharer s;
+      Sharer<Value> s;
+      for (const std::size_t d : own) {
+        if (q.volume[j][d] != 0) s.weight += a.unit_volume(j, d);
+      }
+      if (s.weight == Value{}) continue;  // no work on a class the task uses
       s.task = j;
-      s.weight = weight * f;
-      s.step = q.periods[j] * L;
-      const Time offset = q.deadlines[j] * L;
-      s.jobs = (seed_scaled + offset) / s.step + 1;
-      s.threshold = s.jobs * s.step - offset;
-      seed_total += __int128{s.jobs} * s.weight;
+      s.step = a.ticks(q.periods[j]);
+      s.offset = a.ticks(q.deadlines[j]);
+      count(s, seed);
+      carry_in += Sum(s.jobs) * Sum(s.weight);
       sharers.push_back(s);
     }
   }
-  if (seed_scaled + seed_total > kMaxMagnitude) return false;
-  auto total = static_cast<Time>(seed_total);  // at the current window
+  if (!Arithmetic::fits(seed, carry_in)) return false;
+  auto total = static_cast<Value>(carry_in);  // at the current window
 
-  Time response = seed_scaled;
+  const Value deadline = a.ticks(q.deadlines[index]);
+  Value response = seed;
   bool crossed = false;
   for (int k = 1; k <= kMaxIterations; ++k) {
     HEDRA_FAULT("taskset.rta.iteration");
@@ -374,84 +304,74 @@ bool fixpoint_int(const SetQuantities& q, graph::Time L, graph::Time f,
       break;
     }
     out.iterations = k;
-    // n_jobs_j = floor((R + D_j)/T_j) + 1 on L-scaled integers, advanced
-    // from the previous window (the seed's counts need no advancing).
-    for (Sharer& s : sharers) {
-      while (response >= s.threshold) {
-        ++s.jobs;
-        s.threshold += s.step;
-        total += s.weight;
-      }
+    // The seed's counts are current; later windows recount only the
+    // competitors whose threshold they reached.
+    for (Sharer<Value>& s : sharers) {
+      if (response < s.threshold) continue;
+      const graph::Time before = s.jobs;
+      count(s, response);
+      total += Value(s.jobs - before) * s.weight;
     }
-    const Time next = seed_scaled + total;
+    const Value next = seed + total;
     if (next == response) {
       out.converged = true;
       break;
     }
     response = next;
-    if (response > deadline_scaled) {
+    if (response > deadline) {
       crossed = true;
       break;  // crossed the deadline; diverging
     }
   }
   // Ran the cap down without converging or provably crossing the deadline:
-  // the verdict is "truncated", exactly as in the Frac path.
+  // the verdict is "truncated", NOT proven infeasible.
   if (!out.converged && !crossed) out.truncated = true;
-  out.response = Frac(response, L);
+  out.response = a.exact(response);
   if (out.iterations == 0) return true;  // no window evaluated
   for (const std::size_t d : own) {
-    Time device_total = 0;
-    Time best = 0;
+    Value device_total{};
+    Value best{};
     std::size_t best_task = index;
-    for (const Sharer& s : sharers) {
-      const Time uv = q.scaled_uv[s.task * num_devices + d];
-      if (uv == 0) continue;
-      const Time contribution = s.jobs * uv * f;
+    for (const Sharer<Value>& s : sharers) {
+      if (q.volume[s.task][d] == 0) continue;
+      const Value contribution = Value(s.jobs) * a.unit_volume(s.task, d);
       device_total += contribution;
       if (best_task == index || contribution > best) {
         best = contribution;
         best_task = s.task;
       }
     }
-    out.per_device[d] = Frac(device_total, L);
+    out.per_device[d] = a.exact(device_total);
     out.dominant[d] = best_task;
   }
   return true;
 }
 
-/// Runs task `index`'s fixpoint from `seed` into `out`, on the integer
-/// fast path when safe, recording which engine ran and what it cost into
+/// Runs task `index`'s fixpoint from `seed` into `out`, on L-scaled
+/// integers when the scale and magnitudes allow and in exact arithmetic
+/// otherwise, recording which instance ran and what it cost into
 /// `telemetry` (nullable: contention_response has no whole-set
-/// accumulator).  Counters only — the dispatch decision and the results
-/// are untouched.
-void fixpoint(const TaskSet& set, const SetQuantities& q, std::size_t index,
-              const Frac& seed, graph::Time deadline, util::Budget* budget,
-              FixpointTelemetry* telemetry, FixpointResult& out) {
-  bool int_path = false;
-  graph::Time L = 0;
-  graph::Time f = 0;
-  if (q.base_scale > 0) {
-    // L = lcm(B, seed.den) = B·f; seed.den divides L by construction.
-    f = seed.den() / std::gcd(q.base_scale, seed.den());
-    L = q.base_scale * f;
-    if (L <= kMaxScale) {
-      const __int128 seed_scaled =
-          __int128{seed.num()} * (L / seed.den());
-      int_path = seed_scaled >= 0 &&
-                 seed_scaled + __int128{f} * q.step_weight <= kMaxMagnitude &&
-                 q.timing_max * L <= kMaxMagnitude;
-    }
-  }
+/// accumulator).  Counters only — the choice and the results are
+/// untouched.
+void fixpoint(const SetQuantities& q, std::size_t index, const Frac& seed,
+              util::Budget* budget, FixpointTelemetry* telemetry,
+              FixpointResult& out) {
   out.reset(q.units.size(), index);
   out.seed = seed;
-  if (int_path) {
-    int_path = fixpoint_int(q, L, f, index, seed, deadline, budget, out);
+  bool int_path = false;
+  // L = lcm(B, seed.den) = B·f <= kMaxScale; seed.den divides L.
+  const graph::Time f =
+      q.base_scale > 0 ? seed.den() / std::gcd(q.base_scale, seed.den()) : 0;
+  if (q.base_scale > 0 && f <= kMaxScale / q.base_scale) {
+    const graph::Time L = q.base_scale * f;
+    const __int128 seed_scaled = __int128{seed.num()} * (L / seed.den());
+    int_path = seed_scaled >= 0 &&
+               seed_scaled + __int128{f} * q.step_weight <= kMaxMagnitude &&
+               q.timing_max * L <= kMaxMagnitude &&
+               iterate(ScaledTicks{q, L, f}, index,
+                       static_cast<graph::Time>(seed_scaled), budget, out);
   }
-  if (!int_path) {
-    thread_local std::vector<std::size_t> sharers;
-    sharers_of(q, index, sharers);
-    fixpoint_frac(set, q, index, sharers, seed, deadline, budget, out);
-  }
+  if (!int_path) (void)iterate(ExactTicks{q}, index, seed, budget, out);
   if (telemetry != nullptr) {
     ++telemetry->fixpoint_solves;
     if (int_path) {
@@ -509,7 +429,7 @@ TaskAdmission solve_task(const TaskSet& set, const SetQuantities& q,
       seed = (*seed_bound)(m);
       ++telemetry.seed_evals;
     }
-    fixpoint(set, q, index, seed, deadline, budget, &telemetry, result);
+    fixpoint(q, index, seed, budget, &telemetry, result);
     if (result.converged && result.response <= Frac(deadline)) {
       assigned = m;
       reported = true;
@@ -574,9 +494,10 @@ void flush_metrics(const FixpointTelemetry& t) {
 /// contention_rta(next) from `previous` = contention_rta of `next` with one
 /// task changed: the task at `changed` left (`erased`), or next's last
 /// task was appended.  See contention_rta_appended for why reusing
-/// `previous` is exact.
+/// `previous` is exact.  With no `previous` (null), every task is solved
+/// from one core: the from-scratch analysis.
 ContentionAnalysis reanalyse(const TaskSet& next,
-                             const ContentionAnalysis& previous, bool erased,
+                             const ContentionAnalysis* previous, bool erased,
                              std::size_t changed, util::Budget* budget) {
   HEDRA_REQUIRE(!next.empty(), "contention_rta needs a non-empty task set");
   const std::size_t previous_size = erased ? next.size() + 1 : next.size() - 1;
@@ -587,16 +508,16 @@ ContentionAnalysis reanalyse(const TaskSet& next,
   // count with every smaller count proven infeasible: a complete,
   // schedulable analysis of the previous set (every published snapshot).
   // Otherwise every task is solved from one core, as from scratch.
-  const bool reuse = previous.schedulable &&
-                     previous.outcome == util::Outcome::kComplete &&
-                     previous.tasks.size() == previous_size;
+  const bool reuse = previous != nullptr && previous->schedulable &&
+                     previous->outcome == util::Outcome::kComplete &&
+                     previous->tasks.size() == previous_size;
 
   // Classes the changed task places work on: the newcomer's from the
   // measured set; the leaver's from its previous verdict, which lists
   // every class it uses (it ran at least one fixpoint).
   std::vector<bool> changed_uses(q.units.size(), false);
   if (reuse && erased) {
-    for (const DeviceContention& d : previous.tasks[changed].devices) {
+    for (const DeviceContention& d : previous->tasks[changed].devices) {
       if (d.own_volume != 0) changed_uses[d.device - 1] = true;
     }
   } else if (reuse) {
@@ -617,7 +538,7 @@ ContentionAnalysis reanalyse(const TaskSet& next,
       continue;
     }
     const TaskAdmission& before =
-        previous.tasks[erased && i >= changed ? i + 1 : i];
+        previous->tasks[erased && i >= changed ? i + 1 : i];
     bool shares = false;
     for (std::size_t d = 0; d < q.units.size() && !shares; ++d) {
       shares = changed_uses[d] && q.volume[i][d] != 0;
@@ -660,8 +581,7 @@ Frac contention_response(const TaskSet& set, std::size_t index, int cores,
   const SeedBound seed_bound(set[index], q.units, q.speedups);
   const Frac seed = seed_bound(cores);
   FixpointResult result;
-  fixpoint(set, q, index, seed, set[index].deadline(), budget, nullptr,
-           result);
+  fixpoint(q, index, seed, budget, nullptr, result);
   if (converged != nullptr) *converged = result.converged;
   return result.response;
 }
@@ -669,32 +589,20 @@ Frac contention_response(const TaskSet& set, std::size_t index, int cores,
 ContentionAnalysis contention_rta(const TaskSet& set, util::Budget* budget) {
   HEDRA_REQUIRE(!set.empty(), "contention_rta needs a non-empty task set");
   set.validate();
-  const SetQuantities& q = measure(set);
-
-  ContentionAnalysis out;
-  out.schedulable = true;
-  out.tasks.reserve(set.size());
-  int remaining = set.platform().cores;
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    out.tasks.push_back(
-        solve_task(set, q, i, remaining, 1, nullptr, budget, out.telemetry));
-    account_last(out, remaining);
-  }
-  flush_metrics(out.telemetry);
-  return out;
+  return reanalyse(set, nullptr, false, 0, budget);
 }
 
 ContentionAnalysis contention_rta_appended(const TaskSet& next,
                                            const ContentionAnalysis& previous,
                                            util::Budget* budget) {
-  return reanalyse(next, previous, false, next.size() - 1, budget);
+  return reanalyse(next, &previous, false, next.size() - 1, budget);
 }
 
 ContentionAnalysis contention_rta_erased(const TaskSet& next,
                                          const ContentionAnalysis& previous,
                                          std::size_t index,
                                          util::Budget* budget) {
-  return reanalyse(next, previous, true, index, budget);
+  return reanalyse(next, &previous, true, index, budget);
 }
 
 std::string explain_fixpoint(const ContentionAnalysis& analysis) {

@@ -98,9 +98,10 @@ struct TaskAdmission {
 /// is bit-identical with telemetry compiled in).
 struct FixpointTelemetry {
   std::uint64_t fixpoint_solves = 0;  ///< (task, core-count) fixpoints run
-  /// Which arithmetic engine each solve took: the L-scaled integer fast
-  /// path vs the exact-rational fallback (see fixpoint_int's contract —
-  /// both produce bit-identical value sequences).
+  /// Which arithmetic each solve ran in: L-scaled integers, or exact
+  /// rationals when the platform's scale or the set's magnitudes leave no
+  /// int64 headroom.  One iteration serves both, so they produce
+  /// bit-identical value sequences.
   std::uint64_t int_path = 0;
   std::uint64_t frac_path = 0;
   std::uint64_t iterations = 0;       ///< fixpoint iterations, all solves

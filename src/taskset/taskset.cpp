@@ -12,17 +12,6 @@ namespace hedra::taskset {
 
 namespace {
 
-/// vol_d(G) without forcing arena-backed tasks to materialise a Dag.
-graph::Time task_volume_on(const DagTask& task, graph::DeviceId device) {
-  if (!task.has_flat_view()) return task.dag().volume_on(device);
-  const graph::FlatView view = task.flat_view();
-  graph::Time volume = 0;
-  for (graph::NodeId v = 0; v < view.num_nodes(); ++v) {
-    if (view.device(v) == device) volume += view.wcet(v);
-  }
-  return volume;
-}
-
 void check_name(const DagTask& task) {
   HEDRA_REQUIRE(!task.name().empty(), "task names must be non-empty");
   HEDRA_REQUIRE(task.name().find_first_of(" \t\r\n") == std::string::npos,
@@ -83,31 +72,6 @@ void TaskSet::validate() const {
                   "duplicate task name '" + task.name() + "'");
     check_placement(platform_, task);
   }
-}
-
-Frac TaskSet::task_device_utilization(std::size_t i,
-                                      graph::DeviceId device) const {
-  HEDRA_REQUIRE(i < tasks_.size(), "task index out of range");
-  return Frac(task_volume_on(tasks_[i], device), tasks_[i].period());
-}
-
-// hedra-lint: allow(float-in-bound, reporting aggregate, bounds stay exact)
-double TaskSet::device_utilization(graph::DeviceId device) const {
-  double total = 0.0;  // hedra-lint: allow(float-in-bound, reporting aggregate)
-  for (const DagTask& task : tasks_) {
-    // hedra-lint: allow(float-in-bound, reporting aggregate)
-    total += static_cast<double>(task_volume_on(task, device)) /
-             // hedra-lint: allow(float-in-bound, reporting aggregate)
-             static_cast<double>(task.period());
-  }
-  return total;
-}
-
-// hedra-lint: allow(float-in-bound, reporting aggregate, bounds stay exact)
-double TaskSet::total_utilization() const {
-  double total = 0.0;  // hedra-lint: allow(float-in-bound, reporting aggregate)
-  for (const DagTask& task : tasks_) total += task.utilization().to_double();
-  return total;
 }
 
 std::string TaskSet::to_text() const {

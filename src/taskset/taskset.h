@@ -88,22 +88,6 @@ class TaskSet {
   /// names, which depend on the rest of the set.
   void validate_task(const DagTask& task) const;
 
-  /// vol_d(G_i) / T_i — task i's exact utilisation of accelerator class d
-  /// (d = 0 selects the host).  Device-TIME ticks; divide by n_d for a
-  /// per-unit load.
-  [[nodiscard]] Frac task_device_utilization(std::size_t i,
-                                             graph::DeviceId device) const;
-
-  /// Σ_i vol_d(G_i)/T_i across tasks (double: periods from
-  /// utilisation-driven generators are large and mutually coprime, so the
-  /// exact rational sum can overflow 64-bit numerators).
-  // hedra-lint: allow(float-in-bound, reporting aggregate, bounds stay exact)
-  [[nodiscard]] double device_utilization(graph::DeviceId device) const;
-
-  /// Σ_i vol(G_i)/T_i — host and accelerator workload combined.
-  // hedra-lint: allow(float-in-bound, reporting aggregate, bounds stay exact)
-  [[nodiscard]] double total_utilization() const;
-
   /// Serialises the set; round-trips through from_text.  Calls validate().
   [[nodiscard]] std::string to_text() const;
 

@@ -111,6 +111,34 @@ TEST(BnbTest, InvalidInputsThrow) {
   }
 }
 
+/// a -> b -> a.
+graph::Dag two_cycle() {
+  graph::Dag dag;
+  const auto a = dag.add_node(1);
+  const auto b = dag.add_node(2);
+  dag.add_edge(a, b);
+  dag.add_edge(b, a);
+  return dag;
+}
+
+TEST(BnbTest, CyclicGraphIsRejected) {
+  try {
+    (void)min_makespan(two_cycle(), 2);
+    FAIL() << "a cyclic graph was solved";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.message(), "precondition violated: cannot solve a cyclic graph");
+  }
+}
+
+TEST(BruteForceTest, CyclicGraphIsRejected) {
+  try {
+    (void)brute_force_min_makespan(two_cycle(), 2);
+    FAIL() << "a cyclic graph was solved";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.message(), "precondition violated: cannot solve a cyclic graph");
+  }
+}
+
 TEST(BruteForceTest, GuardsAgainstLargeGraphs) {
   Rng rng(1);
   auto params = gen::HierarchicalParams::small_tasks();

@@ -62,19 +62,6 @@ TEST(ArenaTasksetTest, GeneratedTasksAreArenaBacked) {
   }
 }
 
-TEST(ArenaTasksetTest, MetricsMatchTheEagerPath) {
-  Rng rng(34);
-  const TaskSet set = generate_task_set(base_config(), rng);
-  const TaskSet eager = eager_clone(set);
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    EXPECT_EQ(set[i].utilization(), eager[i].utilization());
-    EXPECT_EQ(set[i].density(), eager[i].density());
-    EXPECT_EQ(set[i].host_utilization(), eager[i].host_utilization());
-    EXPECT_EQ(set[i].length_ratio(), eager[i].length_ratio());
-  }
-  EXPECT_EQ(set.total_utilization(), eager.total_utilization());
-}
-
 TEST(ArenaTasksetTest, AdmissionIsBitIdenticalToTheEagerPath) {
   for (const std::uint64_t seed : {11u, 57u, 203u}) {
     Rng rng(seed);

@@ -238,19 +238,47 @@ TEST(FixpointOracleTest, EveryWorkCapMatchesTheOracle) {
 
 TEST(FixpointOracleTest, DenseCarryInTakesTheFracPath) {
   // c's period is 2^40 times shorter than t1's deadline: t1's window holds
-  // about 2^40 of c's jobs, one threshold step each on the integer path.
-  // The set is solved in exact arithmetic instead, in a few iterations.
+  // about 2^40 of c's jobs.  A threshold crossing recounts them with one
+  // division, so both arithmetics solve t1 in a few iterations.
+  for (const bool frac_speedup : {false, true}) {
+    SCOPED_TRACE(frac_speedup ? "frac path" : "int path");
+    model::Platform platform = model::Platform::parse("1:acc");
+    if (frac_speedup) platform.device_speedup = {frac_path_speedup()};
+    TaskSet set(platform);
+    set.add(DagTask(single_node(1, 1), 1, 1, "c"));
+    graph::Dag dag;
+    dag.add_edge(dag.add_node(graph::Time{1} << 38), dag.add_node_on(1, 1));
+    const graph::Time window = graph::Time{1} << 40;
+    set.add(DagTask(std::move(dag), window, window, "t1"));
+    const ContentionAnalysis analysis = contention_rta(set);
+    expect_matches(analysis, testing::oracle_admission(set));
+    EXPECT_EQ(analysis.telemetry.int_path, frac_speedup ? 0u : 2u);
+    EXPECT_EQ(analysis.telemetry.frac_path, frac_speedup ? 2u : 0u);
+    EXPECT_FALSE(analysis.tasks[1].schedulable);
+    EXPECT_EQ(analysis.tasks[1].outcome, util::Outcome::kComplete);
+    EXPECT_LE(analysis.tasks[1].iterations, 8);
+  }
+}
+
+TEST(FixpointOracleTest, OverRangeSeedWindowHandsOffToExactArithmetic) {
+  // t1's seed window holds about 2^37 of c's jobs of 2^20 device ticks:
+  // 2^57, past the integer arithmetic's 2^56 headroom but inside int64.
+  // c's own solve stays on integers; t1's moves to exact arithmetic
+  // before it touches the result or the budget.
   TaskSet set(model::Platform::parse("1:acc"));
-  set.add(DagTask(single_node(1, 1), 1, 1, "c"));
+  set.add(DagTask(single_node(graph::Time{1} << 20, 1), 1, 1, "c"));
   graph::Dag dag;
-  dag.add_edge(dag.add_node(graph::Time{1} << 38), dag.add_node_on(1, 1));
-  const graph::Time window = graph::Time{1} << 40;
-  set.add(DagTask(std::move(dag), window, window, "t1"));
-  const ContentionAnalysis analysis = contention_rta(set);
+  dag.add_edge(dag.add_node(graph::Time{1} << 37), dag.add_node_on(1, 1));
+  set.add(DagTask(std::move(dag), 1, 1, "t1"));
+  util::Budget unlimited(util::Deadline::never());
+  const ContentionAnalysis analysis = contention_rta(set, &unlimited);
   expect_matches(analysis, testing::oracle_admission(set));
-  EXPECT_EQ(analysis.telemetry.int_path, 0u);
-  EXPECT_FALSE(analysis.tasks[1].schedulable);
-  EXPECT_EQ(analysis.tasks[1].outcome, util::Outcome::kComplete);
+  EXPECT_EQ(analysis.telemetry.int_path, 1u);
+  EXPECT_EQ(analysis.telemetry.frac_path, 1u);
+  EXPECT_EQ(analysis.tasks[0].response, Frac(2097154));
+  EXPECT_EQ(analysis.tasks[1].response, Frac(144115325517955073));
+  // One trial and one iteration per task: the handoff consumed nothing.
+  EXPECT_EQ(unlimited.used(), 4u);
 }
 
 TEST(FixpointOracleTest, SeedWindowPastInt64ThrowsInsteadOfWrapping) {

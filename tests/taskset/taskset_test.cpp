@@ -32,16 +32,10 @@ TEST(TaskSetTest, SizeAndIndexing) {
   const TaskSet set = small_set();
   EXPECT_EQ(set.size(), 2u);
   EXPECT_FALSE(set.empty());
+  EXPECT_TRUE(TaskSet(Platform::parse("4:gpu")).empty());
   EXPECT_EQ(set[0].name(), "tau1");
   EXPECT_EQ(set[1].name(), "tau2");
   EXPECT_THROW((void)set[2], Error);
-}
-
-TEST(TaskSetTest, EmptySetTotalsAreZero) {
-  const TaskSet set(Platform::parse("4:gpu"));
-  EXPECT_TRUE(set.empty());
-  EXPECT_DOUBLE_EQ(set.total_utilization(), 0.0);
-  EXPECT_DOUBLE_EQ(set.device_utilization(graph::kHostDevice), 0.0);
 }
 
 TEST(TaskSetTest, ValidatesCleanSet) {
@@ -140,20 +134,6 @@ TEST(TaskSetTest, OneTaskCopiesKeepTheOrderAndShareGraphs) {
   EXPECT_EQ(with_d[3].name(), "d");
   EXPECT_EQ(&with_d[0].dag(), &set[0].dag());
   EXPECT_EQ(set.size(), 3u);
-}
-
-TEST(TaskSetTest, UtilizationAccounting) {
-  const TaskSet set = small_set();
-  // tau1: vol 10 / T 100; tau2: vol 8 / T 50.
-  EXPECT_NEAR(set.total_utilization(), 10.0 / 100.0 + 8.0 / 50.0, 1e-12);
-  // Host: 6/100 + 3/50; device 1: 4/100; device 2: 5/50.
-  EXPECT_NEAR(set.device_utilization(graph::kHostDevice),
-              6.0 / 100.0 + 3.0 / 50.0, 1e-12);
-  EXPECT_NEAR(set.device_utilization(1), 4.0 / 100.0, 1e-12);
-  EXPECT_NEAR(set.device_utilization(2), 5.0 / 50.0, 1e-12);
-  EXPECT_EQ(set.task_device_utilization(0, 1), Frac(4, 100));
-  EXPECT_EQ(set.task_device_utilization(1, 2), Frac(5, 50));
-  EXPECT_EQ(set.task_device_utilization(1, 1), Frac(0));
 }
 
 TEST(TaskSetTest, TextRoundTripIsExact) {
